@@ -32,14 +32,37 @@ def _parse_kinds(text):
     return tuple(FeatureKind(k.strip()) for k in text.split(","))
 
 
-def _load_config_defaults(path):
-    if not path:
-        return {}
+def _config_defaults(command, path):
+    """Defaults for subcommand parser ``command`` from JSON config ``path``.
+
+    Keys name the subcommand's flags, spelled with dashes or underscores;
+    keys of other subcommands are ignored. A string value is read as the
+    flag's text, any other value as its JSON text, and goes through the
+    flag's ``type``; JSON null keeps a flag whose default is None unset.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
+        try:
+            obj = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigurationError("config file must hold a JSON object")
-    return obj
+    config = {key.replace("-", "_"): value for key, value in obj.items()}
+    defaults = {}
+    for action in command._actions:
+        if action.dest not in config or action.dest == "help":
+            continue
+        value = config[action.dest]
+        if value is None and action.default is None:
+            defaults[action.dest] = None
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            defaults[action.dest] = (action.type or str)(text)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"config value {action.dest}={value!r}: {exc}") from exc
+    return defaults
 
 
 def _store_settings(store):
@@ -286,8 +309,6 @@ def build_parser():
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker parallelism bound")
         return p
 
     p = add("synth", _cmd_synth, help="generate a synthetic marketplace")
@@ -369,14 +390,14 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        defaults = _load_config_defaults(args.config)
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr != "config":
-                # keep explicit flag values; config fills the gaps only
-                # when argparse left the built-in default
-                if f"--{key}" not in (argv or []):
-                    setattr(args, attr, value)
+        if args.config:
+            # config values become the subcommand's defaults, so any flag
+            # given on the command line wins however it is spelled
+            command = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction)
+                           ).choices[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         return args.fn(args)
     except PerfestError as exc:
         print(f"error: {exc}", file=sys.stderr)

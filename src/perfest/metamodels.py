@@ -10,6 +10,16 @@ deterministic given (spec, rows, seed).
 Distance- and gradient-based learners (kNN, MLP) consume z-scored
 profiles; trees are scale-invariant and consume raw profiles.
 Predictions are clipped to [0, 1] since targets are F1 scores.
+
+Tree split search is exact and sorts once per tree: every feature is
+argsorted at the root, and each split hands its children their rows by
+a stable partition of the (features, rows) sorted-index matrix, as in
+the pre-sorted column blocks of XGBoost's exact greedy algorithm (Chen &
+Guestrin 2016). Each node then scans the same boundaries in the same
+order as a per-node stable argsort would. A random forest or GBT model
+stacks its trees' node arrays into one ``TreeStack`` when it is trained
+or loaded, and one vectorized walk moves every tree's node for every
+row at once.
 """
 
 from __future__ import annotations
@@ -95,115 +105,175 @@ class TrainedMetaModel:
 
 
 # ---------------------------------------------------------------------------
-# Regression tree (CART, variance reduction, exhaustive threshold scan)
+# Regression tree (CART, variance reduction, exact presorted split search)
 
 class RegressionTree:
-    """Depth-bounded binary regression tree stored as flat node arrays."""
+    """Depth-bounded binary regression tree stored as flat node arrays.
+
+    ``feature`` is -1 at leaves, whose ``left`` and ``right`` are -1 too;
+    an internal node's children sit at higher indices than the node.
+    """
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self):
-        self.feature = []    # -1 for leaves
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def _add_node(self):
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
     def fit(self, X, y, max_depth):
-        root = self._add_node()
-        stack = [(root, np.arange(X.shape[0]), 0)]
+        """Grow the tree on rows ``X`` (n, p) with targets ``y``.
+
+        Every feature is argsorted once. A node holds its rows' positions
+        in each feature's sorted order as a (p, m) matrix; a child takes
+        its rows from its parent's matrix by a stable partition, which is
+        the order a stable argsort of the child's rows would give.
+        """
+        n, p = X.shape
+        XT = np.ascontiguousarray(X.T)
+        feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+        value = [0.0]
+        goes_left = np.zeros(n, dtype=bool)
+        # (node, rows, parent's sorted matrix, this node's mask of it, depth)
+        stack = [(0, np.arange(n), np.argsort(XT, axis=1, kind="stable"),
+                  None, 0)]
         while stack:
-            node, idx, depth = stack.pop()
-            yn = y[idx]
-            self.value[node] = float(yn.mean())
+            node, idx, order, keep, depth = stack.pop()
+            value[node] = float(y[idx].mean())
             if depth >= max_depth or idx.shape[0] < 2 * MIN_LEAF:
                 continue
-            feat, thr = _best_split(X[idx], yn)
+            if keep is not None:
+                order = order[keep].reshape(p, -1)
+            feat, thr = _best_split(XT, y, order)
             if feat < 0:
                 continue
             go_left = X[idx, feat] <= thr
-            self.feature[node] = feat
-            self.threshold[node] = thr
-            li = self._add_node()
-            ri = self._add_node()
-            self.left[node] = li
-            self.right[node] = ri
-            stack.append((li, idx[go_left], depth + 1))
-            stack.append((ri, idx[~go_left], depth + 1))
+            goes_left[idx] = go_left
+            sorted_left = goes_left[order]
+            li = len(feature)
+            feature[node] = feat
+            threshold[node] = thr
+            left[node] = li
+            right[node] = li + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [-1, -1]
+            right += [-1, -1]
+            value += [0.0, 0.0]
+            stack.append((li, idx[go_left], order, sorted_left, depth + 1))
+            stack.append((li + 1, idx[~go_left], order, ~sorted_left,
+                          depth + 1))
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=float)
         return self
 
-    def predict(self, X):
-        X = np.atleast_2d(X)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        node = np.zeros(X.shape[0], dtype=int)
-        active = feature[node] >= 0
-        while active.any():
-            f = feature[node[active]]
-            t = threshold[node[active]]
-            rows = np.nonzero(active)[0]
-            goes_left = X[rows, f] <= t
-            node[rows] = np.where(goes_left, left[node[rows]],
-                                  right[node[rows]])
-            active = feature[node] >= 0
-        return value[node]
-
     def to_obj(self):
-        return {"feature": list(self.feature),
-                "threshold": list(self.threshold),
-                "left": list(self.left), "right": list(self.right),
-                "value": list(self.value)}
+        return {"feature": self.feature.tolist(),
+                "threshold": self.threshold.tolist(),
+                "left": self.left.tolist(), "right": self.right.tolist(),
+                "value": self.value.tolist()}
 
     @classmethod
-    def from_obj(cls, obj):
+    def from_obj(cls, obj, width):
+        """Tree from ``to_obj`` output, checked for inputs of ``width``.
+
+        Raises ModelFormatError unless every node array has the same
+        length, features lie in [-1, width), leaves have no children and
+        an internal node's children lie after it, so traversal ends.
+        """
         tree = cls()
-        tree.feature = [int(v) for v in obj["feature"]]
-        tree.threshold = [float(v) for v in obj["threshold"]]
-        tree.left = [int(v) for v in obj["left"]]
-        tree.right = [int(v) for v in obj["right"]]
-        tree.value = [float(v) for v in obj["value"]]
+        tree.feature = _array(obj, "feature", (None,), integer=True)
+        tree.threshold = _array(obj, "threshold", (None,))
+        tree.left = _array(obj, "left", (None,), integer=True)
+        tree.right = _array(obj, "right", (None,), integer=True)
+        tree.value = _array(obj, "value", (None,))
+        size = tree.feature.shape[0]
+        if size == 0 or any(a.shape[0] != size for a in (
+                tree.threshold, tree.left, tree.right, tree.value)):
+            raise ModelFormatError("tree node arrays are empty or differ "
+                                   "in length")
+        if np.any((tree.feature < -1) | (tree.feature >= width)):
+            raise ModelFormatError(
+                f"tree feature index outside [-1, {width})")
+        split = tree.feature >= 0
+        at = np.arange(size)
+        for child in (tree.left, tree.right):
+            ok = np.where(split, (child > at) & (child < size), child == -1)
+            if not ok.all():
+                raise ModelFormatError(
+                    f"tree child index {int(child[~ok][0])} at node "
+                    f"{int(at[~ok][0])} is not a later node")
         return tree
 
 
-def _best_split(X, y):
+def _best_split(XT, y, order):
     """Best (feature, threshold) by variance reduction; (-1, 0.0) if none.
 
-    Scans every boundary between consecutive sorted values of every
-    feature; ties resolve to the smallest split position, then the
-    lowest feature index.
+    ``order`` (p, m) lists the node's rows in ascending order of each
+    feature of ``XT`` (p, n). Scans every boundary between consecutive
+    sorted values of every feature that leaves MIN_LEAF rows on each
+    side; ties resolve to the smallest split position, then the lowest
+    feature index.
     """
-    n = X.shape[0]
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1, :]
-    nl = np.arange(1, n, dtype=float)[:, None]
-    nr = n - nl
-    left_sum = csum[:-1, :]
-    right_sum = total[None, :] - left_sum
+    m = order.shape[1]
+    # splitting after sorted position j leaves j + 1 rows on the left
+    lo, hi = MIN_LEAF - 1, m - MIN_LEAF
+    xs = XT[np.arange(XT.shape[0])[:, None], order[:, lo:hi + 1]]
+    csum = np.cumsum(y[order], axis=1)
+    nl = np.arange(lo + 1, hi + 1, dtype=float)
+    left_sum = csum[:, lo:hi]
+    right_sum = csum[:, -1:] - left_sum
     # maximizing sum-of-squares of child means == minimizing total SSE
-    score = left_sum ** 2 / nl + right_sum ** 2 / nr
-    valid = xs[:-1, :] < xs[1:, :]
-    valid &= (nl >= MIN_LEAF) & (nr >= MIN_LEAF)
-    score = np.where(valid, score, -np.inf)
-    flat = int(np.argmax(score))
-    if not np.isfinite(score.flat[flat]):
+    score = np.square(left_sum)
+    score /= nl
+    np.square(right_sum, out=right_sum)
+    right_sum /= m - nl
+    score += right_sum
+    score[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
+    best = score.max(axis=0)
+    pos = int(np.argmax(best))
+    if not np.isfinite(best[pos]):
         return -1, 0.0
-    row, col = divmod(flat, X.shape[1])
-    thr = 0.5 * (xs[row, col] + xs[row + 1, col])
-    return col, float(thr)
+    feat = int(np.argmax(score[:, pos]))
+    thr = 0.5 * (xs[feat, pos] + xs[feat, pos + 1])
+    return feat, float(thr)
+
+
+class TreeStack:
+    """The node arrays of several trees, concatenated for joint traversal.
+
+    Child indices are shifted to the stacked positions, so one walk moves
+    every tree's node for every row at once.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "roots")
+
+    def __init__(self, trees):
+        sizes = [t.feature.shape[0] for t in trees]
+        self.roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+        shift = np.repeat(self.roots, sizes)
+
+        def cat(name, dtype):
+            return np.concatenate([getattr(t, name) for t in trees]
+                                  + [np.empty(0, dtype=dtype)])
+
+        self.feature = cat("feature", np.intp)
+        self.threshold = cat("threshold", float)
+        self.value = cat("value", float)
+        self.left = cat("left", np.intp) + shift
+        self.right = cat("right", np.intp) + shift
+
+    def values(self, X):
+        """(trees, rows) matrix of the leaf value each tree gives each row."""
+        n = X.shape[0]
+        node = np.repeat(self.roots, n)
+        row = np.tile(np.arange(n), self.roots.shape[0])
+        live = np.flatnonzero(self.feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            go_left = X[row[live], self.feature[at]] <= self.threshold[at]
+            nxt = np.where(go_left, self.left[at], self.right[at])
+            node[live] = nxt
+            live = live[self.feature[nxt] >= 0]
+        return self.value[node].reshape(self.roots.shape[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +376,7 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
             idx = rng.integers(0, n, size=size)
             trees.append(RegressionTree().fit(X[idx], y[idx],
                                               int(hp["max_depth"])))
-        params = {"trees": trees}
+        params = {"trees": trees, "stack": TreeStack(trees)}
     elif spec.kind is ModelKind.GBT:
         n = X.shape[0]
         lr = float(hp["learning_rate"])
@@ -321,7 +391,7 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
             resid = y - pred
             tree = RegressionTree().fit(X[idx], resid[idx],
                                         int(hp["max_depth"]))
-            h = tree.predict(X)
+            h = TreeStack([tree]).values(X)[0]
             hh = float(h @ h)
             if hh == 0.0:
                 continue
@@ -332,7 +402,8 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
             pred = pred + scale * h
             trees.append(tree)
             scales.append(scale)
-        params = {"base": base, "trees": trees, "scales": scales}
+        params = {"base": base, "trees": trees, "scales": scales,
+                  "stack": TreeStack(trees)}
     else:  # pragma: no cover
         raise ConfigurationError(f"unknown model kind {spec.kind!r}")
 
@@ -363,14 +434,18 @@ def predict_many(model: TrainedMetaModel, profiles) -> np.ndarray:
     elif kind is ModelKind.MLP:
         out, _ = mlp_forward(model.params, Xs)
     elif kind is ModelKind.RANDOM_FOREST:
-        trees = model.params["trees"]
-        out = np.mean([t.predict(X) for t in trees], axis=0)
+        out = np.mean(model.params["stack"].values(X), axis=0)
     else:  # GBT
-        out = np.full(X.shape[0], model.params["base"])
-        for tree, scale in zip(model.params["trees"],
-                               model.params["scales"]):
-            out = out + scale * tree.predict(X)
+        out = _boost(model.params, X)[-1]
     return np.clip(out, 0.0, 1.0)
+
+
+def _boost(params, X):
+    """GBT predictions on X after each round, the base score first."""
+    out = [np.full(X.shape[0], params["base"])]
+    for h, scale in zip(params["stack"].values(X), params["scales"]):
+        out.append(out[-1] + scale * h)
+    return out
 
 
 def predict(model: TrainedMetaModel, profile: FeatureProfile) -> float:
@@ -382,12 +457,8 @@ def gbt_training_mse_curve(model: TrainedMetaModel, rows):
     if model.spec.kind is not ModelKind.GBT:
         raise ConfigurationError("MSE curve is defined for GBT models only")
     X, y, _, _ = _rows_to_matrix(rows)
-    pred = np.full(X.shape[0], model.params["base"])
-    curve = [float(np.mean((y - pred) ** 2))]
-    for tree, scale in zip(model.params["trees"], model.params["scales"]):
-        pred = pred + scale * tree.predict(X)
-        curve.append(float(np.mean((y - pred) ** 2)))
-    return curve
+    return [float(np.mean((y - pred) ** 2))
+            for pred in _boost(model.params, X)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +520,57 @@ def _params_to_obj(model: TrainedMetaModel):
             "trees": [t.to_obj() for t in p["trees"]]}
 
 
-def _params_from_obj(kind, obj):
+def _field(obj, key, kind):
+    """``obj[key]`` if it is an instance of ``kind``; ModelFormatError else."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ModelFormatError(f"model file lacks {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ModelFormatError(f"model field {key!r} has type "
+                               f"{type(value).__name__}")
+    return value
+
+
+def _array(obj, key, shape, integer=False):
+    """``obj[key]`` as a float (or integer) array of ``shape``.
+
+    A None in ``shape`` matches any size along that axis.
+    """
+    try:
+        arr = np.array(_field(obj, key, list))
+    except ValueError as exc:  # ragged nesting
+        raise ModelFormatError(f"model field {key!r}: {exc}") from exc
+    kinds = "i" if integer else "if"
+    if (arr.ndim != len(shape) or (arr.size and arr.dtype.kind not in kinds)
+            or any(want not in (None, got)
+                   for got, want in zip(arr.shape, shape))):
+        raise ModelFormatError(
+            f"model field {key!r} is not an array of "
+            f"{'integers' if integer else 'numbers'} of shape {shape}")
+    return arr.astype(np.intp if integer else float)
+
+
+def _params_from_obj(kind, obj, width):
+    """Learned state of a ``kind`` model whose inputs have ``width``."""
     if kind is ModelKind.KNN:
-        return {"X": np.array(obj["X"], dtype=float),
-                "y": np.array(obj["y"], dtype=float), "k": int(obj["k"])}
+        X = _array(obj, "X", (None, width))
+        k = _field(obj, "k", int)
+        if k < 1 or X.shape[0] == 0:
+            raise ModelFormatError("knn model needs k >= 1 and a training row")
+        return {"X": X, "y": _array(obj, "y", (X.shape[0],)), "k": k}
     if kind is ModelKind.MLP:
-        return {"W1": np.array(obj["W1"], dtype=float),
-                "b1": np.array(obj["b1"], dtype=float),
-                "W2": np.array(obj["W2"], dtype=float),
-                "b2": float(obj["b2"])}
+        W1 = _array(obj, "W1", (width, None))
+        return {"W1": W1,
+                "b1": _array(obj, "b1", (W1.shape[1],)),
+                "W2": _array(obj, "W2", (W1.shape[1],)),
+                "b2": float(_field(obj, "b2", (int, float)))}
+    trees = [RegressionTree.from_obj(t, width)
+             for t in _field(obj, "trees", list)]
     if kind is ModelKind.RANDOM_FOREST:
-        return {"trees": [RegressionTree.from_obj(t) for t in obj["trees"]]}
-    return {"base": float(obj["base"]),
-            "scales": [float(s) for s in obj["scales"]],
-            "trees": [RegressionTree.from_obj(t) for t in obj["trees"]]}
+        return {"trees": trees, "stack": TreeStack(trees)}
+    return {"base": float(_field(obj, "base", (int, float))),
+            "scales": _array(obj, "scales", (len(trees),)).tolist(),
+            "trees": trees, "stack": TreeStack(trees)}
 
 
 def save_model(model: TrainedMetaModel, path) -> None:
@@ -485,20 +593,29 @@ def save_model(model: TrainedMetaModel, path) -> None:
 
 
 def load_model(path) -> TrainedMetaModel:
+    """Read a ``save_model`` file; ModelFormatError if it is malformed."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModelFormatError(f"corrupt model file: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ModelFormatError(
             f"incompatible model format {obj.get('format') if isinstance(obj, dict) else obj!r}; "
             f"expected {MODEL_FORMAT}")
-    kind = ModelKind(obj["kind"])
-    spec = ModelSpec(kind=kind, hyperparams=obj["hyperparams"])
+    try:
+        kind = ModelKind(_field(obj, "kind", str))
+        spec = ModelSpec(kind=kind,
+                         hyperparams=_field(obj, "hyperparams", dict))
+        kinds = tuple(FeatureKind(k) for k in _field(obj, "kinds", list))
+    except (ValueError, TypeError, ConfigurationError) as exc:
+        raise ModelFormatError(f"bad model description: {exc}") from exc
+    dims = _field(obj, "dims", int)
+    if dims < 1 or not kinds:
+        raise ModelFormatError("model needs dims >= 1 and a feature kind")
+    width = dims * len(kinds)
     return TrainedMetaModel(
-        spec=spec, seed=int(obj["seed"]), dims=int(obj["dims"]),
-        kinds=tuple(FeatureKind(k) for k in obj["kinds"]),
-        mean=np.array(obj["mean"], dtype=float),
-        std=np.array(obj["std"], dtype=float),
-        params=_params_from_obj(kind, obj["params"]))
+        spec=spec, seed=_field(obj, "seed", int), dims=dims, kinds=kinds,
+        mean=_array(obj, "mean", (width,)),
+        std=_array(obj, "std", (width,)),
+        params=_params_from_obj(kind, _field(obj, "params", dict), width))

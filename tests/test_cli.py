@@ -38,6 +38,11 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert code == 2
 
 
+def test_unknown_flag_is_usage_error(capsys, tmp_path):
+    code, _, _ = run(capsys, "synth", "--out", str(tmp_path), "--jobs", "2")
+    assert code == 2
+
+
 def test_missing_input_file_is_domain_error(capsys, tmp_path):
     code, _, err = run(capsys, "extract",
                        "--records", str(tmp_path / "nope.jsonl"),
@@ -83,6 +88,57 @@ def test_config_file_fills_defaults_flags_win(capsys, tmp_path):
     assert code == 0
     # 1 service from config, 4 tasks from the explicit flag
     assert "1 services x 4 tasks" in text
+
+
+def test_config_file_loses_to_flag_spelled_with_equals(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 9}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    rest = synth_args(a, seed=5)[3:]
+    assert run(capsys, "--config", str(cfg), "synth", "--seed=5",
+               *rest)[0] == 0
+    assert run(capsys, *synth_args(b, seed=5))[0] == 0
+    assert read_tree(a) == read_tree(b)
+
+
+def test_config_values_go_through_the_flag_type(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"services": "3", "tasks": 1, "samples": 5,
+                               "contexts": 1, "fidelity": 0.5}))
+    code, text, _ = run(capsys, "--config", str(cfg), "synth",
+                        "--out", str(tmp_path / "store"))
+    assert code == 0
+    assert "3 services x 1 tasks" in text
+
+
+@pytest.mark.parametrize("body", [
+    {"services": "three"}, {"services": 2.5}, {"services": None},
+    {"fidelity": [0.5]}, "not json", ["a list"]])
+def test_bad_config_value_is_domain_error(capsys, tmp_path, body):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(body if isinstance(body, str) else json.dumps(body))
+    code, _, err = run(capsys, "--config", str(cfg), "synth",
+                       "--out", str(tmp_path / "store"))
+    assert code == 1
+    assert "error" in err
+
+
+def test_malformed_model_file_is_domain_error(capsys, tmp_path):
+    store_dir = tmp_path / "store"
+    run(capsys, *synth_args(store_dir, services=1, tasks=2, samples=10,
+                            contexts=2))
+    records = str(store_dir / "records.jsonl")
+    model_path = tmp_path / "model.json"
+    assert run(capsys, "train", "--records", records, "--d", "4",
+               "--hyperparams", '{"n_trees": 2}',
+               "--out", str(model_path))[0] == 0
+    obj = json.loads(model_path.read_text())
+    del obj["dims"]
+    model_path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "estimate", "--model", str(model_path),
+                       "--records", records)
+    assert code == 1
+    assert "dims" in err
 
 
 def test_full_pipeline_smoke(capsys, tmp_path):

@@ -1,15 +1,21 @@
 """Profile-to-performance regressors: KNN, MLP, random forest, GBT."""
 
 import copy
+import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perfest.errors import ConfigurationError, ModelFormatError
 from perfest.features import FeatureKind
 from perfest.metamodels import (
+    MIN_LEAF,
     ModelKind,
     ModelSpec,
+    RegressionTree,
     TrainingRow,
     gbt_training_mse_curve,
     grid_search,
@@ -290,3 +296,231 @@ def test_target_outside_unit_interval_rejected():
     prof = profile_from_vector((1.0, 2.0))
     with pytest.raises(ValueError):
         TrainingRow(profile=prof, target=1.2)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the presorted tree learner and the stacked predictor against
+# the learner as first written: it argsorts each node's rows afresh.
+
+class SeedTree:
+    """Reference CART learner that re-sorts every node's rows."""
+
+    def __init__(self):
+        self.feature, self.threshold = [], []
+        self.left, self.right, self.value = [], [], []
+
+    def _add_node(self):
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        return len(self.feature) - 1
+
+    def fit(self, X, y, max_depth):
+        root = self._add_node()
+        stack = [(root, np.arange(X.shape[0]), 0)]
+        while stack:
+            node, idx, depth = stack.pop()
+            yn = y[idx]
+            self.value[node] = float(yn.mean())
+            if depth >= max_depth or idx.shape[0] < 2 * MIN_LEAF:
+                continue
+            feat, thr = seed_best_split(X[idx], yn)
+            if feat < 0:
+                continue
+            go_left = X[idx, feat] <= thr
+            self.feature[node] = feat
+            self.threshold[node] = thr
+            li = self._add_node()
+            ri = self._add_node()
+            self.left[node] = li
+            self.right[node] = ri
+            stack.append((li, idx[go_left], depth + 1))
+            stack.append((ri, idx[~go_left], depth + 1))
+        return self
+
+    def to_obj(self):
+        return {"feature": list(self.feature),
+                "threshold": list(self.threshold),
+                "left": list(self.left), "right": list(self.right),
+                "value": list(self.value)}
+
+
+def seed_best_split(X, y):
+    n = X.shape[0]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)
+    total = csum[-1, :]
+    nl = np.arange(1, n, dtype=float)[:, None]
+    nr = n - nl
+    left_sum = csum[:-1, :]
+    right_sum = total[None, :] - left_sum
+    score = left_sum ** 2 / nl + right_sum ** 2 / nr
+    valid = xs[:-1, :] < xs[1:, :]
+    valid &= (nl >= MIN_LEAF) & (nr >= MIN_LEAF)
+    score = np.where(valid, score, -np.inf)
+    flat = int(np.argmax(score))
+    if not np.isfinite(score.flat[flat]):
+        return -1, 0.0
+    row, col = divmod(flat, X.shape[1])
+    thr = 0.5 * (xs[row, col] + xs[row + 1, col])
+    return col, float(thr)
+
+
+@st.composite
+def tree_cases(draw):
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # few distinct values: heavy ties
+        values = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    else:
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+    X = draw(hnp.arrays(float, (n, p), elements=values))
+    y = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        y[:] = y[0]
+    if draw(st.booleans()):  # bootstrap sample: duplicate rows
+        idx = draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))
+        X, y = X[idx], y[idx]
+    return X, y, draw(st.integers(0, 7))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_cases())
+@example((np.array([[1.0]]), np.array([0.3]), 5))
+@example((np.arange(12.0).reshape(6, 2), np.linspace(0, 1, 6), 0))
+@example((np.arange(12.0).reshape(6, 2), np.full(6, 0.4), 4))
+@example((np.ones((8, 3)), np.linspace(0, 1, 8), 4))
+def test_presorted_tree_fit_matches_per_node_argsort(case):
+    X, y, depth = case
+    tree = RegressionTree().fit(X, y, depth)
+    assert tree.to_obj() == SeedTree().fit(X, y, depth).to_obj()
+
+
+def per_tree_loop(model, profiles):
+    """Predictions by walking each tree for each row, one at a time."""
+    X = np.array([pr.vector for pr in profiles], dtype=float)
+    trees = model.params["trees"]
+    values = np.empty((len(trees), X.shape[0]))
+    for t, tree in enumerate(trees):
+        for r, x in enumerate(X):
+            node = 0
+            while tree.feature[node] >= 0:
+                node = (tree.left[node]
+                        if x[tree.feature[node]] <= tree.threshold[node]
+                        else tree.right[node])
+            values[t, r] = tree.value[node]
+    if model.spec.kind is ModelKind.RANDOM_FOREST:
+        out = np.mean(values, axis=0)
+    else:
+        out = np.full(X.shape[0], model.params["base"])
+        for h, scale in zip(values, model.params["scales"]):
+            out = out + scale * h
+    return np.clip(out, 0.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 40),
+       kind=st.sampled_from([ModelKind.RANDOM_FOREST, ModelKind.GBT]),
+       size=st.integers(0, 8), depth=st.integers(0, 6),
+       queries=st.integers(1, 12))
+def test_stacked_tree_predictions_match_per_tree_loop(
+        tmp_path_factory, seed, n, kind, size, depth, queries):
+    rng = np.random.default_rng(seed)
+    rows = random_rows(rng, n)
+    hp = ({"n_trees": max(size, 1), "max_depth": depth}
+          if kind is ModelKind.RANDOM_FOREST
+          else {"n_rounds": size, "max_depth": depth})
+    model = train(ModelSpec(kind, hp), rows, seed=seed)
+    profiles = [r.profile for r in rows] + [
+        profile_from_vector(rng.uniform(-1, 6, size=DIMS))
+        for _ in range(queries)]
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    for m in (model, loaded):
+        assert np.array_equal(predict_many(m, profiles),
+                              per_tree_loop(m, profiles))
+        one = profiles[-1]
+        assert np.array_equal(predict_many(m, [one]),
+                              per_tree_loop(m, [one]))
+        assert predict(m, one) == per_tree_loop(m, [one])[0]
+
+
+# ---------------------------------------------------------------------------
+# Malformed model files
+
+def saved_model_obj(tmp_path, spec):
+    rows = random_rows(np.random.default_rng(64), 40)
+    path = tmp_path / "model.json"
+    save_model(train(spec, rows, seed=0), str(path))
+    return json.loads(path.read_text())
+
+
+RF_SPEC = ModelSpec(ModelKind.RANDOM_FOREST, {"max_depth": 3, "n_trees": 2})
+GBT_SPEC = ModelSpec(ModelKind.GBT, {"max_depth": 3, "n_rounds": 3})
+TREE_CORRUPTIONS = {
+    "no dims": lambda o: o.pop("dims"),
+    "no params": lambda o: o.pop("params"),
+    "no tree values": lambda o: o["params"]["trees"][0].pop("value"),
+    "dims as text": lambda o: o.update(dims="6"),
+    "seed as float": lambda o: o.update(seed=1.5),
+    "unknown feature kind": lambda o: o.update(kinds=["nope"]),
+    "short mean": lambda o: o["mean"].pop(),
+    "trees not a list": lambda o: o["params"].update(trees=5),
+    "feature as text": lambda o: o["params"]["trees"][0].update(
+        feature=["a"] * len(o["params"]["trees"][0]["feature"])),
+    "feature as float": lambda o: o["params"]["trees"][0]["feature"]
+    .__setitem__(0, 0.0),
+    "unequal lengths": lambda o: o["params"]["trees"][0]["threshold"].pop(),
+    "empty tree": lambda o: o["params"]["trees"][0].update(
+        feature=[], threshold=[], left=[], right=[], value=[]),
+    "child cycle": lambda o: o["params"]["trees"][0]["left"]
+    .__setitem__(0, 0),
+    "child out of range": lambda o: o["params"]["trees"][0]["right"]
+    .__setitem__(0, 10 ** 6),
+    "feature past width": lambda o: o["params"]["trees"][0]["feature"]
+    .__setitem__(0, DIMS),
+    "leaf with child": lambda o: o["params"]["trees"][0]["left"]
+    .__setitem__(-1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CORRUPTIONS))
+def test_malformed_tree_model_rejected(tmp_path, name):
+    obj = saved_model_obj(tmp_path, RF_SPEC)
+    assert obj["params"]["trees"][0]["feature"][0] >= 0
+    TREE_CORRUPTIONS[name](obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("spec, corrupt", [
+    (GBT_SPEC, lambda o: o["params"]["scales"].pop()),
+    (GBT_SPEC, lambda o: o["params"].pop("base")),
+    (ModelSpec(ModelKind.KNN), lambda o: o["params"].pop("k")),
+    (ModelSpec(ModelKind.KNN), lambda o: o["params"]["X"][0].pop()),
+    (ModelSpec(ModelKind.MLP, {"epochs": 5}),
+     lambda o: o["params"].update(b1=[0.0])),
+])
+def test_malformed_model_params_rejected(tmp_path, spec, corrupt):
+    obj = saved_model_obj(tmp_path, spec)
+    corrupt(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
+
+def test_saved_model_file_is_unchanged_by_a_load(tmp_path):
+    for spec in all_specs():
+        model = train(spec, random_rows(np.random.default_rng(65), 30), 1)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(model, str(a))
+        save_model(load_model(str(a)), str(b))
+        assert a.read_bytes() == b.read_bytes(), spec.kind
