@@ -6,8 +6,8 @@ fed to small meta-model regressors that predict task-level F1 without
 any labels on the target task.
 """
 
-from .core import (ContextSpec, InvocationRecord, RecordStore, TaskDataset,
-                   TokenStep, read_records, write_records)
+from .core import (ContextSpec, InvocationRecord, RecordStore, SettingBatch,
+                   TaskDataset, TokenStep, read_records, write_records)
 from .features import FeatureKind, extract_task_features, gap, max_ent, nll, ppl
 from .feature_selection import (combination_score, correlation_matrix,
                                 pearson, select_best_combination)
@@ -17,8 +17,9 @@ from .metamodels import (ModelKind, ModelSpec, TrainedMetaModel, TrainingRow,
                          save_model, train)
 from .baselines import (AtcCalibration, atc_calibrate, atc_estimate,
                         avg_train_estimate, sample_n_estimate)
-from .evaluation import (ExperimentPlan, ExperimentReport, f1_score,
-                         kfold_split, mae, run_experiment, task_performance)
+from .evaluation import (ExperimentPlan, ExperimentReport, PreparedSetting,
+                         f1_score, kfold_split, mae, prepare_setting,
+                         run_experiment, task_performance)
 from .services import (HttpClient, MarketplaceConfig, MarketplaceTruth,
                        ServiceDescriptor, invoke, marketplace_truth,
                        synth_marketplace)

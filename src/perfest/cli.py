@@ -12,24 +12,43 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import applications as apps
 from . import evaluation as ev
 from . import metamodels as mm
+# read_records, write_records and build_profile are not called here, but
+# perfbench/tracing.py wraps them under this module's names too
 from .core import RecordStore, read_records, write_records, write_tasks
 from .errors import ConfigurationError, PerfestError
 from .feature_selection import rank_combinations
 from .features import FeatureKind, extract_task_features
 from .profile import build_profile
-from .services import (HttpClient, MarketplaceConfig, ServiceDescriptor,
-                       invoke, marketplace_contexts, synth_marketplace)
+from .services import (MarketplaceConfig, ServiceDescriptor, invoke,
+                       marketplace_contexts, mock_task_index,
+                       synth_marketplace)
 
 
 def _parse_kinds(text):
-    return tuple(FeatureKind(k.strip()) for k in text.split(","))
+    try:
+        return tuple(FeatureKind(k.strip()) for k in text.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"--kinds {text!r}: {exc}; choose from "
+            f"{', '.join(k.value for k in FeatureKind)}") from exc
+
+
+def _json_object(flag, text):
+    """The JSON object given as the text of ``flag``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{flag} is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{flag} must be a JSON object, got "
+                                 f"{text!r}")
+    return obj
 
 
 def _config_defaults(command, path):
@@ -65,28 +84,11 @@ def _config_defaults(command, path):
     return defaults
 
 
-def _store_settings(store):
-    """Group records per (service, task, context)."""
-    return [(key, store.get(*key)) for key in store.keys()]
-
-
-def _setting_rows(store, kinds, d, unlabeled_n=None, seed=0):
-    """(profile, truth) per setting; optionally subsample unlabeled_n."""
-    from .seeding import derive_rng
-    rows = []
-    for key, recs in _store_settings(store):
-        if unlabeled_n is not None and unlabeled_n < len(recs):
-            rng = derive_rng(seed, "unlabeled", *key)
-            idx = np.sort(rng.choice(len(recs), size=unlabeled_n,
-                                     replace=False))
-            sampled = [recs[i] for i in idx]
-        else:
-            sampled = recs
-        profile = build_profile(sampled, kinds, d)
-        truth = (ev.task_performance(recs)
-                 if all(r.reference is not None for r in recs) else None)
-        rows.append((key, profile, truth))
-    return rows
+def _prepared(store, kinds, d, unlabeled_n=None, seed=0):
+    """One evaluation.PreparedSetting per setting of the store."""
+    return [ev.prepare_setting(store.batch(*key), kinds, d,
+                               unlabeled_n=unlabeled_n, seed=seed)
+            for key in store.keys()]
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +134,9 @@ def _cmd_invoke(args):
             contexts_per_task=cfg.get("contexts_per_task", 10),
             feature_fidelity=cfg.get("feature_fidelity", 0.9),
             seed=cfg.get("seed", args.seed))
-    task_index = int(args.task.removeprefix("task")) if desc.kind == "mock" else 0
     ctx = None
     if desc.kind == "mock":
+        task_index = mock_task_index(mock_config, args.task)
         for c in marketplace_contexts(mock_config, task_index):
             if c.context_id == args.context:
                 ctx = c
@@ -152,8 +154,8 @@ def _cmd_extract(args):
     store = RecordStore.from_file(args.records)
     kinds = _parse_kinds(args.kinds)
     with open(args.out, "w", encoding="utf-8") as f:
-        for key, recs in _store_settings(store):
-            table = extract_task_features(recs, kinds)
+        for key in store.keys():
+            table = extract_task_features(store.batch(*key), kinds)
             obj = {"service_id": key[0], "task_id": key[1],
                    "context_id": key[2],
                    "features": {k.value: v for k, v in table.items()}}
@@ -168,11 +170,12 @@ def _cmd_select_features(args):
     kinds = tuple(FeatureKind)
     table = {k: [] for k in kinds}
     perf = []
-    for key, recs in _store_settings(store):
-        feats = extract_task_features(recs, kinds)
+    for key in store.keys():
+        batch = store.batch(*key)
+        feats = extract_task_features(batch, kinds)
         for k in kinds:
             table[k].append(float(np.mean(feats[k])))
-        perf.append(ev.task_performance(recs))
+        perf.append(ev.task_performance(batch))
     scored, corr = rank_combinations(table, perf)
 
     print("correlation matrix (|Pearson r|):")
@@ -199,16 +202,18 @@ def _cmd_train(args):
     store = RecordStore.from_file(args.records)
     kinds = _parse_kinds(args.kinds)
     rows = []
-    for key, profile, truth in _setting_rows(store, kinds, args.d):
-        if truth is None:
-            raise ConfigurationError(
-                f"setting {key} lacks references; training needs labels")
-        rows.append(mm.TrainingRow(profile=profile, target=truth))
+    for setting in _prepared(store, kinds, args.d):
+        if setting.truth is None:
+            raise ConfigurationError(f"setting {setting.key} lacks "
+                                     "references; training needs labels")
+        rows.append(mm.TrainingRow(profile=setting.profile,
+                                   target=setting.truth))
     if args.grid:
-        spec = mm.grid_search(args.kind, json.loads(args.grid), rows,
-                              folds=args.folds, seed=args.seed)
+        spec = mm.grid_search(args.kind, _json_object("--grid", args.grid),
+                              rows, folds=args.folds, seed=args.seed)
     else:
-        hp = json.loads(args.hyperparams) if args.hyperparams else {}
+        hp = (_json_object("--hyperparams", args.hyperparams)
+              if args.hyperparams else {})
         spec = mm.ModelSpec(kind=mm.ModelKind(args.kind), hyperparams=hp)
     model = mm.train(spec, rows, args.seed)
     mm.save_model(model, args.out)
@@ -220,10 +225,10 @@ def _cmd_estimate(args):
     model = mm.load_model(args.model)
     store = RecordStore.from_file(args.records)
     results = []
-    for key, profile, truth in _setting_rows(
-            store, model.kinds, model.dims, unlabeled_n=args.n,
-            seed=args.seed):
-        est = mm.predict(model, profile)
+    for setting in _prepared(store, model.kinds, model.dims,
+                             unlabeled_n=args.n, seed=args.seed):
+        key, truth = setting.key, setting.truth
+        est = mm.predict(model, setting.profile)
         results.append({"service_id": key[0], "task_id": key[1],
                         "context_id": key[2], "estimate": est,
                         "true_performance": truth})
@@ -259,12 +264,11 @@ def _cmd_evaluate(args):
 def _candidates(args):
     model = mm.load_model(args.model)
     store = RecordStore.from_file(args.records)
-    rows = _setting_rows(store, model.kinds, model.dims,
+    settings = _prepared(store, model.kinds, model.dims,
                          unlabeled_n=args.n, seed=args.seed)
-    profiles = [p for _, p, _ in rows]
-    truths = {(p.service_id, p.task_id, p.context_id): t
-              for (_, p, t) in rows}
-    return apps.candidates_from_model(model, profiles), truths
+    truths = {s.key: s.truth for s in settings}
+    return apps.candidates_from_model(
+        model, [s.profile for s in settings]), truths
 
 
 def _cmd_select(args):

@@ -1,19 +1,29 @@
-"""Domain types and JSON Lines persistence for invocation records.
+"""Domain types, JSON Lines persistence, and the columnar setting batch.
 
 A record file is UTF-8 JSON Lines, one self-contained object per line.
 Probabilities are stored linear (not log); log transforms happen at
 feature-extraction time. The sequence length |x| used by downstream
 features is the number of token steps returned by the service.
+
+InvocationRecord is the boundary type: JSON Lines, HTTP responses and
+validation speak records. Inside the package one (service, task, context)
+setting is a SettingBatch, whose columns hold every sample's texts, token
+steps, candidates and input scores, with offsets for the ragged lengths.
+SettingBatch.from_records and SettingBatch.records are inverses, and
+RecordStore keeps one batch per setting.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import GroupingError, ValidationError
 
 _PROB_SUM_TOL = 1e-9
 
@@ -111,6 +121,147 @@ class ContextSpec:
             raise ValidationError("count != len(examples)", field="count")
 
 
+def _offsets(lengths):
+    """Offsets of a ragged column: row i owns [out[i], out[i + 1])."""
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _take_ragged(offsets, rows):
+    """Flat positions of `rows` of a ragged column, and their offsets."""
+    starts = offsets[:-1][rows]
+    lengths = offsets[1:][rows] - starts
+    new = _offsets(lengths)
+    return np.arange(new[-1]) + np.repeat(starts - new[:-1], lengths), new
+
+
+def _objects(values):
+    return np.array(values, dtype=object)
+
+
+@dataclass(eq=False)
+class SettingBatch:
+    """Every invocation of one (service, task, context) setting, as columns.
+
+    Sample i owns steps step_offsets[i]:step_offsets[i + 1] of `tokens`;
+    step j owns candidates cand_offsets[j]:cand_offsets[j + 1] of
+    `cand_tokens` and `cand_probs` (k may be 1); sample i's input scores
+    are scores[score_offsets[i]:score_offsets[i + 1]], and has_scores[i]
+    is False where the record had none. String columns are object arrays;
+    `references` holds None for unlabeled samples.
+    """
+
+    key: tuple  # (service_id, task_id, context_id)
+    sample_ids: np.ndarray
+    input_texts: np.ndarray
+    generated_texts: np.ndarray
+    references: np.ndarray
+    step_offsets: np.ndarray
+    tokens: np.ndarray
+    cand_offsets: np.ndarray
+    cand_tokens: np.ndarray
+    cand_probs: np.ndarray
+    score_offsets: np.ndarray
+    scores: np.ndarray
+    has_scores: np.ndarray
+
+    def __len__(self):
+        return len(self.sample_ids)
+
+    @property
+    def top1(self):
+        """Top-1 probability of every step."""
+        return self.cand_probs[self.cand_offsets[:-1]]
+
+    @property
+    def top2(self):
+        """Top-2 probability of every step; 0.0 where k == 1."""
+        first = self.cand_offsets[:-1]
+        many = np.diff(self.cand_offsets) > 1
+        out = np.zeros(len(first))
+        out[many] = self.cand_probs[first[many] + 1]
+        return out
+
+    @property
+    def labeled(self):
+        """True when every sample has a reference."""
+        return None not in self.references.tolist()
+
+    @classmethod
+    def from_records(cls, records):
+        """Columns of records that share one setting, in record order."""
+        records = list(records)
+        if not records:
+            raise GroupingError("no records to build a setting from")
+        key = records[0].key
+        other = next((r.key for r in records if r.key != key), None)
+        if other is not None:
+            raise GroupingError(
+                f"mixed groups: {other} vs {key}; group records per "
+                "(service, task, context)")
+        steps = [step for r in records for step in r.output_steps]
+        pairs = [pair for step in steps for pair in step.top_probs]
+        return cls(
+            key=key,
+            sample_ids=_objects([r.sample_id for r in records]),
+            input_texts=_objects([r.input_text for r in records]),
+            generated_texts=_objects([r.generated_text for r in records]),
+            references=_objects([r.reference for r in records]),
+            step_offsets=_offsets([len(r.output_steps) for r in records]),
+            tokens=_objects([step.token for step in steps]),
+            cand_offsets=_offsets([len(step.top_probs) for step in steps]),
+            cand_tokens=_objects([t for t, _ in pairs]),
+            cand_probs=np.array([p for _, p in pairs], dtype=float),
+            score_offsets=_offsets([len(r.input_scores or ())
+                                    for r in records]),
+            scores=np.array([s for r in records for s in r.input_scores or ()],
+                            dtype=float),
+            has_scores=np.array([r.input_scores is not None
+                                 for r in records], dtype=bool))
+
+    def records(self) -> list:
+        """The batch as InvocationRecords; from_records(...).records()
+        returns records equal to its input."""
+        pairs = list(zip(self.cand_tokens.tolist(), self.cand_probs.tolist()))
+        co = self.cand_offsets.tolist()
+        steps = [TokenStep(tok, tuple(pairs[a:b]))
+                 for tok, a, b in zip(self.tokens.tolist(), co, co[1:])]
+        so = self.step_offsets.tolist()
+        scores = self.scores.tolist()
+        io = self.score_offsets.tolist()
+        return [InvocationRecord(*self.key, sid, text, gen,
+                                 tuple(steps[a:b]),
+                                 tuple(scores[i:j]) if has else None, ref)
+                for sid, text, gen, ref, has, a, b, i, j in zip(
+                    self.sample_ids.tolist(), self.input_texts.tolist(),
+                    self.generated_texts.tolist(), self.references.tolist(),
+                    self.has_scores.tolist(), so, so[1:], io, io[1:])]
+
+    def take(self, rows):
+        """The batch of samples `rows`, in the order given."""
+        rows = np.asarray(rows, dtype=np.int64)
+        steps, step_offsets = _take_ragged(self.step_offsets, rows)
+        cands, cand_offsets = _take_ragged(self.cand_offsets, steps)
+        scores, score_offsets = _take_ragged(self.score_offsets, rows)
+        return SettingBatch(
+            key=self.key, sample_ids=self.sample_ids[rows],
+            input_texts=self.input_texts[rows],
+            generated_texts=self.generated_texts[rows],
+            references=self.references[rows], step_offsets=step_offsets,
+            tokens=self.tokens[steps], cand_offsets=cand_offsets,
+            cand_tokens=self.cand_tokens[cands],
+            cand_probs=self.cand_probs[cands], score_offsets=score_offsets,
+            scores=self.scores[scores], has_scores=self.has_scores[rows])
+
+
+def as_batch(setting) -> SettingBatch:
+    """A SettingBatch as is, or records of one setting as a batch."""
+    if isinstance(setting, SettingBatch):
+        return setting
+    return SettingBatch.from_records(setting)
+
+
 def _step_to_obj(step: TokenStep):
     return {"token": step.token,
             "top_probs": [[t, p] for t, p in step.top_probs]}
@@ -169,13 +320,12 @@ def record_from_obj(obj, line=None) -> InvocationRecord:
     return rec
 
 
-def read_records(path) -> list:
-    """Read a JSON Lines record file, validating every line.
+def iter_records(path):
+    """Validated records of a JSON Lines record file, one at a time.
 
     Raises ValidationError naming the field and 1-based line number on the
     first malformed line; raises OSError for a missing file.
     """
-    records = []
     with open(path, "r", encoding="utf-8") as f:
         for i, raw in enumerate(f, start=1):
             raw = raw.strip()
@@ -185,11 +335,16 @@ def read_records(path) -> list:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"invalid JSON: {exc}", line=i) from exc
-            records.append(record_from_obj(obj, line=i))
-    return records
+            yield record_from_obj(obj, line=i)
 
 
-def write_records(records: Sequence[InvocationRecord], path) -> None:
+def read_records(path) -> list:
+    """Read a JSON Lines record file, validating every line (see
+    iter_records)."""
+    return list(iter_records(path))
+
+
+def write_records(records: Iterable[InvocationRecord], path) -> None:
     """Write records as JSON Lines. read_records round-trips field-for-field."""
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
@@ -248,38 +403,58 @@ def write_tasks(tasks: Sequence[TaskDataset], path) -> None:
 
 
 class RecordStore:
-    """In-memory record store indexed by (service_id, task_id, context_id).
+    """In-memory store indexed by (service_id, task_id, context_id).
 
-    Append-only; iteration order is insertion order within each group.
+    Each setting is held as one SettingBatch; InvocationRecords are built
+    from it only when asked for (get, all_records, save). Append-only;
+    iteration order is insertion order within each setting.
     """
 
     def __init__(self, records=()):
-        self._groups = {}
+        self._batches = {}
         self.extend(records)
 
     def extend(self, records):
-        for rec in records:
-            self._groups.setdefault(rec.key, []).append(rec)
+        """Append records. Each run of consecutive records of one setting
+        joins that setting's batch as the run ends, so a file written by
+        save (one run per setting) is never held as records all at once."""
+        for key, run in itertools.groupby(records, key=attrgetter("key")):
+            run = list(run)
+            if key in self._batches:
+                run = self._batches[key].records() + run
+            self._batches[key] = SettingBatch.from_records(run)
+
+    def add(self, batch: SettingBatch):
+        """Append one setting's batch."""
+        if batch.key in self._batches:
+            self.extend(batch.records())
+        else:
+            self._batches[batch.key] = batch
+
+    def batch(self, service_id, task_id, context_id):
+        """The setting's SettingBatch, or None if the store has none."""
+        return self._batches.get((service_id, task_id, context_id))
 
     def get(self, service_id, task_id, context_id):
-        return list(self._groups.get((service_id, task_id, context_id), ()))
+        batch = self.batch(service_id, task_id, context_id)
+        return [] if batch is None else batch.records()
 
     def keys(self):
-        return sorted(self._groups.keys())
+        return sorted(self._batches.keys())
 
     def contexts_for_task(self, task_id):
-        return sorted({c for (_, t, c) in self._groups if t == task_id})
+        return sorted({c for (_, t, c) in self._batches if t == task_id})
 
     def __len__(self):
-        return sum(len(v) for v in self._groups.values())
+        return sum(len(b) for b in self._batches.values())
 
     def all_records(self):
         for key in self.keys():
-            yield from self._groups[key]
+            yield from self._batches[key].records()
 
     @classmethod
     def from_file(cls, path):
-        return cls(read_records(path))
+        return cls(iter_records(path))
 
     def save(self, path):
-        write_records(list(self.all_records()), path)
+        write_records(self.all_records(), path)

@@ -10,16 +10,18 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from . import baselines as bl
 from . import metamodels as mm
-from .core import RecordStore
+from .core import RecordStore, SettingBatch
 from .errors import (ConfigurationError, CoverageError,
                      InsufficientDataError, ValidationError)
 from .features import FeatureKind, sequence_confidence
-from .profile import build_profile
+from .profile import FeatureProfile, build_profile
 from .seeding import derive_rng
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -53,21 +55,34 @@ def f1_score(prediction: str, reference: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def per_sample_f1(records):
-    """Per-record F1 against the reference; all records must be labeled."""
-    out = []
-    for rec in records:
-        if rec.reference is None:
-            raise ValidationError(
-                f"record {rec.sample_id!r} has no reference; cannot score",
-                field="reference")
-        out.append(f1_score(rec.generated_text, rec.reference))
-    return out
+def per_sample_f1(setting):
+    """Per-sample F1 against the reference, in sample order.
+
+    `setting` is a SettingBatch or a sequence of records; every sample
+    must be labeled. F1 is computed once per distinct (generated text,
+    reference) pair.
+    """
+    if isinstance(setting, SettingBatch):
+        ids = setting.sample_ids.tolist()
+        texts = setting.generated_texts.tolist()
+        refs = setting.references.tolist()
+    else:
+        records = list(setting)
+        ids = [r.sample_id for r in records]
+        texts = [r.generated_text for r in records]
+        refs = [r.reference for r in records]
+    if None in refs:
+        raise ValidationError(
+            f"record {ids[refs.index(None)]!r} has no reference; cannot "
+            "score", field="reference")
+    pairs = list(zip(texts, refs))
+    table = {pair: f1_score(*pair) for pair in set(pairs)}
+    return list(map(table.__getitem__, pairs))
 
 
-def task_performance(records) -> float:
+def task_performance(setting) -> float:
     """Mean per-sample F1 for one (service, task, context) group."""
-    scores = per_sample_f1(list(records))
+    scores = per_sample_f1(setting)
     if not scores:
         raise InsufficientDataError("no records to score")
     return sum(scores) / len(scores)
@@ -229,27 +244,56 @@ def render_table(report: ExperimentReport, services) -> str:
 
 
 @dataclass
-class _SettingData:
-    truth: float
-    per_f1: list          # per-sample F1, record order, all records
-    sampled_f1: list      # per-sample F1 of the unlabeled subset
-    profile: object
-    confidences: np.ndarray  # from the sampled unlabeled subset, sorted
+class PreparedSetting:
+    """One setting ready to estimate: the profile of its unlabeled subset
+    and, when every sample has a reference, its labels."""
+
+    profile: FeatureProfile
+    sampled: SettingBatch     # the unlabeled subset, in sample order
+    index: np.ndarray         # the subset's positions in the setting
+    f1: Optional[np.ndarray]  # per-sample F1 of every sample
+    truth: Optional[float]    # mean F1 over every sample
+
+    @property
+    def key(self) -> tuple:
+        return self.sampled.key
+
+    @cached_property
+    def confidences(self) -> np.ndarray:
+        """Sorted sequence confidences of the unlabeled subset."""
+        return np.sort(sequence_confidence(self.sampled))
+
+    @property
+    def sampled_f1(self) -> list:
+        return self.f1[self.index].tolist()
 
 
-def _prepare_setting(plan, records, s, t, c):
-    per_f1 = per_sample_f1(records)
-    truth = sum(per_f1) / len(per_f1)
-    rng = derive_rng(plan.seed, "unlabeled", s, t, c)
-    k = min(plan.unlabeled_n, len(records))
-    idx = np.sort(rng.choice(len(records), size=k, replace=False))
-    sampled = [records[i] for i in idx]
-    profile = build_profile(sampled, plan.feature_kinds, plan.d,
-                            ppl_mode=plan.ppl_mode)
-    conf = np.sort([sequence_confidence(r) for r in sampled])
-    return _SettingData(truth=truth, per_f1=per_f1,
-                        sampled_f1=[per_f1[i] for i in idx],
-                        profile=profile, confidences=conf)
+def prepare_setting(batch: SettingBatch, kinds, d, unlabeled_n=None, seed=0,
+                    ppl_mode="normalized") -> PreparedSetting:
+    """Profile, truth and confidences of one setting.
+
+    With unlabeled_n below the setting's size, the profile and the
+    confidences come from a seeded random subset of that many samples;
+    the truth always averages every sample.
+    """
+    n = len(batch)
+    if unlabeled_n is not None and unlabeled_n < 1:
+        raise ConfigurationError(
+            f"unlabeled sample count must be >= 1, got {unlabeled_n}")
+    if unlabeled_n is not None and unlabeled_n < n:
+        rng = derive_rng(seed, "unlabeled", *batch.key)
+        index = np.sort(rng.choice(n, size=unlabeled_n, replace=False))
+        sampled = batch.take(index)
+    else:
+        index, sampled = np.arange(n), batch
+    f1 = truth = None
+    if batch.labeled:
+        scores = per_sample_f1(batch)
+        truth = sum(scores) / len(scores)
+        f1 = np.array(scores)
+    profile = build_profile(sampled, kinds, d, ppl_mode=ppl_mode)
+    return PreparedSetting(profile=profile, sampled=sampled, index=index,
+                           f1=f1, truth=truth)
 
 
 def _estimator_name(spec, index, specs):
@@ -277,15 +321,22 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     settings = [(s, t, c) for s in plan.services for t in plan.tasks
                 for c in contexts[t]]
     for key in settings:
-        if not store.get(*key):
+        if store.batch(*key) is None:
             missing.append(key)
     if missing:
         raise CoverageError(
             f"record store is missing {len(missing)} required "
             f"(service, task, context) groups", missing=missing)
 
-    data = {key: _prepare_setting(plan, store.get(*key), *key)
+    data = {key: prepare_setting(store.batch(*key), plan.feature_kinds,
+                                 plan.d, plan.unlabeled_n, plan.seed,
+                                 plan.ppl_mode)
             for key in settings}
+    for key, setting in data.items():
+        if setting.truth is None:
+            raise ValidationError(
+                f"setting {key} has samples without a reference; cannot "
+                "score", field="reference")
 
     # Sample^n estimates depend only on (service, task); precompute
     sample_ns = sorted(int(b.split("_", 1)[1]) for b in plan.baselines
@@ -296,14 +347,14 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
             for t in plan.tasks:
                 vals = []
                 for c in contexts[t]:
-                    per = data[(s, t, c)].per_f1
+                    per = data[(s, t, c)].f1
                     if len(per) < n:
                         raise InsufficientDataError(
                             f"setting {(s, t, c)} has {len(per)} labeled "
                             f"samples, need {n}")
                     rng = derive_rng(plan.seed, "samplen", s, t, c)
                     order = rng.permutation(len(per))
-                    vals.append(float(np.mean([per[i] for i in order[:n]])))
+                    vals.append(float(np.mean(per[order[:n]])))
                 sample_est[(n, s, t)] = float(np.mean(vals))
 
     groups = [t for (_, t, _) in settings]

@@ -1,6 +1,6 @@
 """Per-sequence token-probability features.
 
-Four features are computed from a single invocation record:
+Four features are computed per sample:
 
 * nll      -- negative log-likelihood of the generated answer (sum of
               -ln p_top1 over steps); lower means more confident.
@@ -12,6 +12,14 @@ Four features are computed from a single invocation record:
               truncated-and-renormalized top-k distribution; lower means
               more certain.
 
+Each feature has one implementation, over a SettingBatch: it returns one
+value per sample. Given a single InvocationRecord it returns that
+record's float, computed by the same code on a one-record batch. The
+arithmetic is the per-record loop's: math.log and math.exp apply
+elementwise, and each sample's steps accumulate left to right from 0.0
+(never numpy's pairwise sum), so values are bit-for-bit those of a plain
+Python loop over the record.
+
 Probabilities below 1e-12 are rejected outright rather than floored:
 real APIs never return exact zeros for chosen tokens, so a zero here is
 an upstream bug worth surfacing.
@@ -19,12 +27,15 @@ an upstream bug worth surfacing.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
-from .core import InvocationRecord
+import numpy as np
+
+from .core import InvocationRecord, SettingBatch, as_batch
 from .errors import (CapabilityError, DegenerateProbabilityError,
-                     GroupingError, ValidationError)
+                     ValidationError)
 
 PROB_FLOOR = 1e-12
 
@@ -48,27 +59,81 @@ def sample_features(record: InvocationRecord, kinds=None, ppl_mode="normalized")
     return out
 
 
-def _require_steps(record: InvocationRecord):
-    if len(record.output_steps) == 0:
-        raise ValidationError("record has no output steps",
-                              field="output_steps")
+def _per_sample(fn):
+    """Let a batch feature take one record, returning that record's float.
+
+    A SettingBatch, or records of one setting, give one value per sample.
+    """
+    @functools.wraps(fn)
+    def feature(setting, *args, **kwargs):
+        if isinstance(setting, InvocationRecord):
+            batch = SettingBatch.from_records([setting])
+            return float(fn(batch, *args, **kwargs)[0])
+        return fn(as_batch(setting), *args, **kwargs)
+    return feature
 
 
-def nll(record: InvocationRecord) -> float:
+_MATH_LOG = np.frompyfunc(math.log, 1, 1)
+_MATH_EXP = np.frompyfunc(math.exp, 1, 1)
+
+
+def _log(values):
+    return _MATH_LOG(values).astype(float)
+
+
+def _exp(values):
+    return _MATH_EXP(values).astype(float)
+
+
+def _rows(values, offsets):
+    """A ragged column as a matrix: a leading column of zeros, then each
+    row's values, padded with zeros."""
+    lengths = np.diff(offsets)
+    out = np.zeros((len(lengths), lengths.max(initial=0) + 1))
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = np.arange(len(values)) - np.repeat(offsets[:-1], lengths) + 1
+    out[rows, cols] = values
+    return out
+
+
+def _sum(values, offsets):
+    """Per-row ((0.0 + v1) + v2) + ..., in order."""
+    return np.add.accumulate(_rows(values, offsets), axis=1)[:, -1]
+
+
+def _sum_negated(values, offsets):
+    """Per-row ((0.0 - v1) - v2) - ..., in order."""
+    return np.subtract.accumulate(_rows(values, offsets), axis=1)[:, -1]
+
+
+def _require_steps(batch: SettingBatch):
+    empty = np.flatnonzero(np.diff(batch.step_offsets) == 0)
+    if empty.size:
+        raise ValidationError(
+            f"record {batch.sample_ids[empty[0]]!r} has no output steps",
+            field="output_steps")
+
+
+def _require_floor(batch, values, offsets, what):
+    low = np.flatnonzero(values < PROB_FLOOR)
+    if low.size:
+        sample = np.searchsorted(offsets, low[0], side="right") - 1
+        raise DegenerateProbabilityError(
+            f"{what} {float(values[low[0]])!r} below {PROB_FLOOR} in sample "
+            f"{batch.sample_ids[sample]!r}")
+
+
+@_per_sample
+def nll(batch: SettingBatch):
     """Sum of -ln(top-1 probability) over the generated steps."""
-    _require_steps(record)
-    total = 0.0
-    for step in record.output_steps:
-        p = step.top_probs[0][1]
-        if p < PROB_FLOOR:
-            raise DegenerateProbabilityError(
-                f"top probability {p!r} below {PROB_FLOOR} in sample "
-                f"{record.sample_id!r}")
-        total -= math.log(p)
-    return total
+    _require_steps(batch)
+    top1 = batch.top1
+    _require_floor(batch, top1, batch.step_offsets, "top probability")
+    return _sum_negated(_log(top1), batch.step_offsets)
 
 
-def ppl(record: InvocationRecord, mode: str = "normalized") -> float:
+@_per_sample
+def ppl(batch: SettingBatch, mode: str = "normalized"):
     """Input-reconstruction perplexity.
 
     mode="normalized" (default) returns exp(mean of -ln score), which is
@@ -77,47 +142,27 @@ def ppl(record: InvocationRecord, mode: str = "normalized") -> float:
     """
     if mode not in ("normalized", "summed"):
         raise ValueError(f"unknown ppl mode {mode!r}")
-    if record.input_scores is None or len(record.input_scores) == 0:
+    lengths = np.diff(batch.score_offsets)
+    if not (batch.has_scores.all() and lengths.all()):
         raise CapabilityError(
             "record has no input_scores; PPL requires a service with "
             "input-scoring capability")
-    total = 0.0
-    for s in record.input_scores:
-        if s < PROB_FLOOR:
-            raise DegenerateProbabilityError(
-                f"input score {s!r} below {PROB_FLOOR} in sample "
-                f"{record.sample_id!r}")
-        total -= math.log(s)
+    _require_floor(batch, batch.scores, batch.score_offsets, "input score")
+    total = _sum_negated(_log(batch.scores), batch.score_offsets)
     if mode == "normalized":
-        return math.exp(total / len(record.input_scores))
-    return math.exp(total)
+        total = total / lengths
+    return _exp(total)
 
 
-def gap(record: InvocationRecord) -> float:
+@_per_sample
+def gap(batch: SettingBatch):
     """Summed (p_top1 - p_top2) over steps; p_top2 is 0 when k == 1."""
-    _require_steps(record)
-    total = 0.0
-    for step in record.output_steps:
-        p1 = step.top_probs[0][1]
-        p2 = step.top_probs[1][1] if len(step.top_probs) > 1 else 0.0
-        total += p1 - p2
-    return total
+    _require_steps(batch)
+    return _sum(batch.top1 - batch.top2, batch.step_offsets)
 
 
-def _step_entropy(step) -> float:
-    mass = sum(p for _, p in step.top_probs)
-    if mass < PROB_FLOOR:
-        raise DegenerateProbabilityError(
-            "step has no probability mass to renormalize")
-    h = 0.0
-    for _, p in step.top_probs:
-        q = p / mass
-        if q > 0.0:
-            h -= q * math.log(q)
-    return h
-
-
-def max_ent(record: InvocationRecord) -> float:
+@_per_sample
+def max_ent(batch: SettingBatch):
     """Maximum per-step entropy of the renormalized top-k distribution.
 
     The full vocabulary distribution is unavailable from a black-box
@@ -125,8 +170,18 @@ def max_ent(record: InvocationRecord) -> float:
     biases the entropy downward, which is acceptable since only relative
     comparisons are consumed downstream.
     """
-    _require_steps(record)
-    return max(_step_entropy(step) for step in record.output_steps)
+    _require_steps(batch)
+    probs, offsets = batch.cand_probs, batch.cand_offsets
+    mass = _sum(probs, offsets)
+    if np.any(mass < PROB_FLOOR):
+        raise DegenerateProbabilityError(
+            "step has no probability mass to renormalize")
+    q = probs / np.repeat(mass, np.diff(offsets))
+    terms = np.zeros(len(q))
+    live = q > 0.0
+    terms[live] = q[live] * _log(q[live])
+    entropy = _sum_negated(terms, offsets)
+    return np.maximum.reduceat(entropy, batch.step_offsets[:-1])
 
 
 _EXTRACTORS = {
@@ -137,35 +192,28 @@ _EXTRACTORS = {
 }
 
 
-def extract_task_features(records, kinds, ppl_mode: str = "normalized"):
-    """Compute one value per record for each requested feature kind.
+def extract_task_features(setting, kinds, ppl_mode: str = "normalized"):
+    """Compute one value per sample for each requested feature kind.
 
-    All records must share (service_id, task_id, context_id). Returns a
-    dict FeatureKind -> list of floats in record order.
+    `setting` is a SettingBatch or records that share (service_id,
+    task_id, context_id). Returns a dict FeatureKind -> list of floats in
+    sample order.
     """
-    records = list(records)
-    if not records:
-        raise GroupingError("no records to extract features from")
-    key = records[0].key
-    for rec in records:
-        if rec.key != key:
-            raise GroupingError(
-                f"mixed groups: {rec.key} vs {key}; extract features per "
-                "(service, task, context)")
+    batch = as_batch(setting)
     out = {}
     for kind in kinds:
         kind = FeatureKind(kind)
         if kind is FeatureKind.PPL:
-            out[kind] = [ppl(r, mode=ppl_mode) for r in records]
+            out[kind] = ppl(batch, mode=ppl_mode).tolist()
         else:
-            fn = _EXTRACTORS[kind]
-            out[kind] = [fn(r) for r in records]
+            out[kind] = _EXTRACTORS[kind](batch).tolist()
     return out
 
 
-def sequence_confidence(record: InvocationRecord) -> float:
+@_per_sample
+def sequence_confidence(batch: SettingBatch):
     """Length-normalized sequence likelihood exp(-nll/|x|), in (0, 1].
 
     Used as the per-sample confidence for threshold-based baselines.
     """
-    return math.exp(-nll(record) / len(record.output_steps))
+    return _exp(-nll(batch) / np.diff(batch.step_offsets))

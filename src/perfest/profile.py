@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_batch
 from .errors import EmptyProfileError, ShapeError
 from .features import FeatureKind, extract_task_features
 
@@ -71,23 +72,22 @@ class FeatureProfile:
         return self.vector[i * self.dims:(i + 1) * self.dims]
 
 
-def build_profile(records, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
+def build_profile(setting, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
                   ppl_mode="normalized") -> FeatureProfile:
-    """Extract per-sample features and concatenate interpolated profiles
-    in `kinds` order."""
+    """Extract per-sample features of a SettingBatch (or records of one
+    setting) and concatenate interpolated profiles in `kinds` order."""
     kinds = tuple(FeatureKind(k) for k in kinds)
     if not kinds:
         raise ValueError("kinds must be non-empty")
-    records = list(records)
-    table = extract_task_features(records, kinds, ppl_mode=ppl_mode)
+    batch = as_batch(setting)
+    table = extract_task_features(batch, kinds, ppl_mode=ppl_mode)
     vector = []
     for kind in kinds:
         vector.extend(interpolate_profile(table[kind], d))
-    first = records[0]
-    return FeatureProfile(service_id=first.service_id,
-                          task_id=first.task_id,
-                          context_id=first.context_id,
-                          kinds=kinds, dims=d, vector=tuple(vector))
+    service_id, task_id, context_id = batch.key
+    return FeatureProfile(service_id=service_id, task_id=task_id,
+                          context_id=context_id, kinds=kinds, dims=d,
+                          vector=tuple(vector))
 
 
 def write_profiles(profiles, path):

@@ -31,6 +31,12 @@ clip(1.3 * q + 0.05): away from the q ~ 0.73 saturation point the gain
 0.3 * q + 0.05 grows with the service's base correctness, so on hard
 tasks better-performing services gain more. This grounds the
 fine-tune-target ranking scenario.
+
+The generator fills each setting's SettingBatch straight from the arrays
+it draws; no per-sample record is built. Records come from the batch when
+the store is asked for them (RecordStore.get, save) and are equal, field
+by field, to the ones a per-sample loop over the same draws would build.
+Mock invoke() and the HTTP client return InvocationRecords.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ContextSpec, InvocationRecord, RecordStore, TaskDataset,
-                   TokenStep)
+from .core import (ContextSpec, InvocationRecord, RecordStore, SettingBatch,
+                   TaskDataset, TokenStep)
 from .errors import CapabilityError, ConfigurationError, TransportError
 from .seeding import derive_rng
 
@@ -55,6 +61,13 @@ _BAD_TOKENS = tuple(f"off{i}" for i in range(REF_TOKEN_COUNT))
 _REF_TEXT = " ".join(_REF_TOKENS)
 _PRED_TEXTS = tuple(" ".join(_REF_TOKENS[:r] + _BAD_TOKENS[r:])
                     for r in range(REF_TOKEN_COUNT + 1))
+_PRED_ARRAY = np.array(_PRED_TEXTS, dtype=object)
+# [r, t]: step t's candidates for an answer with r reference tokens; the
+# answer reproduces reference token t if t < r, then two alternatives
+_CANDIDATES = np.array(
+    [[(tok, "alt1", "alt2")
+      for tok in (_REF_TOKENS[:r] + _BAD_TOKENS[r:])[:OUTPUT_STEPS]]
+     for r in range(REF_TOKEN_COUNT + 1)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -140,20 +153,47 @@ def marketplace_truth(config: MarketplaceConfig) -> MarketplaceTruth:
                             helpfulness=helpfulness)
 
 
-def _generate_setting(config: MarketplaceConfig, truth: MarketplaceTruth,
-                      i: int, j: int, k: int):
-    """All records for one (service, task, context), deterministic in
-    (config.seed, i, j, k)."""
+def _task_columns(config: MarketplaceConfig, j: int) -> dict:
+    """The SettingBatch columns all settings of task j share: sample ids,
+    input texts and references of its test split, and the step and score
+    layout."""
+    task_id = config.task_id(j)
     m = config.samples_per_task
-    phi = config.feature_fidelity
-    q = truth.correctness(i, j, k)
-    rng = derive_rng(config.seed, "records", i, j, k)
+    return {
+        "sample_ids": np.array([config.sample_id(s) for s in range(m)],
+                               dtype=object),
+        "input_texts": np.array([f"{task_id} query {s}" for s in range(m)],
+                                dtype=object),
+        "references": np.full(m, _REF_TEXT, dtype=object),
+        "step_offsets": np.arange(m + 1) * OUTPUT_STEPS,
+        "score_offsets": np.arange(m + 1) * INPUT_SCORE_LEN,
+        "has_scores": np.ones(m, dtype=bool),
+    }
 
-    eps = rng.normal(0.0, 1.0, size=m)
-    eta_gen = rng.normal(0.0, 0.08, size=m)
-    eta_inp = rng.normal(0.0, 0.08, size=m)
-    band_gen = rng.beta(2.0, 2.0, size=(m, OUTPUT_STEPS))
-    band_inp = rng.beta(2.0, 2.0, size=(m, INPUT_SCORE_LEN))
+
+def _draws(config: MarketplaceConfig, i: int, j: int, k: int):
+    """Setting (i, j, k)'s random draws, deterministic in (config.seed, i,
+    j, k)."""
+    m = config.samples_per_task
+    rng = derive_rng(config.seed, "records", i, j, k)
+    return (rng.normal(0.0, 1.0, size=m), rng.normal(0.0, 0.08, size=m),
+            rng.normal(0.0, 0.08, size=m),
+            rng.beta(2.0, 2.0, size=(m, OUTPUT_STEPS)),
+            rng.beta(2.0, 2.0, size=(m, INPUT_SCORE_LEN)))
+
+
+def _generate_settings(config: MarketplaceConfig, truth: MarketplaceTruth,
+                       j: int, pairs, columns) -> list:
+    """The batches of task j's settings (i, k) in `pairs`.
+
+    Each setting draws from its own stream; the arithmetic is elementwise,
+    so running it once over the stacked draws gives every setting the
+    values it would get alone. `columns` is _task_columns(config, j).
+    """
+    phi = config.feature_fidelity
+    q = np.array([truth.correctness(i, j, k) for i, k in pairs])[:, None]
+    eps, eta_gen, eta_inp, band_gen, band_inp = map(
+        np.stack, zip(*(_draws(config, i, j, k) for i, k in pairs)))
 
     sigma = 0.4 * q * (1.0 - q)
     f_grid = np.rint(10.0 * np.clip(q + sigma * eps, 0.0, 1.0)).astype(int)
@@ -162,37 +202,32 @@ def _generate_setting(config: MarketplaceConfig, truth: MarketplaceTruth,
     mu_gen = (1 - phi) * 0.62 + phi * (0.35 + 0.60 * f + eta_gen)
     mu_inp = (1 - phi) * 0.58 + phi * (0.33 + 0.58 * f + eta_inp)
     floor = np.maximum(0.02, 0.9 * phi * f ** 8)
-    p1 = np.clip(mu_gen[:, None] + 0.10 * (band_gen - 0.5),
-                 floor[:, None], 0.995)
-    scores = np.clip(mu_inp[:, None] + 0.10 * (band_inp - 0.5), 0.02, 0.995)
+    p1 = np.clip(mu_gen[..., None] + 0.10 * (band_gen - 0.5),
+                 floor[..., None], 0.995)
+    scores = np.clip(mu_inp[..., None] + 0.10 * (band_inp - 0.5), 0.02, 0.995)
     p2 = np.minimum(p1, 0.55 * (1.0 - p1))
     p3 = np.minimum(p2, 0.30 * (1.0 - p1))
 
-    service_id = config.service_id(i)
-    task_id = config.task_id(j)
-    context_id = config.context_id(k)
-    records = []
-    for s in range(m):
-        r = f_grid[s]
-        pred_tokens = (_REF_TOKENS[:r] + _BAD_TOKENS[r:])[:OUTPUT_STEPS]
-        steps = []
-        for t in range(OUTPUT_STEPS):
-            a = p1[s, t]
-            if a > 0.97:  # mimic services that return a single candidate
-                probs = ((pred_tokens[t], a),)
-            else:
-                probs = ((pred_tokens[t], a), ("alt1", p2[s, t]),
-                         ("alt2", p3[s, t]))
-            steps.append(TokenStep(token=pred_tokens[t], top_probs=probs))
-        records.append(InvocationRecord(
-            service_id=service_id, task_id=task_id, context_id=context_id,
-            sample_id=config.sample_id(s),
-            input_text=f"{task_id} query {s}",
-            generated_text=_PRED_TEXTS[r],
-            output_steps=tuple(steps),
-            input_scores=tuple(scores[s].tolist()),
-            reference=_REF_TEXT))
-    return records
+    n = len(pairs)
+    candidates = _CANDIDATES[f_grid]
+    keep = np.ones(candidates.shape, dtype=bool)
+    # mimic services that return a single candidate
+    keep[..., 1:] = (p1 <= 0.97)[..., None]
+    per_step = keep.sum(axis=3).reshape(n, -1)
+    cand_offsets = np.zeros((n, per_step.shape[1] + 1), dtype=np.int64)
+    np.cumsum(per_step, axis=1, out=cand_offsets[:, 1:])
+    ends = np.cumsum(cand_offsets[:, -1]).tolist()
+    cand_tokens = candidates[keep]
+    cand_probs = np.stack([p1, p2, p3], axis=3)[keep]
+    tokens = candidates[..., 0].reshape(n, -1)
+    generated = _PRED_ARRAY[f_grid]
+    scores = scores.reshape(n, -1)
+    return [SettingBatch(
+        key=(config.service_id(i), config.task_id(j), config.context_id(k)),
+        generated_texts=generated[s], tokens=tokens[s],
+        cand_offsets=cand_offsets[s], cand_tokens=cand_tokens[a:b],
+        cand_probs=cand_probs[a:b], scores=scores[s], **columns)
+        for s, ((i, k), a, b) in enumerate(zip(pairs, [0] + ends, ends))]
 
 
 def synth_marketplace(config: MarketplaceConfig):
@@ -212,11 +247,15 @@ def synth_marketplace(config: MarketplaceConfig):
         for i in range(config.n_services)]
 
     tasks = []
+    store = RecordStore()
+    pairs = [(i, k) for i in range(config.n_services)
+             for k in range(config.contexts_per_task)]
     for j in range(config.n_tasks):
         task_id = config.task_id(j)
-        test_samples = tuple(
-            (config.sample_id(s), f"{task_id} query {s}", _REF_TEXT)
-            for s in range(config.samples_per_task))
+        columns = _task_columns(config, j)
+        test_samples = tuple(zip(columns["sample_ids"].tolist(),
+                                 columns["input_texts"].tolist(),
+                                 columns["references"].tolist()))
         train_samples = tuple(
             (f"tr{s:03d}", f"{task_id} train query {s}", _REF_TEXT)
             for s in range(CONTEXT_EXAMPLES * config.contexts_per_task))
@@ -224,12 +263,8 @@ def synth_marketplace(config: MarketplaceConfig):
                                  split="test"))
         tasks.append(TaskDataset(task_id=task_id, samples=train_samples,
                                  split="train"))
-
-    store = RecordStore()
-    for i in range(config.n_services):
-        for j in range(config.n_tasks):
-            for k in range(config.contexts_per_task):
-                store.extend(_generate_setting(config, truth, i, j, k))
+        for batch in _generate_settings(config, truth, j, pairs, columns):
+            store.add(batch)
     return services, tasks, store
 
 
@@ -246,22 +281,28 @@ def marketplace_contexts(config: MarketplaceConfig, task_index: int):
     return out
 
 
-def _mock_indices(config, service_id, task_id, context_id, sample_id):
+def _mock_index(text, prefix, name, count):
     try:
-        i = int(service_id.removeprefix("svc"))
-        j = int(task_id.removeprefix("task"))
-        k = int(context_id.removeprefix("ctx"))
-        s = int(sample_id.removeprefix("s"))
+        v = int(text.removeprefix(prefix))
     except ValueError as exc:
         raise ConfigurationError(
             f"mock ids must follow the generator's naming: {exc}") from exc
-    for name, v, hi in (("service", i, config.n_services),
-                        ("task", j, config.n_tasks),
-                        ("context", k, config.contexts_per_task),
-                        ("sample", s, config.samples_per_task)):
-        if not (0 <= v < hi):
-            raise ConfigurationError(f"{name} index {v} out of range")
-    return i, j, k, s
+    if not (0 <= v < count):
+        raise ConfigurationError(f"{name} index {v} out of range")
+    return v
+
+
+def mock_task_index(config: MarketplaceConfig, task_id: str) -> int:
+    """Index of a mock task id such as ``task03``."""
+    return _mock_index(task_id, "task", "task", config.n_tasks)
+
+
+def _mock_indices(config, service_id, task_id, context_id, sample_id):
+    return (_mock_index(service_id, "svc", "service", config.n_services),
+            mock_task_index(config, task_id),
+            _mock_index(context_id, "ctx", "context",
+                        config.contexts_per_task),
+            _mock_index(sample_id, "s", "sample", config.samples_per_task))
 
 
 def invoke(service: ServiceDescriptor, input_text: str,
@@ -278,7 +319,9 @@ def invoke(service: ServiceDescriptor, input_text: str,
         truth = marketplace_truth(mock_config)
         i, j, k, s = _mock_indices(mock_config, service.service_id, task_id,
                                    context.context_id, sample_id)
-        return _generate_setting(mock_config, truth, i, j, k)[s]
+        batch, = _generate_settings(mock_config, truth, j, [(i, k)],
+                                    _task_columns(mock_config, j))
+        return batch.take([s]).records()[0]
     if service.kind == "http":
         client = client or HttpClient(service)
         return client.invoke(input_text, context, sample_id, task_id)
@@ -359,16 +402,27 @@ class HttpClient:
             steps.append(TokenStep(token=tok, top_probs=tuple(pairs)))
         return tuple(steps)
 
+    @staticmethod
+    def _first_choice(resp, what) -> dict:
+        """The first choice of a response body; CapabilityError if the body
+        is not JSON or has no choices."""
+        try:
+            choice = resp.json()["choices"][0]
+        except (ValueError, TypeError, KeyError, IndexError) as exc:
+            raise CapabilityError(
+                f"malformed {what} response: {exc!r}") from exc
+        if not isinstance(choice, dict):
+            raise CapabilityError(f"malformed {what} response: choice "
+                                  f"{choice!r} is not an object")
+        return choice
+
     def invoke(self, input_text, context: ContextSpec, sample_id,
                task_id) -> InvocationRecord:
         prompt = "".join(f"{q}\n{a}\n\n" for q, a in context.examples)
         prompt += input_text
-        resp = self._post(self._completion_payload(prompt, echo=False))
-        body = resp.json()
-        try:
-            choice = body["choices"][0]
-        except (KeyError, IndexError) as exc:
-            raise CapabilityError(f"malformed completion response: {exc}")
+        choice = self._first_choice(
+            self._post(self._completion_payload(prompt, echo=False)),
+            "completion")
         lp = choice.get("logprobs")
         if lp is None:
             raise CapabilityError(
@@ -378,8 +432,9 @@ class HttpClient:
 
         input_scores = None
         if self.descriptor.supports_input_scoring():
-            escore = self._post(self._completion_payload(prompt, echo=True))
-            elp = escore.json()["choices"][0].get("logprobs")
+            elp = self._first_choice(
+                self._post(self._completion_payload(prompt, echo=True)),
+                "echo scoring").get("logprobs")
             if elp is None or elp.get("token_logprobs") is None:
                 raise CapabilityError(
                     "echo scoring returned no token logprobs")

@@ -33,7 +33,8 @@ from perfest.metamodels import (
     predict_many,
     train,
 )
-from perfest.profile import FeatureProfile, build_profile, interpolate_profile
+from perfest.profile import (DEFAULT_KINDS, FeatureProfile, build_profile,
+                             interpolate_profile)
 from perfest.services import (
     MarketplaceConfig,
     marketplace_truth,
@@ -354,10 +355,9 @@ def test_criterion_7_combined_features_beat_single():
 def _profiles_and_truths(store, keys, d):
     profiles, truths = [], {}
     for key in keys:
-        recs = store.get(*key)
-        prof = build_profile(recs, d=d)
-        profiles.append(prof)
-        truths[key] = ev.task_performance(recs)
+        setting = ev.prepare_setting(store.batch(*key), DEFAULT_KINDS, d)
+        profiles.append(setting.profile)
+        truths[key] = setting.truth
     return profiles, truths
 
 
@@ -419,7 +419,7 @@ def test_criterion_9_finetune_ranking_finds_largest_gain():
         estimates = {}
         for i in range(cfg.n_services):
             sid = cfg.service_id(i)
-            profs = [build_profile(store.get(*k), d=60)
+            profs = [build_profile(store.batch(*k), d=60)
                      for k in cand_keys if k[0] == sid]
             estimates[sid] = float(np.mean(predict_many(model, profs)))
         ranking = rank_finetune_targets(estimates)

@@ -225,3 +225,69 @@ def test_invoke_mock_appends_record(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0] == lines[1]
+
+
+def small_store(capsys, tmp_path):
+    store_dir = tmp_path / "store"
+    assert run(capsys, *synth_args(store_dir, services=1, tasks=2,
+                                   samples=10, contexts=2))[0] == 0
+    return store_dir
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
+def test_unknown_feature_kind_is_domain_error(capsys, tmp_path, command):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    argv = [command, "--records", records, "--kinds", "nll,foo",
+            "--out", str(tmp_path / "out.json")]
+    if command == "evaluate":
+        argv += ["--contexts", "2", "--folds", "2"]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "foo" in err
+
+
+def test_unknown_feature_kind_in_config_is_domain_error(capsys, tmp_path):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"kinds": "foo"}))
+    code, _, err = run(capsys, "--config", str(cfg), "train",
+                       "--records", records,
+                       "--out", str(tmp_path / "model.json"))
+    assert code == 1
+    assert "foo" in err
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--hyperparams", "nope"), ("--grid", "nope"), ("--hyperparams", "3"),
+    ("--grid", "[1, 2]"), ("--hyperparams", "null")])
+def test_train_json_flags_must_hold_an_object(capsys, tmp_path, flag, text):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    code, _, err = run(capsys, "train", "--records", records, flag, text,
+                       "--out", str(tmp_path / "model.json"))
+    assert code == 1
+    assert flag in err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("task", ["foo", "task", "taskXY", "task99"])
+def test_invoke_mock_bad_task_is_domain_error(capsys, tmp_path, task):
+    store_dir = small_store(capsys, tmp_path)
+    code, _, err = run(capsys, "invoke",
+                       "--service-config", str(store_dir / "services.json"),
+                       "--service", "svc00", "--task", task,
+                       "--context", "ctx00", "--sample", "s0003",
+                       "--out", str(tmp_path / "invoked.jsonl"))
+    assert code == 1
+    assert "error" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_estimate_needs_a_positive_sample_count(capsys, tmp_path, n):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    model_path = str(tmp_path / "model.json")
+    assert run(capsys, "train", "--records", records, "--d", "4",
+               "--hyperparams", '{"n_trees": 2}', "--out", model_path)[0] == 0
+    code, _, err = run(capsys, "estimate", "--model", model_path,
+                       "--records", records, "--n", n)
+    assert code == 1
+    assert ">= 1" in err

@@ -273,3 +273,24 @@ def test_http_exhausted_retries_is_transport_error():
     with pytest.raises(TransportError):
         client.invoke("q", make_context(), "s0000", "task00")
     assert len(session.requests) == 3
+
+
+class NotJsonResponse(FakeResponse):
+    def json(self):
+        return json.loads("<html>bad gateway</html>")
+
+
+@pytest.mark.parametrize("responses", [
+    [NotJsonResponse(200, None)],
+    [FakeResponse(200, completion_body()), NotJsonResponse(200, None)],
+    [FakeResponse(200, completion_body()), FakeResponse(200, {"id": "x"})],
+    [FakeResponse(200, completion_body()), FakeResponse(200, {"choices": []})],
+    [FakeResponse(200, ["not", "an", "object"])],
+    [FakeResponse(200, {"choices": ["text"]})],
+], ids=["completion-not-json", "echo-not-json", "echo-no-choices",
+        "echo-empty-choices", "body-not-object", "choice-not-object"])
+def test_http_malformed_body_is_capability_error(responses):
+    session = FakeSession(responses)
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    with pytest.raises(CapabilityError, match="malformed"):
+        client.invoke("q", make_context(), "s0000", "task00")
