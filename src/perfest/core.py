@@ -5,12 +5,15 @@ Probabilities are stored linear (not log); log transforms happen at
 feature-extraction time. The sequence length |x| used by downstream
 features is the number of token steps returned by the service.
 
-InvocationRecord is the boundary type: JSON Lines, HTTP responses and
-validation speak records. Inside the package one (service, task, context)
-setting is a SettingBatch, whose columns hold every sample's texts, token
-steps, candidates and input scores, with offsets for the ragged lengths.
-SettingBatch.from_records and SettingBatch.records are inverses, and
-RecordStore keeps one batch per setting.
+InvocationRecord is the per-record boundary type: the HTTP client,
+read_records and write_records speak records. Inside the package one
+(service, task, context) setting is a SettingBatch, whose columns hold
+every sample's texts, token steps, candidates and input scores, with
+offsets for the ragged lengths. SettingBatch.from_records and
+SettingBatch.records are inverses, and RecordStore keeps one batch per
+setting. Files are parsed and written per setting run as columns
+(read_batches, write_batches), and SettingBatch.validate holds every
+record rule once; a record's validate is its one-record case.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -40,23 +43,8 @@ class TokenStep:
     top_probs: tuple  # tuple of (token, prob), descending by prob
 
     def validate(self, line=None):
-        if len(self.top_probs) < 1:
-            raise ValidationError("top_probs must have length >= 1",
-                                  field="top_probs", line=line)
-        total = 0.0
-        prev = float("inf")
-        for tok, p in self.top_probs:
-            if not (0.0 <= p <= 1.0):
-                raise ValidationError(f"prob {p!r} outside [0, 1]",
-                                      field="top_probs", line=line)
-            if p > prev:
-                raise ValidationError("top_probs not sorted non-increasing",
-                                      field="top_probs", line=line)
-            prev = p
-            total += p
-        if total > 1.0 + _PROB_SUM_TOL:
-            raise ValidationError(f"top_probs sum {total} exceeds 1",
-                                  field="top_probs", line=line)
+        """SettingBatch.validate on a one-step record."""
+        InvocationRecord("", "", "", "", "", "", (self,)).validate(line=line)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,17 +62,10 @@ class InvocationRecord:
     reference: Optional[str] = None
 
     def validate(self, line=None, require_steps=False):
-        if require_steps and len(self.output_steps) == 0:
-            raise ValidationError("output_steps empty", field="output_steps",
-                                  line=line)
-        for step in self.output_steps:
-            step.validate(line=line)
-        if self.input_scores is not None:
-            for s in self.input_scores:
-                if not (0.0 < s <= 1.0):
-                    raise ValidationError(
-                        f"input score {s!r} outside (0, 1]",
-                        field="input_scores", line=line)
+        """SettingBatch.validate on this one record."""
+        SettingBatch.from_records([self]).validate(
+            lines=None if line is None else [line],
+            require_steps=require_steps)
 
     @property
     def key(self):
@@ -138,6 +119,23 @@ def _take_ragged(offsets, rows):
 
 def _objects(values):
     return np.array(values, dtype=object)
+
+
+def padded_rows(values, offsets):
+    """A ragged column as a matrix: a leading column of zeros, then each
+    row's values, padded with zeros."""
+    lengths = np.diff(offsets)
+    out = np.zeros((len(lengths), lengths.max(initial=0) + 1))
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = np.arange(len(values)) - np.repeat(offsets[:-1], lengths) + 1
+    out[rows, cols] = values
+    return out
+
+
+def ordered_sum(values, offsets):
+    """Per-row ((0.0 + v1) + v2) + ..., in order: a plain Python loop's
+    sum, bit for bit (never numpy's pairwise sum)."""
+    return np.add.accumulate(padded_rows(values, offsets), axis=1)[:, -1]
 
 
 @dataclass(eq=False)
@@ -238,6 +236,64 @@ class SettingBatch:
                     self.generated_texts.tolist(), self.references.tolist(),
                     self.has_scores.tolist(), so, so[1:], io, io[1:])]
 
+    def validate(self, lines=None, require_steps=False):
+        """Check every sample against the record rules in one pass.
+
+        Rules: each step has k >= 1 candidates whose probabilities lie in
+        [0, 1] (NaN fails), never increase, and sum (left to right) to at
+        most 1 + 1e-9; input scores lie in (0, 1]; with require_steps,
+        every sample has a step. Raises the ValidationError that checking
+        sample by sample, step by step, would raise first; lines[i] is
+        sample i's 1-based line in its file.
+        """
+        probs = self.cand_probs
+        counts = np.diff(self.cand_offsets)
+        prev = np.empty_like(probs)
+        prev[1:] = probs[:-1]
+        prev[self.cand_offsets[:-1][counts > 0]] = np.inf
+        outside = ~((probs >= 0.0) & (probs <= 1.0))
+        bad_cand = outside | (probs > prev)
+        sums = ordered_sum(probs, self.cand_offsets)
+        bad_step = (counts == 0) | (sums > 1.0 + _PROB_SUM_TOL)
+        bad_step[np.repeat(np.arange(len(counts)), counts)[bad_cand]] = True
+        n_steps = np.diff(self.step_offsets)
+        bad_score = ~((self.scores > 0.0) & (self.scores <= 1.0))
+        rows = np.arange(len(self))
+        bad = np.zeros(len(self), dtype=bool)
+        bad[np.repeat(rows, n_steps)[bad_step]] = True
+        bad[np.repeat(rows, np.diff(self.score_offsets))[bad_score]] = True
+        if require_steps:
+            bad |= n_steps == 0
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        line = None if lines is None else lines[i]
+        if require_steps and n_steps[i] == 0:
+            raise ValidationError("output_steps empty", field="output_steps",
+                                  line=line)
+        first = self.step_offsets[i]
+        hit = np.flatnonzero(bad_step[first:self.step_offsets[i + 1]])
+        if hit.size:
+            j = first + hit[0]
+            a = self.cand_offsets[j]
+            hit = np.flatnonzero(bad_cand[a:self.cand_offsets[j + 1]])
+            if hit.size and outside[a + hit[0]]:
+                raise ValidationError(
+                    f"prob {float(probs[a + hit[0]])!r} outside [0, 1]",
+                    field="top_probs", line=line)
+            if hit.size:
+                raise ValidationError("top_probs not sorted non-increasing",
+                                      field="top_probs", line=line)
+            if counts[j] == 0:
+                raise ValidationError("top_probs must have length >= 1",
+                                      field="top_probs", line=line)
+            raise ValidationError(f"top_probs sum {float(sums[j])} exceeds 1",
+                                  field="top_probs", line=line)
+        a = self.score_offsets[i]
+        s = self.scores[a + np.flatnonzero(bad_score[a:])[0]]
+        raise ValidationError(f"input score {float(s)!r} outside (0, 1]",
+                              field="input_scores", line=line)
+
     def take(self, rows):
         """The batch of samples `rows`, in the order given."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -262,26 +318,16 @@ def as_batch(setting) -> SettingBatch:
     return SettingBatch.from_records(setting)
 
 
-def _step_to_obj(step: TokenStep):
-    return {"token": step.token,
-            "top_probs": [[t, p] for t, p in step.top_probs]}
+# ---------------------------------------------------------------------------
+# JSON Lines: each run of consecutive lines of one setting is parsed into
+# one SettingBatch and written from one, column by column.
 
-
-def _record_to_obj(rec: InvocationRecord):
-    obj = {
-        "service_id": rec.service_id,
-        "task_id": rec.task_id,
-        "context_id": rec.context_id,
-        "sample_id": rec.sample_id,
-        "input_text": rec.input_text,
-        "generated_text": rec.generated_text,
-        "output_steps": [_step_to_obj(s) for s in rec.output_steps],
-    }
-    if rec.input_scores is not None:
-        obj["input_scores"] = list(rec.input_scores)
-    if rec.reference is not None:
-        obj["reference"] = rec.reference
-    return obj
+_encode = json.encoder.encode_basestring  # json.dumps(ensure_ascii=False)
+_float = float.__repr__  # json.dumps of a finite float
+_TOP_PROBS = itemgetter("top_probs")
+_TOKEN = itemgetter("token")
+_FIELDS = ("service_id", "task_id", "context_id", "sample_id", "input_text",
+           "generated_text")
 
 
 def _require(obj, name, line):
@@ -290,104 +336,177 @@ def _require(obj, name, line):
     return obj[name]
 
 
-def record_from_obj(obj, line=None) -> InvocationRecord:
-    """Build and validate a record from a parsed JSON object."""
-    steps = []
+def _parse(obj, line):
+    """The fields of one parsed record line, coerced as the format defines.
+
+    Raises ValidationError for a structural fault: a missing field, an
+    output_steps that is not an array, or a malformed step or input score.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError("record must be a JSON object", line=line)
     raw_steps = _require(obj, "output_steps", line)
     if not isinstance(raw_steps, list):
         raise ValidationError("output_steps must be an array",
                               field="output_steps", line=line)
-    for raw in raw_steps:
-        try:
-            pairs = tuple((str(t), float(p)) for t, p in raw["top_probs"])
-            steps.append(TokenStep(token=str(raw["token"]), top_probs=pairs))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed step: {exc}",
-                                  field="output_steps", line=line) from exc
+    try:
+        tops = list(map(_TOP_PROBS, raw_steps))
+        tokens = list(map(str, map(_TOKEN, raw_steps)))
+        counts = list(map(len, tops))
+        pairs = list(itertools.chain.from_iterable(tops))
+        # a candidate is any two-item array, [token, prob]
+        cand_tokens, cand_probs = (zip(*pairs, strict=True) if pairs
+                                   else ((), ()))
+        cand_tokens = list(map(str, cand_tokens))
+        cand_probs = list(map(float, cand_probs))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed step: {exc}",
+                              field="output_steps", line=line) from exc
+    try:
+        fields = [str(obj[name]) for name in _FIELDS]
+    except KeyError:
+        fields = [str(_require(obj, name, line)) for name in _FIELDS]
     scores = obj.get("input_scores")
-    rec = InvocationRecord(
-        service_id=str(_require(obj, "service_id", line)),
-        task_id=str(_require(obj, "task_id", line)),
-        context_id=str(_require(obj, "context_id", line)),
-        sample_id=str(_require(obj, "sample_id", line)),
-        input_text=str(_require(obj, "input_text", line)),
-        generated_text=str(_require(obj, "generated_text", line)),
-        output_steps=tuple(steps),
-        input_scores=tuple(float(s) for s in scores) if scores is not None else None,
-        reference=str(obj["reference"]) if obj.get("reference") is not None else None,
-    )
-    rec.validate(line=line)
-    return rec
+    if scores is not None:
+        try:
+            scores = list(map(float, scores))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed input scores: {exc}",
+                                  field="input_scores", line=line) from exc
+    ref = obj.get("reference")
+    return (tuple(fields[:3]), fields[3:],
+            None if ref is None else str(ref),
+            tokens, counts, cand_tokens, cand_probs, scores)
 
 
-def iter_records(path):
-    """Validated records of a JSON Lines record file, one at a time.
+def _batch(key, lines, parsed) -> SettingBatch:
+    """Parsed lines of one setting as one validated SettingBatch."""
+    (_, texts, references, tokens, cand_counts, cand_tokens, cand_probs,
+     scores) = zip(*parsed)
+    sample_ids, input_texts, generated_texts = zip(*texts)
+    chain = itertools.chain.from_iterable
+    batch = SettingBatch(
+        key=key, sample_ids=_objects(sample_ids),
+        input_texts=_objects(input_texts),
+        generated_texts=_objects(generated_texts),
+        references=_objects(references),
+        step_offsets=_offsets(list(map(len, tokens))),
+        tokens=_objects(list(chain(tokens))),
+        cand_offsets=_offsets(list(chain(cand_counts))),
+        cand_tokens=_objects(list(chain(cand_tokens))),
+        cand_probs=np.array(list(chain(cand_probs)), dtype=float),
+        score_offsets=_offsets([len(s or ()) for s in scores]),
+        scores=np.array(list(chain(s or () for s in scores)), dtype=float),
+        has_scores=np.array([s is not None for s in scores], dtype=bool))
+    batch.validate(lines=lines)
+    return batch
 
-    Raises ValidationError naming the field and 1-based line number on the
-    first malformed line; raises OSError for a missing file.
+
+def read_batches(path):
+    """Validated SettingBatches of a JSON Lines record file, one per run of
+    consecutive lines of one setting.
+
+    Raises ValidationError naming the field and 1-based line number of the
+    first fault a line-by-line reader would meet; raises OSError for a
+    missing file.
     """
+    key, lines, parsed = None, [], []
     with open(path, "r", encoding="utf-8") as f:
         for i, raw in enumerate(f, start=1):
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON: {exc}", line=i) from exc
-            yield record_from_obj(obj, line=i)
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"invalid JSON: {exc}",
+                                          line=i) from exc
+                fields = _parse(obj, i)
+            except ValidationError:
+                if parsed:  # a fault on an earlier line comes first
+                    _batch(key, lines, parsed)
+                raise
+            if parsed and fields[0] != key:
+                yield _batch(key, lines, parsed)
+                lines, parsed = [], []
+            key = fields[0]
+            lines.append(i)
+            parsed.append(fields)
+    if parsed:
+        yield _batch(key, lines, parsed)
+
+
+def _lines(batch: SettingBatch) -> str:
+    """The batch as JSON Lines: each sample's line is json.dumps(...,
+    ensure_ascii=False) of its record's object."""
+    pairs = [f"[{t}, {p}]" for t, p in zip(
+        map(_encode, batch.cand_tokens.tolist()),
+        map(_float, batch.cand_probs.tolist()))]
+    co = batch.cand_offsets.tolist()
+    steps = [f'{{"token": {t}, "top_probs": [{", ".join(pairs[a:b])}]}}'
+             for t, a, b in zip(map(_encode, batch.tokens.tolist()),
+                                co, co[1:])]
+    scores = list(map(_float, batch.scores.tolist()))
+    head = ('{"service_id": %s, "task_id": %s, "context_id": %s, '
+            '"sample_id": ' % tuple(map(_encode, batch.key)))
+    so = batch.step_offsets.tolist()
+    io = batch.score_offsets.tolist()
+    lines = []
+    for sid, text, gen, ref, has, a, b, i, j in zip(
+            batch.sample_ids.tolist(), batch.input_texts.tolist(),
+            batch.generated_texts.tolist(), batch.references.tolist(),
+            batch.has_scores.tolist(), so, so[1:], io, io[1:]):
+        line = (f'{head}{_encode(sid)}, "input_text": {_encode(text)}, '
+                f'"generated_text": {_encode(gen)}, '
+                f'"output_steps": [{", ".join(steps[a:b])}]')
+        if has:
+            line += f', "input_scores": [{", ".join(scores[i:j])}]'
+        if ref is not None:
+            line += f', "reference": {_encode(ref)}'
+        lines.append(line + "}\n")
+    return "".join(lines)
+
+
+def write_batches(batches: Iterable[SettingBatch], path, mode="w") -> None:
+    """Write (mode "w") or append (mode "a") batches as JSON Lines, one
+    line per sample in batch order."""
+    with open(path, mode, encoding="utf-8") as f:
+        for batch in batches:
+            f.write(_lines(batch))
+
+
+def _record_batches(records):
+    """Validated batches of each run of consecutive records of one
+    setting."""
+    for _, run in itertools.groupby(records, key=attrgetter("key")):
+        batch = SettingBatch.from_records(run)
+        batch.validate()
+        yield batch
+
+
+def iter_records(path):
+    """Validated records of a JSON Lines record file, one setting run at a
+    time (see read_batches)."""
+    for batch in read_batches(path):
+        yield from batch.records()
 
 
 def read_records(path) -> list:
     """Read a JSON Lines record file, validating every line (see
-    iter_records)."""
+    read_batches)."""
     return list(iter_records(path))
 
 
 def write_records(records: Iterable[InvocationRecord], path) -> None:
-    """Write records as JSON Lines. read_records round-trips field-for-field."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            rec.validate()
-            f.write(json.dumps(_record_to_obj(rec), ensure_ascii=False))
-            f.write("\n")
+    """Validate records and write them as JSON Lines. read_records
+    round-trips field-for-field."""
+    write_batches(_record_batches(records), path)
 
 
 def append_records(records: Sequence[InvocationRecord], path) -> None:
-    """Append records to an existing (or new) JSON Lines file."""
-    with open(path, "a", encoding="utf-8") as f:
-        for rec in records:
-            rec.validate()
-            f.write(json.dumps(_record_to_obj(rec), ensure_ascii=False))
-            f.write("\n")
-
-
-def read_tasks(path) -> list:
-    """Read a task JSON Lines file into TaskDataset objects (grouped by
-    task_id and split)."""
-    groups = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for i, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"invalid JSON: {exc}", line=i) from exc
-            task_id = str(_require(obj, "task_id", i))
-            sample_id = str(_require(obj, "sample_id", i))
-            text = str(_require(obj, "input_text", i))
-            ref = obj.get("reference")
-            split = str(obj.get("split", "test"))
-            groups.setdefault((task_id, split), []).append(
-                (sample_id, text, str(ref) if ref is not None else None))
-    tasks = []
-    for (task_id, split), samples in sorted(groups.items()):
-        ds = TaskDataset(task_id=task_id, samples=tuple(samples), split=split)
-        ds.validate()
-        tasks.append(ds)
-    return tasks
+    """Validate records and append them to an existing (or new) JSON Lines
+    file."""
+    write_batches(_record_batches(records), path, mode="a")
 
 
 def write_tasks(tasks: Sequence[TaskDataset], path) -> None:
@@ -405,8 +524,8 @@ def write_tasks(tasks: Sequence[TaskDataset], path) -> None:
 class RecordStore:
     """In-memory store indexed by (service_id, task_id, context_id).
 
-    Each setting is held as one SettingBatch; InvocationRecords are built
-    from it only when asked for (get, all_records, save). Append-only;
+    Each setting is held as one validated SettingBatch; InvocationRecords
+    are built from it only when asked for (get, all_records). Append-only;
     iteration order is insertion order within each setting.
     """
 
@@ -416,20 +535,16 @@ class RecordStore:
 
     def extend(self, records):
         """Append records. Each run of consecutive records of one setting
-        joins that setting's batch as the run ends, so a file written by
-        save (one run per setting) is never held as records all at once."""
-        for key, run in itertools.groupby(records, key=attrgetter("key")):
-            run = list(run)
-            if key in self._batches:
-                run = self._batches[key].records() + run
-            self._batches[key] = SettingBatch.from_records(run)
+        is validated and joins that setting's batch as the run ends."""
+        for batch in _record_batches(records):
+            self.add(batch)
 
     def add(self, batch: SettingBatch):
-        """Append one setting's batch."""
-        if batch.key in self._batches:
-            self.extend(batch.records())
-        else:
-            self._batches[batch.key] = batch
+        """Append one setting's valid batch."""
+        old = self._batches.get(batch.key)
+        if old is not None:
+            batch = SettingBatch.from_records(old.records() + batch.records())
+        self._batches[batch.key] = batch
 
     def batch(self, service_id, task_id, context_id):
         """The setting's SettingBatch, or None if the store has none."""
@@ -454,7 +569,11 @@ class RecordStore:
 
     @classmethod
     def from_file(cls, path):
-        return cls(iter_records(path))
+        store = cls()
+        for batch in read_batches(path):
+            store.add(batch)
+        return store
 
     def save(self, path):
-        write_records(self.all_records(), path)
+        """Write every setting's batch, in key order, as JSON Lines."""
+        write_batches((self._batches[key] for key in self.keys()), path)

@@ -33,7 +33,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import InvocationRecord, SettingBatch, as_batch
+from .core import (InvocationRecord, SettingBatch, as_batch, ordered_sum,
+                   padded_rows)
 from .errors import (CapabilityError, DegenerateProbabilityError,
                      ValidationError)
 
@@ -85,25 +86,9 @@ def _exp(values):
     return _MATH_EXP(values).astype(float)
 
 
-def _rows(values, offsets):
-    """A ragged column as a matrix: a leading column of zeros, then each
-    row's values, padded with zeros."""
-    lengths = np.diff(offsets)
-    out = np.zeros((len(lengths), lengths.max(initial=0) + 1))
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    cols = np.arange(len(values)) - np.repeat(offsets[:-1], lengths) + 1
-    out[rows, cols] = values
-    return out
-
-
-def _sum(values, offsets):
-    """Per-row ((0.0 + v1) + v2) + ..., in order."""
-    return np.add.accumulate(_rows(values, offsets), axis=1)[:, -1]
-
-
 def _sum_negated(values, offsets):
     """Per-row ((0.0 - v1) - v2) - ..., in order."""
-    return np.subtract.accumulate(_rows(values, offsets), axis=1)[:, -1]
+    return np.subtract.accumulate(padded_rows(values, offsets), axis=1)[:, -1]
 
 
 def _require_steps(batch: SettingBatch):
@@ -158,7 +143,7 @@ def ppl(batch: SettingBatch, mode: str = "normalized"):
 def gap(batch: SettingBatch):
     """Summed (p_top1 - p_top2) over steps; p_top2 is 0 when k == 1."""
     _require_steps(batch)
-    return _sum(batch.top1 - batch.top2, batch.step_offsets)
+    return ordered_sum(batch.top1 - batch.top2, batch.step_offsets)
 
 
 @_per_sample
@@ -172,7 +157,7 @@ def max_ent(batch: SettingBatch):
     """
     _require_steps(batch)
     probs, offsets = batch.cand_probs, batch.cand_offsets
-    mass = _sum(probs, offsets)
+    mass = ordered_sum(probs, offsets)
     if np.any(mass < PROB_FLOOR):
         raise DegenerateProbabilityError(
             "step has no probability mass to renormalize")

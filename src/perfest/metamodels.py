@@ -467,8 +467,9 @@ def gbt_training_mse_curve(model: TrainedMetaModel, rows):
 def grid_search(kind, grid, rows, folds: int, seed: int) -> ModelSpec:
     """Full-Cartesian hyperparameter search by cross-validated MAE.
 
-    Ties break by grid enumeration order (itertools.product over the
-    grid's insertion order).
+    Folds are grouped by task, so no task is in both a fold's train and
+    test rows. Ties break by grid enumeration order (itertools.product
+    over the grid's insertion order).
     """
     from .evaluation import kfold_split  # local import avoids a cycle
 
@@ -479,13 +480,9 @@ def grid_search(kind, grid, rows, folds: int, seed: int) -> ModelSpec:
         if not list(values):
             raise ConfigurationError(f"grid axis {name!r} is empty")
     rows = list(rows)
-    if folds < 2:
-        raise ConfigurationError("folds must be >= 2")
-    if len(rows) < folds:
-        raise ConfigurationError(
-            f"{len(rows)} rows cannot be split into {folds} folds")
     names = list(grid.keys())
-    splits = kfold_split(len(rows), folds, seed)
+    splits = kfold_split(len(rows), folds, seed,
+                         groups=[row.profile.task_id for row in rows])
     best_spec = None
     best_mae = math.inf
     for combo in itertools.product(*(grid[n] for n in names)):

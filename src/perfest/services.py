@@ -41,6 +41,7 @@ Mock invoke() and the HTTP client return InvocationRecords.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -331,11 +332,22 @@ def invoke(service: ServiceDescriptor, input_text: str,
 # ---------------------------------------------------------------------------
 # HTTP client (OpenAI-compatible completions with logprobs)
 
+def _retry_after(resp) -> float:
+    """A response's numeric Retry-After header in seconds, else 0."""
+    try:
+        seconds = float(resp.headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        return 0.0
+    return seconds if math.isfinite(seconds) else 0.0
+
+
 class HttpClient:
     """Completions client for services that expose top-k token logprobs.
 
-    Requests are retried up to `max_attempts` times with exponential
-    backoff; responses missing logprob fields raise CapabilityError and
+    Connection failures, 5xx and 429 responses are retried up to
+    `max_attempts` times with exponential backoff (after a 429, at least
+    its numeric Retry-After); any other 4xx raises TransportError at once.
+    Responses missing logprob fields raise CapabilityError and
     nothing is fabricated. Input scoring uses the echo-with-logprobs
     form when the service supports it.
     """
@@ -356,17 +368,25 @@ class HttpClient:
         url = self.descriptor.config["endpoint"]
         last = None
         for attempt in range(self.max_attempts):
+            delay = self.backoff * 2 ** attempt
             try:
                 resp = self.session.post(url, json=payload,
                                          timeout=self.timeout)
             except Exception as exc:  # connection-level failure
                 last = exc
             else:
-                if resp.status_code < 500:
+                status = resp.status_code
+                if status < 400:
                     return resp
-                last = RuntimeError(f"HTTP {resp.status_code}")
+                if status < 500 and status != 429:
+                    raise TransportError(
+                        f"service {self.descriptor.service_id} rejected "
+                        f"the request: HTTP {status}")
+                last = RuntimeError(f"HTTP {status}")
+                if status == 429:
+                    delay = max(delay, _retry_after(resp))
             if attempt + 1 < self.max_attempts:
-                time.sleep(self.backoff * 2 ** attempt)
+                time.sleep(delay)
         raise TransportError(
             f"service {self.descriptor.service_id} unreachable after "
             f"{self.max_attempts} attempts: {last}")

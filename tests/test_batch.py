@@ -1,11 +1,13 @@
 """SettingBatch: the columnar setting is exact.
 
 Frozen copies of the per-record code that the batch path replaced (the
-record-building generator, the feature loops, the per-setting preparation)
-serve as oracles. Values are compared by their bits (float.hex), so a
+record-building generator, the feature loops, the per-setting preparation,
+the JSON Lines reader, writer and validation) serve as oracles. Values are compared by their bits (float.hex), so a
 changed rounding or a signed zero fails.
 """
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from perfest.cli import dispatch
 from perfest.core import (InvocationRecord, RecordStore, SettingBatch,
-                          TokenStep, write_records)
+                          TokenStep, read_batches, read_records,
+                          write_records)
+from perfest.errors import ValidationError
 from perfest.evaluation import (f1_score, per_sample_f1, prepare_setting,
                                 task_performance)
 from perfest.features import (FeatureKind, extract_task_features, gap,
@@ -366,3 +370,349 @@ def test_store_keeps_order_of_interleaved_records(tmp_path):
     again = RecordStore.from_file(str(path))
     assert list(again.all_records()) == [r for recs in settings_
                                          for r in recs]
+
+
+# ---------------------------------------------------------------------------
+# the JSON Lines codec against the per-record reader, writer and validation
+
+
+def frozen_step_validate(step, line=None):
+    if len(step.top_probs) < 1:
+        raise ValidationError("top_probs must have length >= 1",
+                              field="top_probs", line=line)
+    total = 0.0
+    prev = float("inf")
+    for tok, p in step.top_probs:
+        if not (0.0 <= p <= 1.0):
+            raise ValidationError(f"prob {p!r} outside [0, 1]",
+                                  field="top_probs", line=line)
+        if p > prev:
+            raise ValidationError("top_probs not sorted non-increasing",
+                                  field="top_probs", line=line)
+        prev = p
+        total += p
+    if total > 1.0 + 1e-9:
+        raise ValidationError(f"top_probs sum {total} exceeds 1",
+                              field="top_probs", line=line)
+
+
+def frozen_validate(rec, line=None, require_steps=False):
+    if require_steps and len(rec.output_steps) == 0:
+        raise ValidationError("output_steps empty", field="output_steps",
+                              line=line)
+    for step in rec.output_steps:
+        frozen_step_validate(step, line=line)
+    if rec.input_scores is not None:
+        for s in rec.input_scores:
+            if not (0.0 < s <= 1.0):
+                raise ValidationError(f"input score {s!r} outside (0, 1]",
+                                      field="input_scores", line=line)
+
+
+def frozen_record_to_obj(rec):
+    obj = {
+        "service_id": rec.service_id,
+        "task_id": rec.task_id,
+        "context_id": rec.context_id,
+        "sample_id": rec.sample_id,
+        "input_text": rec.input_text,
+        "generated_text": rec.generated_text,
+        "output_steps": [{"token": s.token,
+                          "top_probs": [[t, p] for t, p in s.top_probs]}
+                         for s in rec.output_steps],
+    }
+    if rec.input_scores is not None:
+        obj["input_scores"] = list(rec.input_scores)
+    if rec.reference is not None:
+        obj["reference"] = rec.reference
+    return obj
+
+
+def _frozen_require(obj, name, line):
+    if name not in obj:
+        raise ValidationError(f"missing field {name!r}", field=name, line=line)
+    return obj[name]
+
+
+def frozen_record_from_obj(obj, line=None):
+    steps = []
+    raw_steps = _frozen_require(obj, "output_steps", line)
+    if not isinstance(raw_steps, list):
+        raise ValidationError("output_steps must be an array",
+                              field="output_steps", line=line)
+    for raw in raw_steps:
+        try:
+            pairs = tuple((str(t), float(p)) for t, p in raw["top_probs"])
+            steps.append(TokenStep(token=str(raw["token"]), top_probs=pairs))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed step: {exc}",
+                                  field="output_steps", line=line) from exc
+    scores = obj.get("input_scores")
+    rec = InvocationRecord(
+        service_id=str(_frozen_require(obj, "service_id", line)),
+        task_id=str(_frozen_require(obj, "task_id", line)),
+        context_id=str(_frozen_require(obj, "context_id", line)),
+        sample_id=str(_frozen_require(obj, "sample_id", line)),
+        input_text=str(_frozen_require(obj, "input_text", line)),
+        generated_text=str(_frozen_require(obj, "generated_text", line)),
+        output_steps=tuple(steps),
+        input_scores=(tuple(float(s) for s in scores)
+                      if scores is not None else None),
+        reference=(str(obj["reference"])
+                   if obj.get("reference") is not None else None))
+    frozen_validate(rec, line=line)
+    return rec
+
+
+def frozen_read(path):
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for i, raw in enumerate(f, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"invalid JSON: {exc}", line=i) from exc
+            out.append(frozen_record_from_obj(obj, line=i))
+    return out
+
+
+def frozen_lines(records):
+    return [json.dumps(frozen_record_to_obj(r), ensure_ascii=False) + "\n"
+            for r in records]
+
+
+def assert_same_batch(got, want):
+    assert got.key == want.key
+    for name in ("sample_ids", "input_texts", "generated_texts",
+                 "references", "tokens", "cand_tokens"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    for name in ("step_offsets", "cand_offsets", "score_offsets",
+                 "has_scores"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert bits(got.cand_probs) == bits(want.cand_probs)
+    assert bits(got.scores) == bits(want.scores)
+
+
+# every string may hold unicode, quotes, backslashes and control characters
+# (lone surrogates cannot be written as UTF-8 by either writer)
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=10) | \
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "  ",
+                     "\r\n\t", "é ü 漢字 🙂"])
+
+
+@st.composite
+def codec_records(draw, max_size=8):
+    """Records of up to three settings in any order: 0-40 steps, k = 1..5,
+    input scores None, empty or 1-12 long, references None or text."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = draw(st.lists(TEXT, min_size=1, max_size=8))
+    keys = draw(st.lists(st.tuples(TEXT, TEXT, TEXT), min_size=1,
+                         max_size=3))
+
+    def text():
+        return pool[int(rng.integers(len(pool)))]
+
+    records = []
+    for _ in range(draw(st.integers(1, max_size))):
+        steps = tuple(
+            TokenStep(text(), tuple((text(), p) for _, p in
+                                    random_step(rng, t).top_probs))
+            for t in range(draw(st.integers(0, 40))))
+        n_scores = draw(st.none() | st.integers(0, 12))
+        records.append(InvocationRecord(
+            *draw(st.sampled_from(keys)), text(), text(), text(), steps,
+            None if n_scores is None else tuple(
+                rng.uniform(1e-6, 1.0, size=n_scores).tolist()),
+            draw(st.none() | st.just(text()))))
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(codec_records())
+def test_writer_lines_equal_json_dumps_of_each_record(tmp_path_factory,
+                                                      records):
+    path = tmp_path_factory.mktemp("codec") / "records.jsonl"
+    write_records(records, str(path))
+    with open(path, encoding="utf-8") as f:
+        assert f.readlines() == frozen_lines(records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(codec_records())
+def test_reader_batches_equal_per_record_parse(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("codec") / "records.jsonl"
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(frozen_lines(records))
+    frozen = frozen_read(str(path))
+    runs = [SettingBatch.from_records(run) for _, run in
+            itertools.groupby(frozen, key=lambda r: r.key)]
+    got = list(read_batches(str(path)))
+    assert len(got) == len(runs)
+    for a, b in zip(got, runs):
+        assert_same_batch(a, b)
+    assert read_records(str(path)) == frozen
+
+
+def test_store_save_equals_per_record_writer(tmp_path):
+    config = MarketplaceConfig(n_services=2, n_tasks=2, samples_per_task=30,
+                               contexts_per_task=2, seed=12)
+    _, _, store = synth_marketplace(config)
+    store.save(str(tmp_path / "store.jsonl"))
+    with open(tmp_path / "store.jsonl", encoding="utf-8") as f:
+        assert f.readlines() == frozen_lines(store.all_records())
+
+
+def good(**overrides):
+    obj = {"service_id": "svc00", "task_id": "task00", "context_id": "ctx00",
+           "sample_id": "s0", "input_text": "q", "generated_text": "a b",
+           "output_steps": [{"token": "a", "top_probs": [["a", 0.6],
+                                                         ["b", 0.3]]},
+                            {"token": "b", "top_probs": [["b", 0.9]]}],
+           "input_scores": [0.5, 0.25], "reference": "a b"}
+    obj.update(overrides)
+    return json.dumps(obj)
+
+
+def steps(*probs):
+    return [{"token": "a", "top_probs": [[f"c{i}", p]
+                                         for i, p in enumerate(ps)]}
+            for ps in probs]
+
+
+def without(name):
+    obj = json.loads(good())
+    del obj[name]
+    return json.dumps(obj)
+
+
+_OVER = 0.4 + 2e-9  # 0.6 + _OVER exceeds 1 + 1e-9
+_UNDER = 0.4 + 5e-10  # 0.6 + _UNDER does not
+PARITY = {
+    "bad-json": [good(), '{"service_id": '],
+    "missing-field": [good(), without("sample_id")],
+    "missing-steps": [without("output_steps")],
+    "steps-not-list": [good(), good(output_steps={"token": "a"})],
+    "steps-string": [good(output_steps="abc")],
+    "step-no-top-probs": [good(output_steps=[{"token": "a"}])],
+    "step-no-token": [good(output_steps=[{"top_probs": [["a", 0.5]]}])],
+    "step-not-object": [good(output_steps=[["a", 0.5]])],
+    "pair-too-short": [good(output_steps=[{"token": "a",
+                                           "top_probs": [["a"]]}])],
+    "pair-too-long": [good(output_steps=[{"token": "a",
+                                          "top_probs": [["a", 0.5, 1]]}])],
+    "prob-not-number": [good(output_steps=[{"token": "a",
+                                            "top_probs": [["a", "x"]]}])],
+    "prob-null": [good(output_steps=[{"token": "a",
+                                      "top_probs": [["a", None]]}])],
+    "top-probs-number": [good(output_steps=[{"token": "a",
+                                             "top_probs": 3}])],
+    "negative-prob": [good(), good(output_steps=steps([0.5], [0.2, -0.1]))],
+    "prob-above-one": [good(output_steps=steps([1.2]))],
+    "nan-prob": [good(output_steps=steps([0.5])).replace("0.5]", "NaN]")],
+    "unsorted": [good(output_steps=steps([0.9], [0.2, 0.7]))],
+    "empty-top-probs": [good(output_steps=steps([0.9], []))],
+    "sum-just-over": [good(output_steps=steps([0.6, _OVER]))],
+    "sum-just-under": [good(output_steps=steps([0.6, _UNDER]))],
+    "range-before-order": [good(output_steps=steps([0.2, 0.5, 1.5]))],
+    "order-before-sum": [good(output_steps=steps([0.9, 0.95]))],
+    "first-bad-step": [good(output_steps=steps([0.6, 0.6], [2.0]))],
+    "score-zero": [good(), good(input_scores=[0.5, 0.0])],
+    "score-above-one": [good(input_scores=[1.5])],
+    "step-before-score": [good(output_steps=steps([0.3, 0.5]),
+                               input_scores=[0.0])],
+    "value-then-bad-json": [good(), good(input_scores=[0.0]), good(),
+                            "{oops"],
+    "value-then-missing-field": [good(output_steps=steps([1.5])),
+                                 without("task_id")],
+    "value-then-bad-step": [good(), good(output_steps=steps([-1.0])),
+                            good(output_steps=[{"token": "a"}])],
+    "value-then-other-setting": [good(input_scores=[2.0]),
+                                 good(context_id="ctx01"), "{"],
+    "bad-json-then-value": [good(), "nope", good(input_scores=[0.0])],
+    "bad-step-then-value": [good(output_steps=[{"token": "a"}]),
+                            good(input_scores=[0.0])],
+    "blank-lines": ["", good(), "   ", good(input_scores=[0.0])],
+    "returning-setting": [good(), good(context_id="ctx01"),
+                          good(sample_id="s1"),
+                          good(context_id="ctx01", input_scores=[3.0])],
+    "valid": [good(), good(sample_id="s1", input_scores=None),
+              good(context_id="ctx01", reference=None)],
+}
+
+
+def outcome(read, path):
+    try:
+        return "ok", read(path)
+    except ValidationError as exc:
+        if exc.field in ("top_probs", "input_scores"):  # a value fault
+            return "error", (exc.field, exc.line, str(exc))
+        return "error", (exc.field, exc.line)
+
+
+@pytest.mark.parametrize("lines", PARITY.values(), ids=PARITY.keys())
+def test_errors_name_the_per_record_readers_field_and_line(tmp_path, lines):
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = outcome(frozen_read, str(path))
+    assert outcome(read_records, str(path)) == want
+    got = outcome(lambda p: list(RecordStore.from_file(p).all_records()),
+                  str(path))
+    if want[0] == "ok":
+        assert got[0] == "ok" and sorted(got[1], key=lambda r: r.key) == \
+            sorted(want[1], key=lambda r: r.key)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("line,field", [
+    ("[1, 2]", None), ("3", None), ('"output_steps"', None), ("null", None),
+    (good(input_scores="abc"), "input_scores"),
+    (good(input_scores=5), "input_scores"),
+    (good(input_scores=[0.5, None]), "input_scores")])
+def test_non_records_are_validation_errors(tmp_path, line, field):
+    # the per-record reader let these escape as TypeError or ValueError
+    path = tmp_path / "records.jsonl"
+    path.write_text(good() + "\n" + good() + "\n" + line + "\n")
+    with pytest.raises(ValidationError) as exc:
+        read_records(str(path))
+    assert (exc.value.field, exc.value.line) == (field, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ragged_setting(), st.data())
+def test_batch_validate_raises_what_the_record_scan_raises(records, data):
+    # break some probabilities and scores, then compare with the scan
+    bad = (-0.0, -1e-300, 0.0, 1.0, 1.0 + 1e-12, 2.0, math.nan, math.inf)
+    broken = []
+    for rec in records:
+        steps_ = list(rec.output_steps)
+        if steps_ and data.draw(st.booleans()):
+            t = data.draw(st.integers(0, len(steps_) - 1))
+            pairs = list(steps_[t].top_probs)
+            c = data.draw(st.integers(0, len(pairs) - 1))
+            pairs[c] = (pairs[c][0], data.draw(st.sampled_from(bad)))
+            steps_[t] = TokenStep(steps_[t].token, tuple(pairs))
+        scores = rec.input_scores
+        if scores and data.draw(st.booleans()):
+            scores = scores[:-1] + (data.draw(st.sampled_from(bad)),)
+        broken.append(InvocationRecord(*rec.key, rec.sample_id,
+                                       rec.input_text, rec.generated_text,
+                                       tuple(steps_), scores, rec.reference))
+    lines = list(range(3, 3 + len(broken)))
+    for require_steps in (False, True):
+        want = None
+        for rec, line in zip(broken, lines):
+            try:
+                frozen_validate(rec, line, require_steps)
+            except ValidationError as exc:
+                want = (exc.field, exc.line, str(exc))
+                break
+        try:
+            SettingBatch.from_records(broken).validate(lines, require_steps)
+            got = None
+        except ValidationError as exc:
+            got = (exc.field, exc.line, str(exc))
+        assert got == want

@@ -8,12 +8,9 @@ import pytest
 from perfest.core import (
     InvocationRecord,
     RecordStore,
-    TaskDataset,
     TokenStep,
     read_records,
-    read_tasks,
     write_records,
-    write_tasks,
 )
 from perfest.errors import ValidationError
 from perfest.services import MarketplaceConfig, synth_marketplace
@@ -158,17 +155,6 @@ def test_thousand_synthetic_records_round_trip(tmp_path):
     assert len(back) == len(records)
     for a, b in zip(records, back):
         assert a == b
-
-
-def test_task_dataset_round_trip(tmp_path):
-    tasks = [
-        TaskDataset(task_id="task00",
-                    samples=(("s0", "q one", "a one"), ("s1", "q two", "a two"))),
-        TaskDataset(task_id="task01", samples=(("s0", "q", "a"),)),
-    ]
-    path = tmp_path / "tasks.jsonl"
-    write_tasks(tasks, str(path))
-    assert read_tasks(str(path)) == tasks
 
 
 def test_store_groups_by_setting_and_preserves_order(tmp_path):

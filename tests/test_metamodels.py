@@ -273,11 +273,38 @@ def test_grid_search_prefers_local_k_on_local_structure():
     rows = []
     for i in range(24):
         vec = rng.uniform(0, 1, size=3)
-        rows.append(TrainingRow(profile_from_vector(vec),
-                                float(np.clip(vec.mean(), 0, 1))))
+        rows.append(TrainingRow(
+            profile_from_vector(vec, ids=("svc00", "task%02d" % i, "ctx00")),
+            float(np.clip(vec.mean(), 0, 1))))
     spec = grid_search(ModelKind.KNN, {"k": [1, len(rows)]}, rows,
                        folds=4, seed=0)
     assert spec.hyperparams["k"] == 1
+
+
+def test_grid_search_folds_never_share_a_task(monkeypatch):
+    rng = np.random.default_rng(64)
+    rows = random_rows(rng, 20)  # five tasks, four rows each
+    folds = []
+
+    def record_train(spec, train_rows, seed):
+        folds.append({r.profile.task_id for r in train_rows})
+        return train(spec, train_rows, seed)
+
+    def record_predict(model, profiles):
+        assert not folds[-1] & {p.task_id for p in profiles}
+        return predict_many(model, profiles)
+
+    monkeypatch.setattr("perfest.metamodels.train", record_train)
+    monkeypatch.setattr("perfest.metamodels.predict_many", record_predict)
+    grid_search(ModelKind.KNN, {"k": [1, 3]}, rows, folds=4, seed=0)
+    assert len(folds) == 8
+
+
+def test_grid_search_needs_a_task_per_fold():
+    rng = np.random.default_rng(65)
+    rows = random_rows(rng, 20)  # five tasks
+    with pytest.raises(ConfigurationError, match="5 groups"):
+        grid_search(ModelKind.KNN, {"k": [1]}, rows, folds=6, seed=0)
 
 
 def test_grid_search_expresses_full_rf_grid():

@@ -167,9 +167,10 @@ def test_finetune_diff_positive_below_saturation():
 # --- HTTP client against a canned session ---
 
 class FakeResponse:
-    def __init__(self, status_code, body):
+    def __init__(self, status_code, body, headers=None):
         self.status_code = status_code
         self._body = body
+        self.headers = headers or {}
 
     def json(self):
         return self._body
@@ -294,3 +295,53 @@ def test_http_malformed_body_is_capability_error(responses):
     client = HttpClient(http_descriptor(), session=session, backoff=0.0)
     with pytest.raises(CapabilityError, match="malformed"):
         client.invoke("q", make_context(), "s0000", "task00")
+
+
+class UnreadResponse(FakeResponse):
+    def json(self):
+        raise AssertionError("a rejected request's body is not parsed")
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_http_client_error_raises_without_retry(status):
+    session = FakeSession([UnreadResponse(status, None)] * 3)
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    with pytest.raises(TransportError, match=f"HTTP {status}"):
+        client.invoke("q", make_context(), "s0000", "task00")
+    assert len(session.requests) == 1
+
+
+def test_http_429_is_retried_then_succeeds():
+    session = FakeSession([
+        UnreadResponse(429, None),
+        FakeResponse(200, completion_body()),
+        FakeResponse(200, completion_body(echo=True)),
+    ])
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    rec = client.invoke("q", make_context(), "s0000", "task00")
+    assert rec.generated_text == " paris"
+    assert len(session.requests) == 3
+
+
+def test_http_429_every_time_is_transport_error():
+    session = FakeSession([UnreadResponse(429, None)] * 3)
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    with pytest.raises(TransportError, match="HTTP 429"):
+        client.invoke("q", make_context(), "s0000", "task00")
+    assert len(session.requests) == 3
+
+
+@pytest.mark.parametrize("retry_after,backoff,want", [
+    ("2", 0.0, [2.0, 2.0]), ("2", 5.0, [5.0, 10.0]),
+    ("0.25", 0.0, [0.25, 0.25]), ("Wed, 21 Oct 2026 07:28:00 GMT", 0.1,
+                                   [0.1, 0.2]), (None, 0.0, [0.0, 0.0])])
+def test_http_429_waits_for_the_larger_of_retry_after_and_backoff(
+        monkeypatch, retry_after, backoff, want):
+    slept = []
+    monkeypatch.setattr("perfest.services.time.sleep", slept.append)
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    session = FakeSession([UnreadResponse(429, None, headers)] * 3)
+    client = HttpClient(http_descriptor(), session=session, backoff=backoff)
+    with pytest.raises(TransportError):
+        client.invoke("q", make_context(), "s0000", "task00")
+    assert slept == want
