@@ -294,6 +294,32 @@ class SettingBatch:
         raise ValidationError(f"input score {float(s)!r} outside (0, 1]",
                               field="input_scores", line=line)
 
+    @classmethod
+    def concat(cls, batches):
+        """One setting's batches joined in order: the batch that
+        from_records of all their records would give."""
+        batches = list(batches)
+
+        def cat(name):
+            return np.concatenate([getattr(b, name) for b in batches])
+
+        def offsets(name):
+            ends = [getattr(b, name) for b in batches]
+            shift = np.cumsum([0] + [o[-1] for o in ends[:-1]])
+            return np.concatenate([ends[0][:1]] + [o[1:] + s for o, s in
+                                                   zip(ends, shift)])
+
+        return cls(
+            key=batches[0].key, sample_ids=cat("sample_ids"),
+            input_texts=cat("input_texts"),
+            generated_texts=cat("generated_texts"),
+            references=cat("references"),
+            step_offsets=offsets("step_offsets"), tokens=cat("tokens"),
+            cand_offsets=offsets("cand_offsets"),
+            cand_tokens=cat("cand_tokens"), cand_probs=cat("cand_probs"),
+            score_offsets=offsets("score_offsets"), scores=cat("scores"),
+            has_scores=cat("has_scores"))
+
     def take(self, rows):
         """The batch of samples `rows`, in the order given."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -524,12 +550,15 @@ def write_tasks(tasks: Sequence[TaskDataset], path) -> None:
 class RecordStore:
     """In-memory store indexed by (service_id, task_id, context_id).
 
-    Each setting is held as one validated SettingBatch; InvocationRecords
-    are built from it only when asked for (get, all_records). Append-only;
+    Each setting is held as the validated SettingBatches added for it,
+    joined into one when the setting is first asked for, so a file whose
+    settings interleave reads in linear time; InvocationRecords are built
+    only when asked for (get, all_records). Append-only;
     iteration order is insertion order within each setting.
     """
 
     def __init__(self, records=()):
+        # each setting's batches in arrival order, joined on first use
         self._batches = {}
         self.extend(records)
 
@@ -541,14 +570,16 @@ class RecordStore:
 
     def add(self, batch: SettingBatch):
         """Append one setting's valid batch."""
-        old = self._batches.get(batch.key)
-        if old is not None:
-            batch = SettingBatch.from_records(old.records() + batch.records())
-        self._batches[batch.key] = batch
+        self._batches.setdefault(batch.key, []).append(batch)
 
     def batch(self, service_id, task_id, context_id):
         """The setting's SettingBatch, or None if the store has none."""
-        return self._batches.get((service_id, task_id, context_id))
+        pieces = self._batches.get((service_id, task_id, context_id))
+        if pieces is None:
+            return None
+        if len(pieces) > 1:
+            pieces[:] = [SettingBatch.concat(pieces)]
+        return pieces[0]
 
     def get(self, service_id, task_id, context_id):
         batch = self.batch(service_id, task_id, context_id)
@@ -561,11 +592,12 @@ class RecordStore:
         return sorted({c for (_, t, c) in self._batches if t == task_id})
 
     def __len__(self):
-        return sum(len(b) for b in self._batches.values())
+        return sum(len(b) for pieces in self._batches.values()
+                   for b in pieces)
 
     def all_records(self):
         for key in self.keys():
-            yield from self._batches[key].records()
+            yield from self.batch(*key).records()
 
     @classmethod
     def from_file(cls, path):
@@ -576,4 +608,4 @@ class RecordStore:
 
     def save(self, path):
         """Write every setting's batch, in key order, as JSON Lines."""
-        write_batches((self._batches[key] for key in self.keys()), path)
+        write_batches((self.batch(*key) for key in self.keys()), path)

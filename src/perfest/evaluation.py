@@ -16,6 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import baselines as bl
+# extract_task_features is called through its module, where
+# perfbench/tracing.py wraps it
+from . import features as ft
 from . import metamodels as mm
 from .core import RecordStore, SettingBatch
 from .errors import (ConfigurationError, CoverageError,
@@ -253,6 +256,7 @@ class PreparedSetting:
     index: np.ndarray         # the subset's positions in the setting
     f1: Optional[np.ndarray]  # per-sample F1 of every sample
     truth: Optional[float]    # mean F1 over every sample
+    nll: Optional[np.ndarray] = None  # the subset's NLL, when profiled
 
     @property
     def key(self) -> tuple:
@@ -261,7 +265,7 @@ class PreparedSetting:
     @cached_property
     def confidences(self) -> np.ndarray:
         """Sorted sequence confidences of the unlabeled subset."""
-        return np.sort(sequence_confidence(self.sampled))
+        return np.sort(sequence_confidence(self.sampled, nll_values=self.nll))
 
     @property
     def sampled_f1(self) -> list:
@@ -274,7 +278,8 @@ def prepare_setting(batch: SettingBatch, kinds, d, unlabeled_n=None, seed=0,
 
     With unlabeled_n below the setting's size, the profile and the
     confidences come from a seeded random subset of that many samples;
-    the truth always averages every sample.
+    the truth always averages every sample. The confidences reuse the
+    profile's NLL values when NLL is among the kinds.
     """
     n = len(batch)
     if unlabeled_n is not None and unlabeled_n < 1:
@@ -291,9 +296,12 @@ def prepare_setting(batch: SettingBatch, kinds, d, unlabeled_n=None, seed=0,
         scores = per_sample_f1(batch)
         truth = sum(scores) / len(scores)
         f1 = np.array(scores)
-    profile = build_profile(sampled, kinds, d, ppl_mode=ppl_mode)
+    table = ft.extract_task_features(sampled, kinds, ppl_mode=ppl_mode)
+    profile = build_profile(sampled, kinds, d, ppl_mode=ppl_mode, table=table)
+    nll = table.get(FeatureKind.NLL)
     return PreparedSetting(profile=profile, sampled=sampled, index=index,
-                           f1=f1, truth=truth)
+                           f1=f1, truth=truth,
+                           nll=None if nll is None else np.array(nll))
 
 
 def _estimator_name(spec, index, specs):

@@ -196,9 +196,13 @@ def extract_task_features(setting, kinds, ppl_mode: str = "normalized"):
 
 
 @_per_sample
-def sequence_confidence(batch: SettingBatch):
+def sequence_confidence(batch: SettingBatch, nll_values=None):
     """Length-normalized sequence likelihood exp(-nll/|x|), in (0, 1].
 
     Used as the per-sample confidence for threshold-based baselines.
+    ``nll_values`` are the batch's per-sample NLL if already computed.
     """
-    return _exp(-nll(batch) / np.diff(batch.step_offsets))
+    if nll_values is None:
+        nll_values = nll(batch)
+    return _exp(-np.asarray(nll_values, dtype=float)
+                / np.diff(batch.step_offsets))

@@ -11,15 +11,21 @@ Distance- and gradient-based learners (kNN, MLP) consume z-scored
 profiles; trees are scale-invariant and consume raw profiles.
 Predictions are clipped to [0, 1] since targets are F1 scores.
 
-Tree split search is exact and sorts once per tree: every feature is
-argsorted at the root, and each split hands its children their rows by
-a stable partition of the (features, rows) sorted-index matrix, as in
-the pre-sorted column blocks of XGBoost's exact greedy algorithm (Chen &
-Guestrin 2016). Each node then scans the same boundaries in the same
-order as a per-node stable argsort would. A random forest or GBT model
-stacks its trees' node arrays into one ``TreeStack`` when it is trained
-or loaded, and one vectorized walk moves every tree's node for every
-row at once.
+Tree split search is exact and sorts floats once per model: ``train``
+turns each feature of the training matrix into dense integer ranks
+(equal values share a rank) with one stable argsort, and each bootstrap
+or subsample tree argsorts its rows' ranks, which numpy radix-sorts and
+which orders them as a stable argsort of their values would. Each split
+hands its children their rows, and those rows' ranks, by a stable
+partition of the parent's (features, rows) sorted matrices, as in the
+pre-sorted column blocks of XGBoost's exact greedy algorithm (Chen &
+Guestrin 2016). A node scans the same boundaries in the same order as a
+per-node stable argsort would; a boundary is valid where adjacent ranks
+differ, and its score arithmetic runs in one workspace per tree. A NaN
+has no place in a sorted order, so a training profile holding one is a
+``ValidationError``. A random forest or GBT model stacks its trees' node
+arrays into one ``TreeStack`` when it is trained or loaded, and one
+vectorized walk moves every tree's node for every row at once.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelFormatError, ShapeError
+from .errors import (ConfigurationError, ModelFormatError, ShapeError,
+                     ValidationError)
 from .features import FeatureKind
 from .profile import FeatureProfile
 
@@ -116,35 +123,42 @@ class RegressionTree:
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def fit(self, X, y, max_depth):
+    def fit(self, X, y, max_depth, ranks=None):
         """Grow the tree on rows ``X`` (n, p) with targets ``y``.
 
-        Every feature is argsorted once. A node holds its rows' positions
-        in each feature's sorted order as a (p, m) matrix; a child takes
-        its rows from its parent's matrix by a stable partition, which is
-        the order a stable argsort of the child's rows would give.
+        ``ranks`` (p, n) orders each feature's values as ``dense_ranks(X)``
+        does; a model passes its training matrix's ranks at the tree's
+        rows, so the float sort happens once per model. The root argsorts
+        each feature's integer ranks. A node holds its rows in each
+        feature's sorted order, with their ranks, as (p, m) matrices; a
+        child takes its rows from its parent's by a stable partition, which
+        is the order a stable argsort of the child's rows would give.
         """
         n, p = X.shape
-        XT = np.ascontiguousarray(X.T)
+        if ranks is None:
+            ranks = dense_ranks(X)
+        order = np.argsort(ranks, axis=1, kind="stable")
+        # each feature's ranks in its sorted order
+        ranks = ranks.ravel().take(order + np.arange(0, p * n, n)[:, None])
+        scan = _SplitScan(y, p * n)
         feature, threshold, left, right = [-1], [0.0], [-1], [-1]
         value = [0.0]
         goes_left = np.zeros(n, dtype=bool)
-        # (node, rows, parent's sorted matrix, this node's mask of it, depth)
-        stack = [(0, np.arange(n), np.argsort(XT, axis=1, kind="stable"),
-                  None, 0)]
+        # (node, rows, rows and ranks in each feature's order, depth); the
+        # sorted matrices are None for a node that will not be searched
+        stack = [(0, np.arange(n), order, ranks, 0)]
         while stack:
-            node, idx, order, keep, depth = stack.pop()
-            value[node] = float(y[idx].mean())
+            node, idx, order, ranks, depth = stack.pop()
+            # np.mean's arithmetic (pairwise sum, then divide), without
+            # its per-call overhead
+            value[node] = float(y.take(idx).sum() / idx.shape[0])
             if depth >= max_depth or idx.shape[0] < 2 * MIN_LEAF:
                 continue
-            if keep is not None:
-                order = order[keep].reshape(p, -1)
-            feat, thr = _best_split(XT, y, order)
+            feat, a, b = scan.best_split(order, ranks)
             if feat < 0:
                 continue
-            go_left = X[idx, feat] <= thr
-            goes_left[idx] = go_left
-            sorted_left = goes_left[order]
+            thr = float(0.5 * (X[a, feat] + X[b, feat]))
+            go_left = X[:, feat].take(idx) <= thr
             li = len(feature)
             feature[node] = feat
             threshold[node] = thr
@@ -155,9 +169,21 @@ class RegressionTree:
             left += [-1, -1]
             right += [-1, -1]
             value += [0.0, 0.0]
-            stack.append((li, idx[go_left], order, sorted_left, depth + 1))
-            stack.append((li + 1, idx[~go_left], order, ~sorted_left,
-                          depth + 1))
+            # only a child that will be searched needs its sorted rows
+            sorted_left = None
+            if depth + 1 < max_depth:
+                goes_left[idx] = go_left
+                sorted_left = goes_left.take(order).ravel()
+            for child, side, sorted_side in (
+                    (li, go_left, sorted_left),
+                    (li + 1, ~go_left,
+                     None if sorted_left is None else ~sorted_left)):
+                rows = idx.compress(side)
+                if sorted_side is None or rows.shape[0] < 2 * MIN_LEAF:
+                    stack.append((child, rows, None, None, depth + 1))
+                else:
+                    stack.append((child, rows, *_partition(
+                        order, ranks, sorted_side), depth + 1))
         self.feature = np.array(feature, dtype=np.intp)
         self.threshold = np.array(threshold, dtype=float)
         self.left = np.array(left, dtype=np.intp)
@@ -204,37 +230,87 @@ class RegressionTree:
         return tree
 
 
-def _best_split(XT, y, order):
-    """Best (feature, threshold) by variance reduction; (-1, 0.0) if none.
+def _partition(order, ranks, keep):
+    """The entries of each row of ``order`` and ``ranks`` (p, m) that
+    ``keep`` (flat) marks, in order, as two (p, k) matrices."""
+    at = np.flatnonzero(keep)
+    p = order.shape[0]
+    return (order.ravel().take(at).reshape(p, -1),
+            ranks.ravel().take(at).reshape(p, -1))
 
-    ``order`` (p, m) lists the node's rows in ascending order of each
-    feature of ``XT`` (p, n). Scans every boundary between consecutive
-    sorted values of every feature that leaves MIN_LEAF rows on each
-    side; ties resolve to the smallest split position, then the lowest
-    feature index.
+
+def dense_ranks(X):
+    """(p, n) dense ranks of each column of ``X`` (n, p), from one stable
+    float argsort.
+
+    Equal values share a rank and ranks rise with the value, so a stable
+    argsort of any rows' ranks is the stable argsort of their values. The
+    dtype is the smallest unsigned one that holds n.
     """
-    m = order.shape[1]
-    # splitting after sorted position j leaves j + 1 rows on the left
-    lo, hi = MIN_LEAF - 1, m - MIN_LEAF
-    xs = XT[np.arange(XT.shape[0])[:, None], order[:, lo:hi + 1]]
-    csum = np.cumsum(y[order], axis=1)
-    nl = np.arange(lo + 1, hi + 1, dtype=float)
-    left_sum = csum[:, lo:hi]
-    right_sum = csum[:, -1:] - left_sum
-    # maximizing sum-of-squares of child means == minimizing total SSE
-    score = np.square(left_sum)
-    score /= nl
-    np.square(right_sum, out=right_sum)
-    right_sum /= m - nl
-    score += right_sum
-    score[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
-    best = score.max(axis=0)
-    pos = int(np.argmax(best))
-    if not np.isfinite(best[pos]):
-        return -1, 0.0
-    feat = int(np.argmax(score[:, pos]))
-    thr = 0.5 * (xs[feat, pos] + xs[feat, pos + 1])
-    return feat, float(thr)
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    xs = np.take_along_axis(XT, order, axis=1)
+    dense = np.zeros(XT.shape, dtype=np.min_scalar_type(XT.shape[1]))
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, dtype=dense.dtype,
+              out=dense[:, 1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks
+
+
+class _SplitScan:
+    """The exact split search of one tree, with one workspace sized for
+    its root that every node's score arithmetic writes into."""
+
+    __slots__ = ("y", "nl", "csum", "score", "right", "tie")
+
+    def __init__(self, y, size):
+        self.y = y
+        # rows left of each split position, for the largest node
+        self.nl = np.arange(MIN_LEAF, y.shape[0] - MIN_LEAF + 1, dtype=float)
+        self.csum = np.empty(size)
+        self.score = np.empty(size)
+        self.right = np.empty(size)
+        self.tie = np.empty(size, dtype=bool)
+
+    def best_split(self, order, ranks):
+        """Best split of a node by variance reduction, as (feature, row
+        below, row above); (-1, -1, -1) if there is none.
+
+        ``order`` (p, m) lists the node's rows in ascending order of each
+        feature and ``ranks`` their ranks. Scans every boundary between
+        distinct consecutive values of every feature that leaves MIN_LEAF
+        rows on each side; ties resolve to the smallest split position,
+        then the lowest feature index. The threshold lies midway between
+        the two rows' values.
+        """
+        p, m = order.shape
+        # splitting after sorted position j leaves j + 1 rows on the left
+        lo, hi = MIN_LEAF - 1, m - MIN_LEAF
+        w = hi - lo
+        # every index is in range; mode "raise" would buffer the output
+        csum = self.y.take(order, out=self.csum[:p * m].reshape(p, m),
+                           mode="clip")
+        np.cumsum(csum, axis=1, out=csum)
+        nl = self.nl[:w]
+        left_sum = csum[:, lo:hi]
+        right_sum = np.subtract(csum[:, -1:], left_sum,
+                                out=self.right[:p * w].reshape(p, w))
+        # maximizing sum-of-squares of child means == minimizing total SSE
+        score = np.square(left_sum, out=self.score[:p * w].reshape(p, w))
+        score /= nl
+        np.square(right_sum, out=right_sum)
+        right_sum /= m - nl
+        score += right_sum
+        tie = np.equal(ranks[:, lo:hi], ranks[:, lo + 1:hi + 1],
+                       out=self.tie[:p * w].reshape(p, w))
+        np.copyto(score, -np.inf, where=tie)
+        best = score.max(axis=0)
+        pos = int(best.argmax())
+        if not math.isfinite(best[pos]):
+            return -1, -1, -1
+        feat = int(score[:, pos].argmax())
+        return feat, order[feat, lo + pos], order[feat, lo + pos + 1]
 
 
 class TreeStack:
@@ -332,6 +408,11 @@ def _train_mlp(X, y, hp, rng):
 # Training / prediction
 
 def _rows_to_matrix(rows):
+    """Profile matrix, targets, dims and kinds of training rows.
+
+    Raises ValidationError if a profile holds a NaN, for every model
+    kind: NaN compares false with every value, so it has no rank.
+    """
     rows = list(rows)
     if not rows:
         raise ValueError("cannot train on zero rows")
@@ -342,6 +423,13 @@ def _rows_to_matrix(rows):
                 f"inconsistent profiles: ({r.profile.dims}, "
                 f"{r.profile.kinds}) vs ({first.dims}, {first.kinds})")
     X = np.array([r.profile.vector for r in rows], dtype=float)
+    nan = np.isnan(X)
+    if nan.any():
+        row, col = np.argwhere(nan)[0]
+        raise ValidationError(
+            f"training profile {rows[row].profile.service_id}/"
+            f"{rows[row].profile.task_id}/{rows[row].profile.context_id} "
+            f"holds NaN at position {col}", field="profile")
     y = np.array([r.target for r in rows], dtype=float)
     return X, y, first.dims, first.kinds
 
@@ -370,12 +458,14 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
     elif spec.kind is ModelKind.RANDOM_FOREST:
         n = X.shape[0]
         size = max(1, round(float(hp["sampling_ratio"]) * n))
+        ranks = dense_ranks(X)
         trees = []
         for t in range(int(hp["n_trees"])):
             rng = _rng(seed, 2, t)
             idx = rng.integers(0, n, size=size)
             trees.append(RegressionTree().fit(X[idx], y[idx],
-                                              int(hp["max_depth"])))
+                                              int(hp["max_depth"]),
+                                              ranks[:, idx]))
         params = {"trees": trees, "stack": TreeStack(trees)}
     elif spec.kind is ModelKind.GBT:
         n = X.shape[0]
@@ -383,6 +473,7 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
         size = max(1, min(n, round(float(hp["sampling_ratio"]) * n)))
         base = float(np.mean(y))
         pred = np.full(n, base)
+        ranks = dense_ranks(X)
         trees = []
         scales = []
         for t in range(int(hp["n_rounds"])):
@@ -390,7 +481,7 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
             idx = rng.choice(n, size=size, replace=False)
             resid = y - pred
             tree = RegressionTree().fit(X[idx], resid[idx],
-                                        int(hp["max_depth"]))
+                                        int(hp["max_depth"]), ranks[:, idx])
             h = TreeStack([tree]).values(X)[0]
             hh = float(h @ h)
             if hh == 0.0:

@@ -73,14 +73,19 @@ class FeatureProfile:
 
 
 def build_profile(setting, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
-                  ppl_mode="normalized") -> FeatureProfile:
+                  ppl_mode="normalized", table=None) -> FeatureProfile:
     """Extract per-sample features of a SettingBatch (or records of one
-    setting) and concatenate interpolated profiles in `kinds` order."""
+    setting) and concatenate interpolated profiles in `kinds` order.
+
+    `table` is the setting's extract_task_features output, if the caller
+    already has it.
+    """
     kinds = tuple(FeatureKind(k) for k in kinds)
     if not kinds:
         raise ValueError("kinds must be non-empty")
     batch = as_batch(setting)
-    table = extract_task_features(batch, kinds, ppl_mode=ppl_mode)
+    if table is None:
+        table = extract_task_features(batch, kinds, ppl_mode=ppl_mode)
     vector = []
     for kind in kinds:
         vector.extend(interpolate_profile(table[kind], d))

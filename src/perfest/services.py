@@ -349,7 +349,8 @@ class HttpClient:
     its numeric Retry-After); any other 4xx raises TransportError at once.
     Responses missing logprob fields raise CapabilityError and
     nothing is fabricated. Input scoring uses the echo-with-logprobs
-    form when the service supports it.
+    form when the service supports it and keeps the input text's tokens
+    only, found by their `text_offset`.
     """
 
     def __init__(self, descriptor: ServiceDescriptor, session=None,
@@ -436,6 +437,24 @@ class HttpClient:
                                   f"{choice!r} is not an object")
         return choice
 
+    @staticmethod
+    def _input_scores(lp, start, end) -> tuple:
+        """Probabilities of the echoed tokens that start in prompt
+        characters [start, end), the input text after the in-context
+        examples; PPL scores the input alone."""
+        values = None if lp is None else lp.get("token_logprobs")
+        offsets = None if lp is None else lp.get("text_offset")
+        if values is None:
+            raise CapabilityError("echo scoring returned no token logprobs")
+        if not isinstance(offsets, list) or len(offsets) != len(values):
+            raise CapabilityError(
+                "echo scoring returned no text_offset for each token, so "
+                "the input text's tokens cannot be told apart")
+        # the prompt's first token has no conditioning context; services
+        # emit null for it
+        return tuple(float(np.exp(v)) for v, at in zip(values, offsets)
+                     if v is not None and start <= at < end)
+
     def invoke(self, input_text, context: ContextSpec, sample_id,
                task_id) -> InvocationRecord:
         prompt = "".join(f"{q}\n{a}\n\n" for q, a in context.examples)
@@ -455,12 +474,8 @@ class HttpClient:
             elp = self._first_choice(
                 self._post(self._completion_payload(prompt, echo=True)),
                 "echo scoring").get("logprobs")
-            if elp is None or elp.get("token_logprobs") is None:
-                raise CapabilityError(
-                    "echo scoring returned no token logprobs")
-            # first token has no conditioning context; services emit null
-            vals = [v for v in elp["token_logprobs"] if v is not None]
-            input_scores = tuple(float(np.exp(v)) for v in vals)
+            input_scores = self._input_scores(
+                elp, len(prompt) - len(input_text), len(prompt))
 
         rec = InvocationRecord(
             service_id=self.descriptor.service_id, task_id=task_id,

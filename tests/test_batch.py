@@ -9,6 +9,7 @@ changed rounding or a signed zero fails.
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -261,6 +262,30 @@ def test_prepare_setting_equals_frozen_preparation(records, n, seed, d):
         assert got.truth.hex() == truth.hex()
         assert bits(got.sampled_f1) == bits(sampled_f1)
         assert bits(got.confidences) == bits(conf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_setting(min_size=1, max_size=30), st.integers(1, 30),
+       st.sampled_from([(FeatureKind.NLL,), (FeatureKind.GAP, FeatureKind.NLL),
+                        (FeatureKind.GAP,), (FeatureKind.MAXENT,)]))
+def test_confidences_reuse_the_profiles_nll(records, n, kinds):
+    calls = []
+
+    def counted_nll(batch):
+        calls.append(batch)
+        return nll(batch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("perfest.features.nll", counted_nll)
+        got = prepare_setting(SettingBatch.from_records(records), kinds, 5,
+                              unlabeled_n=n, seed=1)
+        confidences = got.confidences
+    # sequence_confidence calls nll only where the profile has no NLL
+    assert len(calls) == (0 if FeatureKind.NLL in kinds else 1)
+    want = np.sort([frozen_confidence(r) for r in got.sampled.records()])
+    assert bits(confidences) == bits(want)
+    assert bits(confidences) == bits(np.sort(
+        sequence_confidence(got.sampled)))
 
 
 @settings(max_examples=50, deadline=None)
@@ -563,6 +588,49 @@ def test_store_save_equals_per_record_writer(tmp_path):
     store.save(str(tmp_path / "store.jsonl"))
     with open(tmp_path / "store.jsonl", encoding="utf-8") as f:
         assert f.readlines() == frozen_lines(store.all_records())
+
+
+def grouped(records):
+    """Records regrouped by setting, settings in order of first appearance,
+    each setting's records in their order."""
+    keys = list(dict.fromkeys(r.key for r in records))
+    return sorted(records, key=lambda r: keys.index(r.key))
+
+
+@settings(max_examples=100, deadline=None)
+@given(codec_records(max_size=12))
+def test_interleaved_file_reads_to_the_grouped_files_batches(
+        tmp_path_factory, records):
+    folder = tmp_path_factory.mktemp("codec")
+    write_records(records, str(folder / "interleaved.jsonl"))
+    write_records(grouped(records), str(folder / "grouped.jsonl"))
+    mixed = RecordStore.from_file(str(folder / "interleaved.jsonl"))
+    runs = RecordStore.from_file(str(folder / "grouped.jsonl"))
+    assert mixed.keys() == runs.keys() and len(mixed) == len(runs)
+    for key in runs.keys():
+        want = SettingBatch.from_records(r for r in records if r.key == key)
+        assert_same_batch(mixed.batch(*key), runs.batch(*key))
+        assert_same_batch(mixed.batch(*key), want)
+
+
+def test_round_robin_file_reads_in_linear_time(tmp_path):
+    config = MarketplaceConfig(n_services=1, n_tasks=1, samples_per_task=400,
+                               contexts_per_task=3, seed=9)
+    truth = marketplace_truth(config)
+    settings_ = [frozen_generate_setting(config, truth, 0, 0, k)
+                 for k in range(3)]
+    round_robin = [rec for trio in zip(*settings_) for rec in trio]
+    assert len(round_robin) == 1200
+    write_records(round_robin, str(tmp_path / "round_robin.jsonl"))
+    write_records(grouped(round_robin), str(tmp_path / "grouped.jsonl"))
+    start = time.perf_counter()
+    store = RecordStore.from_file(str(tmp_path / "round_robin.jsonl"))
+    for key in store.keys():
+        store.batch(*key)
+    assert time.perf_counter() - start < 0.5
+    runs = RecordStore.from_file(str(tmp_path / "grouped.jsonl"))
+    for key in runs.keys():
+        assert_same_batch(store.batch(*key), runs.batch(*key))
 
 
 def good(**overrides):

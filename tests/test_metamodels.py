@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfest.errors import ConfigurationError, ModelFormatError
+from perfest.errors import (ConfigurationError, ModelFormatError,
+                            ValidationError)
 from perfest.features import FeatureKind
 from perfest.metamodels import (
     MIN_LEAF,
@@ -17,6 +18,7 @@ from perfest.metamodels import (
     ModelSpec,
     RegressionTree,
     TrainingRow,
+    dense_ranks,
     gbt_training_mse_curve,
     grid_search,
     load_model,
@@ -425,6 +427,120 @@ def test_presorted_tree_fit_matches_per_node_argsort(case):
     X, y, depth = case
     tree = RegressionTree().fit(X, y, depth)
     assert tree.to_obj() == SeedTree().fit(X, y, depth).to_obj()
+
+
+@st.composite
+def shared_rank_cases(draw):
+    """A full matrix, targets, a bootstrap or subsample of its rows and a
+    depth: the inputs of one tree of a random forest or GBT model."""
+    n = draw(st.integers(1, 40))
+    p = draw(st.integers(1, 4))
+    values = draw(st.sampled_from([
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),           # heavy ties
+        st.sampled_from([-0.0, 0.0, 1.0]),               # signed zeros
+        st.sampled_from([-np.inf, -1.0, 0.0, 1.0, np.inf]),
+        st.floats(-1e3, 1e3, allow_subnormal=False)]))
+    X = draw(hnp.arrays(float, (n, p), elements=values))
+    y = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
+    if draw(st.booleans()):
+        y[:] = y[0]
+    if draw(st.booleans()):  # bootstrap: with replacement
+        size = draw(st.integers(1, 2 * n))
+        idx = draw(hnp.arrays(np.intp, size, elements=st.integers(0, n - 1)))
+    else:  # subsample: without replacement
+        idx = np.array(draw(st.permutations(range(n)))[
+            :draw(st.integers(1, n))], dtype=np.intp)
+    return X, y, idx, draw(st.integers(0, 7))
+
+
+def tree_json(tree):
+    """A tree's node arrays as text, so NaN values compare equal."""
+    return json.dumps(tree.to_obj())
+
+
+# A threshold between a finite value and +inf (or -inf and +inf) is +inf
+# (or NaN) and sends every row to one side; both learners then give the
+# empty child a NaN value, with numpy's warnings for an empty mean.
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(shared_rank_cases())
+@example((np.array([[1.0]]), np.array([0.3]), np.array([0]), 5))
+@example((np.array([[1.0]]), np.array([0.3]), np.array([0, 0]), 5))
+@example((np.array([[-0.0], [0.0], [-0.0], [0.0], [1.0], [0.0]]),
+          np.linspace(0, 1, 6), np.arange(6), 3))
+@example((np.array([[-np.inf], [1.0], [np.inf], [2.0], [np.inf], [-1.0]]),
+          np.linspace(0, 1, 6), np.array([0, 1, 2, 3, 4, 5, 2, 0]), 4))
+@example((np.arange(12.0).reshape(6, 2), np.full(6, 0.4), np.arange(6), 4))
+@example((np.arange(12.0).reshape(6, 2), np.linspace(0, 1, 6),
+          np.arange(6), 0))
+def test_shared_rank_tree_fit_matches_per_node_argsort(case):
+    X, y, idx, depth = case
+    ranks = dense_ranks(X)
+    tree = RegressionTree().fit(X[idx], y[idx], depth, ranks[:, idx])
+    assert tree_json(tree) == tree_json(SeedTree().fit(X[idx], y[idx], depth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_rank_cases())
+def test_dense_ranks_share_equal_values_and_rise_with_value(case):
+    X = case[0]
+    ranks = dense_ranks(X)
+    assert ranks.shape == X.T.shape
+    assert ranks.dtype == np.min_scalar_type(X.shape[0])
+    for values, rank in zip(X.T, ranks):
+        order = np.argsort(values, kind="stable")
+        steps = np.diff(rank[order].astype(np.intp))
+        assert rank[order[0]] == 0
+        assert np.array_equal(steps, (values[order][1:] != values[order][:-1])
+                              .astype(np.intp))
+
+
+def tied_rows(seed, n):
+    """Random rows whose profile values repeat across rows."""
+    rng = np.random.default_rng(seed)
+    return [TrainingRow(profile_from_vector(np.round(row.profile.vector, 1),
+                                            ids=(row.profile.service_id,
+                                                 row.profile.task_id,
+                                                 row.profile.context_id)),
+                        row.target)
+            for row in random_rows(rng, n)]
+
+
+def seed_fit(self, X, y, max_depth, ranks=None):
+    """RegressionTree.fit by the per-node argsort learner."""
+    grown = RegressionTree.from_obj(SeedTree().fit(X, y, max_depth).to_obj(),
+                                    X.shape[1])
+    for name in RegressionTree.__slots__:
+        setattr(self, name, getattr(grown, name))
+    return self
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(ModelKind.RANDOM_FOREST, {"max_depth": 6, "n_trees": 8}),
+    ModelSpec(ModelKind.GBT, {"max_depth": 3, "n_rounds": 15,
+                              "sampling_ratio": 0.7}),
+], ids=["random_forest", "gbt"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_tree_model_files_match_per_tree_seed_learner(
+        tmp_path, monkeypatch, spec, seed):
+    rows = tied_rows(seed, 60)
+    shared, per_tree = tmp_path / "shared.json", tmp_path / "per_tree.json"
+    save_model(train(spec, rows, seed), str(shared))
+    monkeypatch.setattr(RegressionTree, "fit", seed_fit)
+    save_model(train(spec, rows, seed), str(per_tree))
+    assert shared.read_bytes() == per_tree.read_bytes()
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.kind.value)
+def test_nan_in_a_training_profile_is_a_validation_error(spec):
+    rows = random_rows(np.random.default_rng(66), 12)
+    vector = list(rows[5].profile.vector)
+    vector[2] = float("nan")
+    rows[5] = TrainingRow(profile_from_vector(vector), rows[5].target)
+    with pytest.raises(ValidationError) as info:
+        train(spec, rows, seed=0)
+    assert info.value.field == "profile"
 
 
 def per_tree_loop(model, profiles):

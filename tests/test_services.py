@@ -205,7 +205,10 @@ def completion_body(with_logprobs=True, echo=False):
             "top_logprobs": [{" paris": -0.1, " lyon": -3.0}],
         }
         if echo:
+            # a prompt token, then two tokens inside the input text of
+            # "capital of france?" after make_context's examples
             lp["token_logprobs"] = [None, -0.5, -0.7]
+            lp["text_offset"] = [0, 14, 22]
         choice["logprobs"] = lp
     return {"choices": [choice]}
 
@@ -345,3 +348,56 @@ def test_http_429_waits_for_the_larger_of_retry_after_and_backoff(
     with pytest.raises(TransportError):
         client.invoke("q", make_context(), "s0000", "task00")
     assert slept == want
+
+
+PROMPT_TOKENS = [  # make_context's examples, then "capital of france?"
+    ("q1", 0, None), ("\n", 2, -1.0), ("a1", 3, -2.0), ("\n\n", 5, -1.5),
+    ("q2", 7, -2.5), ("\n", 9, -1.0), ("a2", 10, -2.0), ("\n\n", 12, -1.5),
+    ("capital", 14, -0.1), (" of", 21, -0.2), (" france", 24, -0.3),
+    ("?", 31, -0.4)]
+
+
+def echo_body(tokens, offsets=True):
+    lp = {"tokens": [t for t, _, _ in tokens],
+          "token_logprobs": [v for _, _, v in tokens],
+          "top_logprobs": [None] * len(tokens)}
+    if offsets is True:
+        lp["text_offset"] = [at for _, at, _ in tokens]
+    elif offsets is not None:
+        lp["text_offset"] = offsets
+    return {"choices": [{"text": "", "logprobs": lp}]}
+
+
+def test_http_ppl_scores_only_the_input_tokens():
+    session = FakeSession([FakeResponse(200, completion_body()),
+                           FakeResponse(200, echo_body(PROMPT_TOKENS))])
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    rec = client.invoke("capital of france?", make_context(), "s0000",
+                        "task00")
+    assert session.requests[1][1]["prompt"][14:] == "capital of france?"
+    assert rec.input_scores == tuple(float(np.exp(v))
+                                     for v in (-0.1, -0.2, -0.3, -0.4))
+
+
+def test_http_ppl_without_examples_drops_the_unconditioned_token():
+    tokens = [("capital", 0, None), (" of", 7, -0.2), (" france", 10, -0.3),
+              ("?", 17, -0.4)]
+    session = FakeSession([FakeResponse(200, completion_body()),
+                           FakeResponse(200, echo_body(tokens))])
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    context = ContextSpec(context_id="ctx00", examples=(), count=0)
+    rec = client.invoke("capital of france?", context, "s0000", "task00")
+    assert rec.input_scores == tuple(float(np.exp(v))
+                                     for v in (-0.2, -0.3, -0.4))
+
+
+@pytest.mark.parametrize("offsets", [None, [0, 14, 22], "0 14 22"],
+                         ids=["missing", "short", "not-a-list"])
+def test_http_echo_without_token_offsets_is_capability_error(offsets):
+    session = FakeSession([FakeResponse(200, completion_body()),
+                           FakeResponse(200, echo_body(PROMPT_TOKENS,
+                                                       offsets))])
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    with pytest.raises(CapabilityError, match="text_offset"):
+        client.invoke("capital of france?", make_context(), "s0000",
+                      "task00")
