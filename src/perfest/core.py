@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -376,13 +377,15 @@ def _parse(obj, line):
                               field="output_steps", line=line)
     try:
         tops = list(map(_TOP_PROBS, raw_steps))
-        tokens = list(map(str, map(_TOKEN, raw_steps)))
+        # one shared str per distinct token: a file repeats a small
+        # vocabulary, and the batch columns keep every token
+        tokens = list(map(sys.intern, map(str, map(_TOKEN, raw_steps))))
         counts = list(map(len, tops))
         pairs = list(itertools.chain.from_iterable(tops))
         # a candidate is any two-item array, [token, prob]
         cand_tokens, cand_probs = (zip(*pairs, strict=True) if pairs
                                    else ((), ()))
-        cand_tokens = list(map(str, cand_tokens))
+        cand_tokens = list(map(sys.intern, map(str, cand_tokens)))
         cand_probs = list(map(float, cand_probs))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed step: {exc}",

@@ -22,10 +22,23 @@ pre-sorted column blocks of XGBoost's exact greedy algorithm (Chen &
 Guestrin 2016). A node scans the same boundaries in the same order as a
 per-node stable argsort would; a boundary is valid where adjacent ranks
 differ, and its score arithmetic runs in one workspace per tree. A NaN
-has no place in a sorted order, so a training profile holding one is a
-``ValidationError``. A random forest or GBT model stacks its trees' node
-arrays into one ``TreeStack`` when it is trained or loaded, and one
-vectorized walk moves every tree's node for every row at once.
+has no place in a sorted order, and a boundary next to an infinity has no
+finite midpoint, so a training profile holding a non-finite value is a
+``ValidationError``.
+
+Random forests and GBT grow their trees through one core. Each tree draws
+its rows, and then, when ``feature_ratio`` leaves fewer than all p
+columns, ``round(feature_ratio * p)`` of them, from its own seeded
+generator; the tree searches only those columns (a random subspace, Ho
+1998; Breiman's ``mtry`` for forests, 2001), and its split features are
+mapped back to profile positions. Forests default to a third of the
+columns: a profile's columns are two strongly correlated quantile
+curves, and on the synthetic marketplace a third estimates as well as
+all of them. GBT defaults to all of them. ``feature_ratio=1.0`` is the
+paper's learner, which searches every column. A random forest or GBT
+model stacks its trees' node arrays into one ``TreeStack`` when it is
+trained or loaded, and one vectorized walk moves every tree's node for
+every row at once.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -55,27 +69,50 @@ class ModelKind(str, Enum):
     GBT = "gbt"
 
 
-REQUIRED_HYPERPARAMS = {
-    ModelKind.KNN: ("k",),
-    ModelKind.MLP: ("hidden_width", "learning_rate", "epochs"),
-    ModelKind.RANDOM_FOREST: ("max_depth", "n_trees", "sampling_ratio"),
-    ModelKind.GBT: ("max_depth", "n_rounds", "learning_rate",
-                    "sampling_ratio"),
-}
-
 DEFAULT_HYPERPARAMS = {
     ModelKind.KNN: {"k": 3},
     ModelKind.MLP: {"hidden_width": 64, "learning_rate": 1e-2,
                     "epochs": 2000},
     ModelKind.RANDOM_FOREST: {"max_depth": 10, "n_trees": 260,
-                              "sampling_ratio": 0.8},
+                              "sampling_ratio": 0.8, "feature_ratio": 1 / 3},
     ModelKind.GBT: {"max_depth": 4, "n_rounds": 200, "learning_rate": 0.1,
-                    "sampling_ratio": 0.8},
+                    "sampling_ratio": 0.8, "feature_ratio": 1.0},
+}
+
+
+def _count(low):
+    return lambda v: (isinstance(v, numbers.Integral)
+                      and not isinstance(v, bool) and v >= low)
+
+
+def _real(v):
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# the legal values of each hyperparameter, as (description, test)
+HYPERPARAM_RANGES = {
+    "n_trees": ("an integer >= 1", _count(1)),
+    "k": ("an integer >= 1", _count(1)),
+    "hidden_width": ("an integer >= 1", _count(1)),
+    "max_depth": ("an integer >= 0", _count(0)),
+    "epochs": ("an integer >= 0", _count(0)),
+    "n_rounds": ("an integer >= 0", _count(0)),
+    "learning_rate": ("a finite number > 0", lambda v: _real(v) and v > 0),
+    "sampling_ratio": ("a finite number > 0", lambda v: _real(v) and v > 0),
+    "feature_ratio": ("a number in (0, 1]",
+                      lambda v: _real(v) and 0 < v <= 1),
 }
 
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model kind and its hyperparameters, the kind's defaults filled in.
+
+    Raises ConfigurationError when a hyperparameter is outside
+    ``HYPERPARAM_RANGES``.
+    """
+
     kind: ModelKind
     hyperparams: dict = field(default_factory=dict)
 
@@ -84,10 +121,11 @@ class ModelSpec:
         merged = dict(DEFAULT_HYPERPARAMS[self.kind])
         merged.update(self.hyperparams)
         object.__setattr__(self, "hyperparams", merged)
-        for name in REQUIRED_HYPERPARAMS[self.kind]:
-            if name not in self.hyperparams:
+        for name, value in merged.items():
+            legal, ok = HYPERPARAM_RANGES.get(name, (None, None))
+            if ok is not None and not ok(value):
                 raise ConfigurationError(
-                    f"{self.kind.value} requires hyperparameter {name!r}")
+                    f"hyperparameter {name!r} must be {legal}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -410,8 +448,9 @@ def _train_mlp(X, y, hp, rng):
 def _rows_to_matrix(rows):
     """Profile matrix, targets, dims and kinds of training rows.
 
-    Raises ValidationError if a profile holds a NaN, for every model
-    kind: NaN compares false with every value, so it has no rank.
+    Raises ValidationError if a profile holds a NaN or an infinity, for
+    every model kind: NaN compares false with every value, so it has no
+    rank, and a split next to an infinity has no finite threshold.
     """
     rows = list(rows)
     if not rows:
@@ -423,19 +462,55 @@ def _rows_to_matrix(rows):
                 f"inconsistent profiles: ({r.profile.dims}, "
                 f"{r.profile.kinds}) vs ({first.dims}, {first.kinds})")
     X = np.array([r.profile.vector for r in rows], dtype=float)
-    nan = np.isnan(X)
-    if nan.any():
-        row, col = np.argwhere(nan)[0]
+    bad = ~np.isfinite(X)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
         raise ValidationError(
             f"training profile {rows[row].profile.service_id}/"
             f"{rows[row].profile.task_id}/{rows[row].profile.context_id} "
-            f"holds NaN at position {col}", field="profile")
+            f"holds {X[row, col]} at position {col}", field="profile")
     y = np.array([r.target for r in rows], dtype=float)
     return X, y, first.dims, first.kinds
 
 
 def _rng(seed, *salt):
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0x7FFFFFFF, *salt]))
+
+
+def _grower(X, hp, seed, salt, bootstrap):
+    """The tree-growing core of random forests and GBT on training matrix
+    ``X`` (n, p): ``grow(t, target)`` fits tree ``t`` to ``target`` (n,).
+
+    Tree ``t`` draws its rows from ``_rng(seed, salt, t)``: a bootstrap
+    of ``round(sampling_ratio * n)`` rows, or a subsample without
+    replacement of at most n. When ``k = round(feature_ratio * p)`` (at
+    least 1) is below p, the same generator then draws k sorted columns,
+    the tree is fit on those columns alone, and its split features are
+    mapped back to columns of ``X``. At k == p nothing more is drawn.
+    """
+    n, p = X.shape
+    size = max(1, round(float(hp["sampling_ratio"]) * n))
+    if not bootstrap:
+        size = min(n, size)
+    k = max(1, round(float(hp["feature_ratio"]) * p))
+    depth = int(hp["max_depth"])
+    ranks = dense_ranks(X)
+    columns = np.arange(p)
+
+    def grow(t, target):
+        rng = _rng(seed, salt, t)
+        idx = rng.choice(n, size=size, replace=bootstrap)
+        # at full width a slice takes every column without a copy
+        cols = (np.sort(rng.choice(p, k, replace=False)) if k < p
+                else slice(None))
+        # X[idx][:, cols] is X[np.ix_(idx, cols)] at a quarter of its cost
+        tree = RegressionTree().fit(X[idx][:, cols], target[idx], depth,
+                                    ranks[cols][:, idx])
+        split = tree.feature >= 0
+        tree.feature[split] = columns[cols][tree.feature[split]]
+        return tree
+
+    return grow
 
 
 def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
@@ -456,32 +531,19 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
     elif spec.kind is ModelKind.MLP:
         params = _train_mlp(Xs, y, hp, _rng(seed, 1))
     elif spec.kind is ModelKind.RANDOM_FOREST:
-        n = X.shape[0]
-        size = max(1, round(float(hp["sampling_ratio"]) * n))
-        ranks = dense_ranks(X)
-        trees = []
-        for t in range(int(hp["n_trees"])):
-            rng = _rng(seed, 2, t)
-            idx = rng.integers(0, n, size=size)
-            trees.append(RegressionTree().fit(X[idx], y[idx],
-                                              int(hp["max_depth"]),
-                                              ranks[:, idx]))
+        grow = _grower(X, hp, seed, 2, bootstrap=True)
+        trees = [grow(t, y) for t in range(int(hp["n_trees"]))]
         params = {"trees": trees, "stack": TreeStack(trees)}
     elif spec.kind is ModelKind.GBT:
-        n = X.shape[0]
         lr = float(hp["learning_rate"])
-        size = max(1, min(n, round(float(hp["sampling_ratio"]) * n)))
         base = float(np.mean(y))
-        pred = np.full(n, base)
-        ranks = dense_ranks(X)
+        pred = np.full(X.shape[0], base)
+        grow = _grower(X, hp, seed, 3, bootstrap=False)
         trees = []
         scales = []
         for t in range(int(hp["n_rounds"])):
-            rng = _rng(seed, 3, t)
-            idx = rng.choice(n, size=size, replace=False)
             resid = y - pred
-            tree = RegressionTree().fit(X[idx], resid[idx],
-                                        int(hp["max_depth"]), ranks[:, idx])
+            tree = grow(t, resid)
             h = TreeStack([tree]).values(X)[0]
             hh = float(h @ h)
             if hh == 0.0:
@@ -693,8 +755,12 @@ def load_model(path) -> TrainedMetaModel:
             f"expected {MODEL_FORMAT}")
     try:
         kind = ModelKind(_field(obj, "kind", str))
-        spec = ModelSpec(kind=kind,
-                         hyperparams=_field(obj, "hyperparams", dict))
+        hyperparams = dict(_field(obj, "hyperparams", dict))
+        if "feature_ratio" in DEFAULT_HYPERPARAMS[kind]:
+            # a tree model file written before feature_ratio existed was
+            # grown on every column
+            hyperparams.setdefault("feature_ratio", 1.0)
+        spec = ModelSpec(kind=kind, hyperparams=hyperparams)
         kinds = tuple(FeatureKind(k) for k in _field(obj, "kinds", list))
     except (ValueError, TypeError, ConfigurationError) as exc:
         raise ModelFormatError(f"bad model description: {exc}") from exc

@@ -269,6 +269,22 @@ def test_train_json_flags_must_hold_an_object(capsys, tmp_path, flag, text):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("kind,hyperparams", [
+    ("random_forest", '{"n_trees": "abc"}'),
+    ("random_forest", '{"n_trees": 0}'),
+    ("random_forest", '{"feature_ratio": 0}'),
+    ("knn", '{"k": 0}')])
+def test_train_out_of_range_hyperparams_is_domain_error(
+        capsys, tmp_path, kind, hyperparams):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    code, _, err = run(capsys, "train", "--records", records, "--kind", kind,
+                       "--hyperparams", hyperparams,
+                       "--out", str(tmp_path / "model.json"))
+    assert code == 1
+    assert json.loads(hyperparams).popitem()[0] in err
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("task", ["foo", "task", "taskXY", "task99"])
 def test_invoke_mock_bad_task_is_domain_error(capsys, tmp_path, task):
     store_dir = small_store(capsys, tmp_path)

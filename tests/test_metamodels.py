@@ -1,6 +1,7 @@
 """Profile-to-performance regressors: KNN, MLP, random forest, GBT."""
 
 import copy
+import hashlib
 import json
 
 import hypothesis.extra.numpy as hnp
@@ -18,6 +19,7 @@ from perfest.metamodels import (
     ModelSpec,
     RegressionTree,
     TrainingRow,
+    _rng,
     dense_ranks,
     gbt_training_mse_curve,
     grid_search,
@@ -246,8 +248,51 @@ def test_model_spec_fills_defaults_and_rejects_unknown_kind():
     assert spec.hyperparams["k"] == 3
     rf = ModelSpec("random_forest")
     assert rf.hyperparams["n_trees"] == 260
+    assert rf.hyperparams["feature_ratio"] == pytest.approx(1 / 3)
+    assert ModelSpec(ModelKind.GBT).hyperparams["feature_ratio"] == 1.0
     with pytest.raises(ValueError):
         ModelSpec("decision_stump")
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    (ModelKind.RANDOM_FOREST, "n_trees", "abc"),
+    (ModelKind.RANDOM_FOREST, "n_trees", 0),
+    (ModelKind.RANDOM_FOREST, "n_trees", 2.0),
+    (ModelKind.RANDOM_FOREST, "n_trees", True),
+    (ModelKind.RANDOM_FOREST, "max_depth", -1),
+    (ModelKind.RANDOM_FOREST, "max_depth", None),
+    (ModelKind.RANDOM_FOREST, "sampling_ratio", 0.0),
+    (ModelKind.RANDOM_FOREST, "sampling_ratio", float("inf")),
+    (ModelKind.RANDOM_FOREST, "feature_ratio", 0.0),
+    (ModelKind.RANDOM_FOREST, "feature_ratio", 1.5),
+    (ModelKind.RANDOM_FOREST, "feature_ratio", "all"),
+    (ModelKind.GBT, "n_rounds", -1),
+    (ModelKind.GBT, "learning_rate", 0),
+    (ModelKind.GBT, "learning_rate", float("nan")),
+    (ModelKind.GBT, "feature_ratio", -0.5),
+    (ModelKind.KNN, "k", 0),
+    (ModelKind.KNN, "k", "3"),
+    (ModelKind.MLP, "hidden_width", 0),
+    (ModelKind.MLP, "epochs", -1),
+    (ModelKind.MLP, "epochs", 1.5),
+    (ModelKind.MLP, "learning_rate", -0.1),
+])
+def test_model_spec_rejects_out_of_range_hyperparams(kind, name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        ModelSpec(kind, {name: value})
+
+
+@pytest.mark.parametrize("kind, hyperparams", [
+    (ModelKind.RANDOM_FOREST, {"n_trees": 1, "max_depth": 0,
+                               "feature_ratio": 1, "sampling_ratio": 2.5}),
+    (ModelKind.RANDOM_FOREST, {"feature_ratio": 1e-9}),
+    (ModelKind.GBT, {"n_rounds": 0, "learning_rate": 3}),
+    (ModelKind.KNN, {"k": np.int64(2)}),
+    (ModelKind.MLP, {"epochs": 0, "hidden_width": 1}),
+])
+def test_model_spec_accepts_edge_hyperparams(kind, hyperparams):
+    assert ModelSpec(kind, hyperparams).hyperparams.items() \
+        >= hyperparams.items()
 
 
 def test_grid_search_rejects_degenerate_setups():
@@ -534,13 +579,16 @@ def test_tree_model_files_match_per_tree_seed_learner(
 
 @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.kind.value)
 def test_nan_in_a_training_profile_is_a_validation_error(spec):
-    rows = random_rows(np.random.default_rng(66), 12)
-    vector = list(rows[5].profile.vector)
-    vector[2] = float("nan")
-    rows[5] = TrainingRow(profile_from_vector(vector), rows[5].target)
-    with pytest.raises(ValidationError) as info:
-        train(spec, rows, seed=0)
-    assert info.value.field == "profile"
+    # an infinity too: a split next to it has no finite threshold
+    for value in (float("nan"), float("inf"), float("-inf")):
+        rows = random_rows(np.random.default_rng(66), 12)
+        vector = list(rows[5].profile.vector)
+        vector[2] = value
+        rows[5] = TrainingRow(profile_from_vector(vector), rows[5].target)
+        with pytest.raises(ValidationError,
+                           match=f"holds {value} at position") as info:
+            train(spec, rows, seed=0)
+        assert info.value.field == "profile"
 
 
 def per_tree_loop(model, profiles):
@@ -565,19 +613,43 @@ def per_tree_loop(model, profiles):
     return np.clip(out, 0.0, 1.0)
 
 
+def forest_columns(model, n, width):
+    """The columns each tree of a random forest drew after its bootstrap
+    rows."""
+    hp = model.spec.hyperparams
+    k = max(1, round(hp["feature_ratio"] * width))
+    out = []
+    for t in range(hp["n_trees"]):
+        rng = _rng(model.seed, 2, t)
+        rng.integers(0, n, size=max(1, round(hp["sampling_ratio"] * n)))
+        out.append(np.sort(rng.choice(width, k, replace=False)) if k < width
+                   else np.arange(width))
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 40),
        kind=st.sampled_from([ModelKind.RANDOM_FOREST, ModelKind.GBT]),
        size=st.integers(0, 8), depth=st.integers(0, 6),
-       queries=st.integers(1, 12))
+       queries=st.integers(1, 12),
+       ratio=st.sampled_from([None, 1.0, 0.5]) | st.floats(0.01, 1.0))
 def test_stacked_tree_predictions_match_per_tree_loop(
-        tmp_path_factory, seed, n, kind, size, depth, queries):
+        tmp_path_factory, seed, n, kind, size, depth, queries, ratio):
     rng = np.random.default_rng(seed)
     rows = random_rows(rng, n)
     hp = ({"n_trees": max(size, 1), "max_depth": depth}
           if kind is ModelKind.RANDOM_FOREST
           else {"n_rounds": size, "max_depth": depth})
+    if ratio is not None:
+        hp["feature_ratio"] = ratio
     model = train(ModelSpec(kind, hp), rows, seed=seed)
+    for tree in model.params["trees"]:
+        split = tree.feature[tree.feature >= 0]
+        assert ((split >= 0) & (split < DIMS)).all()
+    if kind is ModelKind.RANDOM_FOREST:  # GBT drops trees that fit nothing
+        for tree, cols in zip(model.params["trees"],
+                              forest_columns(model, n, DIMS), strict=True):
+            assert np.isin(tree.feature[tree.feature >= 0], cols).all()
     profiles = [r.profile for r in rows] + [
         profile_from_vector(rng.uniform(-1, 6, size=DIMS))
         for _ in range(queries)]
@@ -629,6 +701,9 @@ TREE_CORRUPTIONS = {
     .__setitem__(0, DIMS),
     "leaf with child": lambda o: o["params"]["trees"][0]["left"]
     .__setitem__(-1, 0),
+    "no trees in the spec": lambda o: o["hyperparams"].update(n_trees=0),
+    "feature ratio past 1": lambda o: o["hyperparams"].update(
+        feature_ratio=2.0),
 }
 
 
@@ -667,3 +742,59 @@ def test_saved_model_file_is_unchanged_by_a_load(tmp_path):
         save_model(model, str(a))
         save_model(load_model(str(a)), str(b))
         assert a.read_bytes() == b.read_bytes(), spec.kind
+
+
+# ---------------------------------------------------------------------------
+# Model files at feature_ratio=1.0 are the files of the learner that
+# searched every column: sha256 of save_model's bytes, frozen from the
+# learner before feature_ratio existed (given the same spec, which it
+# recorded and ignored).
+
+FROZEN_FULL_WIDTH_FILES = {
+    (ModelKind.RANDOM_FOREST, 0):
+        "63df68bd34a817bb1273187c7d19756ad024c8eac00466d8ff922aa4ba2c7abf",
+    (ModelKind.RANDOM_FOREST, 1):
+        "e545ca090d3f57be4dd0cb336e3f49dc7b5cca458e5359ab234b93307b050e91",
+    (ModelKind.RANDOM_FOREST, 2):
+        "fbf9d2d7a4762f1289eebde5f52fc05c9e1eb225c08cd71c6727e8c4e9c9eece",
+    (ModelKind.GBT, 0):
+        "3783ab79c6210f468d369e734511baa24eb37bb646d32d96ed36b8d7f613e8a9",
+    (ModelKind.GBT, 1):
+        "f74e1b5c2a61c0f53f089453c0b2bc63f49e27ad9a4dd61c4283652f2c798fa4",
+    (ModelKind.GBT, 2):
+        "3e4bbb952488e5091724e086fe7b0602531073b6e4931f3b38f1e1bd5cf8f2f7",
+}
+FULL_WIDTH_SPECS = {
+    ModelKind.RANDOM_FOREST: ModelSpec(ModelKind.RANDOM_FOREST, {
+        "max_depth": 6, "n_trees": 8, "feature_ratio": 1.0}),
+    ModelKind.GBT: ModelSpec(ModelKind.GBT, {
+        "max_depth": 3, "n_rounds": 15, "sampling_ratio": 0.7,
+        "feature_ratio": 1.0}),
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(FROZEN_FULL_WIDTH_FILES),
+                         ids=lambda v: getattr(v, "value", v))
+def test_full_width_model_files_equal_frozen_bytes(tmp_path, kind, seed):
+    path = tmp_path / "model.json"
+    save_model(train(FULL_WIDTH_SPECS[kind], tied_rows(seed, 60), seed),
+               str(path))
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == FROZEN_FULL_WIDTH_FILES[kind, seed])
+
+
+@pytest.mark.parametrize("kind", sorted(FULL_WIDTH_SPECS),
+                         ids=lambda k: k.value)
+def test_model_file_without_feature_ratio_loads_as_full_width(tmp_path, kind):
+    rows = tied_rows(3, 60)
+    model = train(FULL_WIDTH_SPECS[kind], rows, 3)
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    obj = json.loads(path.read_text())
+    del obj["hyperparams"]["feature_ratio"]
+    path.write_text(json.dumps(obj, sort_keys=True))
+    loaded = load_model(str(path))
+    assert loaded.spec.hyperparams["feature_ratio"] == 1.0
+    profiles = [r.profile for r in rows]
+    assert np.array_equal(predict_many(loaded, profiles),
+                          predict_many(model, profiles))
