@@ -27,15 +27,15 @@ finite midpoint, so a training profile holding a non-finite value is a
 ``ValidationError``.
 
 Random forests and GBT grow their trees through one core. Each tree draws
-its rows, and then, when ``feature_ratio`` leaves fewer than all p
-columns, ``round(feature_ratio * p)`` of them, from its own seeded
+its rows, and then, when a forest's ``feature_ratio`` leaves fewer than
+all p columns, ``round(feature_ratio * p)`` of them, from its own seeded
 generator; the tree searches only those columns (a random subspace, Ho
 1998; Breiman's ``mtry`` for forests, 2001), and its split features are
 mapped back to profile positions. Forests default to a third of the
 columns: a profile's columns are two strongly correlated quantile
 curves, and on the synthetic marketplace a third estimates as well as
-all of them. GBT defaults to all of them. ``feature_ratio=1.0`` is the
-paper's learner, which searches every column. A random forest or GBT
+all of them. GBT trees search every column. ``feature_ratio=1.0`` is the
+paper's forest, which searches every column. A random forest or GBT
 model stacks its trees' node arrays into one ``TreeStack`` when it is
 trained or loaded, and one vectorized walk moves every tree's node for
 every row at once.
@@ -76,7 +76,7 @@ DEFAULT_HYPERPARAMS = {
     ModelKind.RANDOM_FOREST: {"max_depth": 10, "n_trees": 260,
                               "sampling_ratio": 0.8, "feature_ratio": 1 / 3},
     ModelKind.GBT: {"max_depth": 4, "n_rounds": 200, "learning_rate": 0.1,
-                    "sampling_ratio": 0.8, "feature_ratio": 1.0},
+                    "sampling_ratio": 0.8},
 }
 
 
@@ -86,8 +86,12 @@ def _count(low):
 
 
 def _real(v):
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v))
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 # the legal values of each hyperparameter, as (description, test)
@@ -109,8 +113,8 @@ HYPERPARAM_RANGES = {
 class ModelSpec:
     """A model kind and its hyperparameters, the kind's defaults filled in.
 
-    Raises ConfigurationError when a hyperparameter is outside
-    ``HYPERPARAM_RANGES``.
+    Raises ConfigurationError when a hyperparameter is not one of the
+    kind's or is outside ``HYPERPARAM_RANGES``.
     """
 
     kind: ModelKind
@@ -119,11 +123,16 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
         merged = dict(DEFAULT_HYPERPARAMS[self.kind])
+        for name in self.hyperparams:
+            if name not in merged:
+                raise ConfigurationError(
+                    f"{self.kind.value} has no hyperparameter {name!r}; "
+                    f"it takes {', '.join(sorted(merged))}")
         merged.update(self.hyperparams)
         object.__setattr__(self, "hyperparams", merged)
         for name, value in merged.items():
-            legal, ok = HYPERPARAM_RANGES.get(name, (None, None))
-            if ok is not None and not ok(value):
+            legal, ok = HYPERPARAM_RANGES[name]
+            if not ok(value):
                 raise ConfigurationError(
                     f"hyperparameter {name!r} must be {legal}, got {value!r}")
 
@@ -477,7 +486,7 @@ def _rng(seed, *salt):
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0x7FFFFFFF, *salt]))
 
 
-def _grower(X, hp, seed, salt, bootstrap):
+def _grower(X, hp, feature_ratio, seed, salt, bootstrap):
     """The tree-growing core of random forests and GBT on training matrix
     ``X`` (n, p): ``grow(t, target)`` fits tree ``t`` to ``target`` (n,).
 
@@ -492,7 +501,7 @@ def _grower(X, hp, seed, salt, bootstrap):
     size = max(1, round(float(hp["sampling_ratio"]) * n))
     if not bootstrap:
         size = min(n, size)
-    k = max(1, round(float(hp["feature_ratio"]) * p))
+    k = max(1, round(float(feature_ratio) * p))
     depth = int(hp["max_depth"])
     ranks = dense_ranks(X)
     columns = np.arange(p)
@@ -531,14 +540,14 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
     elif spec.kind is ModelKind.MLP:
         params = _train_mlp(Xs, y, hp, _rng(seed, 1))
     elif spec.kind is ModelKind.RANDOM_FOREST:
-        grow = _grower(X, hp, seed, 2, bootstrap=True)
+        grow = _grower(X, hp, hp["feature_ratio"], seed, 2, bootstrap=True)
         trees = [grow(t, y) for t in range(int(hp["n_trees"]))]
         params = {"trees": trees, "stack": TreeStack(trees)}
     elif spec.kind is ModelKind.GBT:
         lr = float(hp["learning_rate"])
         base = float(np.mean(y))
         pred = np.full(X.shape[0], base)
-        grow = _grower(X, hp, seed, 3, bootstrap=False)
+        grow = _grower(X, hp, 1.0, seed, 3, bootstrap=False)
         trees = []
         scales = []
         for t in range(int(hp["n_rounds"])):
@@ -756,9 +765,9 @@ def load_model(path) -> TrainedMetaModel:
     try:
         kind = ModelKind(_field(obj, "kind", str))
         hyperparams = dict(_field(obj, "hyperparams", dict))
-        if "feature_ratio" in DEFAULT_HYPERPARAMS[kind]:
-            # a tree model file written before feature_ratio existed was
-            # grown on every column
+        if kind is ModelKind.RANDOM_FOREST:
+            # a forest file written before feature_ratio existed was grown
+            # on every column
             hyperparams.setdefault("feature_ratio", 1.0)
         spec = ModelSpec(kind=kind, hyperparams=hyperparams)
         kinds = tuple(FeatureKind(k) for k in _field(obj, "kinds", list))

@@ -273,6 +273,9 @@ def test_train_json_flags_must_hold_an_object(capsys, tmp_path, flag, text):
     ("random_forest", '{"n_trees": "abc"}'),
     ("random_forest", '{"n_trees": 0}'),
     ("random_forest", '{"feature_ratio": 0}'),
+    ("random_forest", '{"feature_raito": 1.0}'),
+    ("random_forest", '{"sampling_ratio": 1%s}' % ("0" * 400)),
+    ("gbt", '{"feature_ratio": 1.0}'),
     ("knn", '{"k": 0}')])
 def test_train_out_of_range_hyperparams_is_domain_error(
         capsys, tmp_path, kind, hyperparams):

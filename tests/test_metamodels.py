@@ -249,7 +249,7 @@ def test_model_spec_fills_defaults_and_rejects_unknown_kind():
     rf = ModelSpec("random_forest")
     assert rf.hyperparams["n_trees"] == 260
     assert rf.hyperparams["feature_ratio"] == pytest.approx(1 / 3)
-    assert ModelSpec(ModelKind.GBT).hyperparams["feature_ratio"] == 1.0
+    assert "feature_ratio" not in ModelSpec(ModelKind.GBT).hyperparams
     with pytest.raises(ValueError):
         ModelSpec("decision_stump")
 
@@ -263,15 +263,19 @@ def test_model_spec_fills_defaults_and_rejects_unknown_kind():
     (ModelKind.RANDOM_FOREST, "max_depth", None),
     (ModelKind.RANDOM_FOREST, "sampling_ratio", 0.0),
     (ModelKind.RANDOM_FOREST, "sampling_ratio", float("inf")),
+    (ModelKind.RANDOM_FOREST, "sampling_ratio", 10 ** 400),
     (ModelKind.RANDOM_FOREST, "feature_ratio", 0.0),
     (ModelKind.RANDOM_FOREST, "feature_ratio", 1.5),
     (ModelKind.RANDOM_FOREST, "feature_ratio", "all"),
+    (ModelKind.RANDOM_FOREST, "feature_raito", 1.0),
     (ModelKind.GBT, "n_rounds", -1),
     (ModelKind.GBT, "learning_rate", 0),
     (ModelKind.GBT, "learning_rate", float("nan")),
-    (ModelKind.GBT, "feature_ratio", -0.5),
+    (ModelKind.GBT, "learning_rate", 10 ** 400),
+    (ModelKind.GBT, "feature_ratio", 1.0),
     (ModelKind.KNN, "k", 0),
     (ModelKind.KNN, "k", "3"),
+    (ModelKind.KNN, "n_trees", 5),
     (ModelKind.MLP, "hidden_width", 0),
     (ModelKind.MLP, "epochs", -1),
     (ModelKind.MLP, "epochs", 1.5),
@@ -640,7 +644,7 @@ def test_stacked_tree_predictions_match_per_tree_loop(
     hp = ({"n_trees": max(size, 1), "max_depth": depth}
           if kind is ModelKind.RANDOM_FOREST
           else {"n_rounds": size, "max_depth": depth})
-    if ratio is not None:
+    if ratio is not None and kind is ModelKind.RANDOM_FOREST:
         hp["feature_ratio"] = ratio
     model = train(ModelSpec(kind, hp), rows, seed=seed)
     for tree in model.params["trees"]:
@@ -704,6 +708,10 @@ TREE_CORRUPTIONS = {
     "no trees in the spec": lambda o: o["hyperparams"].update(n_trees=0),
     "feature ratio past 1": lambda o: o["hyperparams"].update(
         feature_ratio=2.0),
+    "unknown hyperparameter": lambda o: o["hyperparams"].update(
+        feature_raito=1.0),
+    "sampling ratio past the float range": lambda o: o["hyperparams"]
+    .update(sampling_ratio=10 ** 400),
 }
 
 
@@ -745,10 +753,10 @@ def test_saved_model_file_is_unchanged_by_a_load(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Model files at feature_ratio=1.0 are the files of the learner that
-# searched every column: sha256 of save_model's bytes, frozen from the
-# learner before feature_ratio existed (given the same spec, which it
-# recorded and ignored).
+# Forest files at feature_ratio=1.0, and GBT files, are the files of the
+# learner that searched every column: sha256 of save_model's bytes, frozen
+# from the learner before feature_ratio existed (given the same spec,
+# which it recorded and ignored).
 
 FROZEN_FULL_WIDTH_FILES = {
     (ModelKind.RANDOM_FOREST, 0):
@@ -758,18 +766,17 @@ FROZEN_FULL_WIDTH_FILES = {
     (ModelKind.RANDOM_FOREST, 2):
         "fbf9d2d7a4762f1289eebde5f52fc05c9e1eb225c08cd71c6727e8c4e9c9eece",
     (ModelKind.GBT, 0):
-        "3783ab79c6210f468d369e734511baa24eb37bb646d32d96ed36b8d7f613e8a9",
+        "ccd78f8bc45453e3ef3583d51b5ec5c3e1c9d9eba006bccd35a233d44f5e2469",
     (ModelKind.GBT, 1):
-        "f74e1b5c2a61c0f53f089453c0b2bc63f49e27ad9a4dd61c4283652f2c798fa4",
+        "815ac4348906e6a4ac94be70c5ba08ec8c7b0466998ad43cc6f305c811d20848",
     (ModelKind.GBT, 2):
-        "3e4bbb952488e5091724e086fe7b0602531073b6e4931f3b38f1e1bd5cf8f2f7",
+        "4d46fe4fe4c9988da140daf1ad0b9de376b47a29877d89e24f4c953f5f496cf5",
 }
 FULL_WIDTH_SPECS = {
     ModelKind.RANDOM_FOREST: ModelSpec(ModelKind.RANDOM_FOREST, {
         "max_depth": 6, "n_trees": 8, "feature_ratio": 1.0}),
     ModelKind.GBT: ModelSpec(ModelKind.GBT, {
-        "max_depth": 3, "n_rounds": 15, "sampling_ratio": 0.7,
-        "feature_ratio": 1.0}),
+        "max_depth": 3, "n_rounds": 15, "sampling_ratio": 0.7}),
 }
 
 
@@ -783,11 +790,9 @@ def test_full_width_model_files_equal_frozen_bytes(tmp_path, kind, seed):
             == FROZEN_FULL_WIDTH_FILES[kind, seed])
 
 
-@pytest.mark.parametrize("kind", sorted(FULL_WIDTH_SPECS),
-                         ids=lambda k: k.value)
-def test_model_file_without_feature_ratio_loads_as_full_width(tmp_path, kind):
+def test_forest_file_without_feature_ratio_loads_as_full_width(tmp_path):
     rows = tied_rows(3, 60)
-    model = train(FULL_WIDTH_SPECS[kind], rows, 3)
+    model = train(FULL_WIDTH_SPECS[ModelKind.RANDOM_FOREST], rows, 3)
     path = tmp_path / "model.json"
     save_model(model, str(path))
     obj = json.loads(path.read_text())
