@@ -1,6 +1,7 @@
 """Label-relevant baseline estimators.
 
-* sample_n_estimate -- label n examples per context and average them.
+* sample_n_estimate (Sample^n) -- label n seeded random samples of each
+  context of the target task and average their F1.
 * avg_train_estimate -- mean performance over all labeled settings.
 * ATC -- per labeled setting, calibrate a confidence threshold so the
   fraction of confidences above it matches the labeled accuracy, apply
@@ -18,28 +19,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
+from .seeding import derive_rng
 
 
-def sample_n_estimate(labeled, n: int, contexts) -> float:
-    """Mean per-sample performance over the first n labeled examples of
-    every context in `contexts`.
+def sample_n_estimate(f1s, n: int, seed: int) -> float:
+    """Mean F1 of n labeled samples per context, averaged over contexts.
 
-    `labeled` is a list of (record, per_sample_performance) pairs.
+    `f1s` maps each (service_id, task_id, context_id) of one target task
+    to the per-sample F1 of every sample of that setting. A setting's n
+    samples are the first n of derive_rng(seed, "samplen", *key)'s
+    permutation of its samples.
     """
-    contexts = sorted(set(contexts))
     if n < 1:
         raise InsufficientDataError(f"n must be >= 1, got {n}")
-    total = 0.0
-    for ctx in contexts:
-        perfs = [p for rec, p in labeled if rec.context_id == ctx]
-        if len(perfs) < n:
-            raise InsufficientDataError(
-                f"context {ctx!r} has {len(perfs)} labeled samples, "
-                f"need {n}")
-        total += sum(perfs[:n]) / n
-    if not contexts:
+    if not f1s:
         raise InsufficientDataError("no contexts given")
-    return total / len(contexts)
+    means = []
+    for key, f1 in f1s.items():
+        f1 = np.asarray(f1, dtype=float)
+        if len(f1) < n:
+            raise InsufficientDataError(
+                f"setting {key} has {len(f1)} labeled samples, need {n}")
+        order = derive_rng(seed, "samplen", *key).permutation(len(f1))
+        means.append(float(np.mean(f1[order[:n]])))
+    return float(np.mean(means))
 
 
 def avg_train_estimate(training_performances) -> float:

@@ -9,6 +9,7 @@ streams are derived by stable hashing, so every output is reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,7 +21,8 @@ from . import evaluation as ev
 from . import metamodels as mm
 # read_records, write_records and build_profile are not called here, but
 # perfbench/tracing.py wraps them under this module's names too
-from .core import RecordStore, read_records, write_records, write_tasks
+from .core import (RecordStore, append_records, read_records, write_records,
+                   write_tasks)
 from .errors import ConfigurationError, PerfestError
 from .feature_selection import rank_combinations
 from .features import FeatureKind, extract_task_features
@@ -124,27 +126,23 @@ def _cmd_invoke(args):
     if args.service not in by_id:
         raise ConfigurationError(f"unknown service {args.service!r}")
     desc = by_id[args.service]
-    mock_config = None
+    mock_config = ctx = None
     if desc.kind == "mock":
-        cfg = desc.config
-        mock_config = MarketplaceConfig(
-            n_services=cfg.get("n_services", 5),
-            n_tasks=cfg.get("n_tasks", 13),
-            samples_per_task=cfg.get("samples_per_task", 400),
-            contexts_per_task=cfg.get("contexts_per_task", 10),
-            feature_fidelity=cfg.get("feature_fidelity", 0.9),
-            seed=cfg.get("seed", args.seed))
-    ctx = None
-    if desc.kind == "mock":
+        names = {f.name for f in dataclasses.fields(MarketplaceConfig)}
+        try:
+            mock_config = MarketplaceConfig(**{
+                "seed": args.seed,
+                **{k: v for k, v in desc.config.items() if k in names}})
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"service {desc.service_id!r} config: {exc}") from exc
         task_index = mock_task_index(mock_config, args.task)
-        for c in marketplace_contexts(mock_config, task_index):
-            if c.context_id == args.context:
-                ctx = c
+        ctx = next((c for c in marketplace_contexts(mock_config, task_index)
+                    if c.context_id == args.context), None)
         if ctx is None:
             raise ConfigurationError(f"unknown context {args.context!r}")
     rec = invoke(desc, args.input_text or "", ctx, args.sample, args.task,
                  mock_config=mock_config)
-    from .core import append_records
     append_records([rec], args.out)
     print(f"appended 1 record to {args.out}")
     return 0

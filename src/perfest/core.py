@@ -6,14 +6,14 @@ feature-extraction time. The sequence length |x| used by downstream
 features is the number of token steps returned by the service.
 
 InvocationRecord is the per-record boundary type: the HTTP client,
-read_records and write_records speak records. Inside the package one
-(service, task, context) setting is a SettingBatch, whose columns hold
-every sample's texts, token steps, candidates and input scores, with
-offsets for the ragged lengths. SettingBatch.from_records and
-SettingBatch.records are inverses, and RecordStore keeps one batch per
-setting. Files are parsed and written per setting run as columns
+read_records, write_records and RecordStore.get speak records. Inside
+the package one (service, task, context) setting is a SettingBatch, whose
+columns hold every sample's texts, token steps, candidates and input
+scores, with offsets for the ragged lengths. SettingBatch.from_records
+and SettingBatch.records are inverses, and RecordStore keeps one batch
+per setting. Files are parsed and written per setting run as columns
 (read_batches, write_batches), and SettingBatch.validate holds every
-record rule once; a record's validate is its one-record case.
+record rule once.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class TokenStep:
     token: str
     top_probs: tuple  # tuple of (token, prob), descending by prob
 
-    def validate(self, line=None):
-        """SettingBatch.validate on a one-step record."""
-        InvocationRecord("", "", "", "", "", "", (self,)).validate(line=line)
-
 
 @dataclass(frozen=True, slots=True)
 class InvocationRecord:
@@ -62,10 +58,9 @@ class InvocationRecord:
     input_scores: Optional[tuple] = None  # per-input-token probs in (0, 1]
     reference: Optional[str] = None
 
-    def validate(self, line=None, require_steps=False):
+    def validate(self, require_steps=False):
         """SettingBatch.validate on this one record."""
         SettingBatch.from_records([self]).validate(
-            lines=None if line is None else [line],
             require_steps=require_steps)
 
     @property
@@ -81,14 +76,6 @@ class TaskDataset:
     samples: tuple  # tuple of (sample_id, input_text, reference-or-None)
     split: str = "test"  # train | dev | test
 
-    def validate(self):
-        if self.split not in ("train", "dev", "test"):
-            raise ValidationError(f"unknown split {self.split!r}", field="split")
-        ids = [s[0] for s in self.samples]
-        if len(ids) != len(set(ids)):
-            raise ValidationError("duplicate sample_id within task",
-                                  field="samples")
-
 
 @dataclass(frozen=True, slots=True)
 class ContextSpec:
@@ -97,10 +84,6 @@ class ContextSpec:
     context_id: str
     examples: tuple  # tuple of (input_text, reference)
     count: int
-
-    def validate(self):
-        if self.count != len(self.examples):
-            raise ValidationError("count != len(examples)", field="count")
 
 
 def _offsets(lengths):
@@ -513,17 +496,10 @@ def _record_batches(records):
         yield batch
 
 
-def iter_records(path):
-    """Validated records of a JSON Lines record file, one setting run at a
-    time (see read_batches)."""
-    for batch in read_batches(path):
-        yield from batch.records()
-
-
 def read_records(path) -> list:
     """Read a JSON Lines record file, validating every line (see
     read_batches)."""
-    return list(iter_records(path))
+    return [rec for batch in read_batches(path) for rec in batch.records()]
 
 
 def write_records(records: Iterable[InvocationRecord], path) -> None:
@@ -556,8 +532,8 @@ class RecordStore:
     Each setting is held as the validated SettingBatches added for it,
     joined into one when the setting is first asked for, so a file whose
     settings interleave reads in linear time; InvocationRecords are built
-    only when asked for (get, all_records). Append-only;
-    iteration order is insertion order within each setting.
+    only when get asks for them. Append-only; each setting keeps its
+    samples in insertion order.
     """
 
     def __init__(self, records=()):
@@ -597,10 +573,6 @@ class RecordStore:
     def __len__(self):
         return sum(len(b) for pieces in self._batches.values()
                    for b in pieces)
-
-    def all_records(self):
-        for key in self.keys():
-            yield from self.batch(*key).records()
 
     @classmethod
     def from_file(cls, path):

@@ -8,6 +8,7 @@ by 100 for readability.
 from __future__ import annotations
 
 import json
+import re
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -100,47 +101,35 @@ def mae(pairs):
     return float(errors.mean()), float(errors.std())
 
 
-def kfold_split(n: int, folds: int, seed: int, groups=None):
-    """Deterministic k-fold index split.
+def kfold_split(groups, folds: int, seed: int):
+    """Deterministic k-fold split that keeps every group whole.
 
-    Without groups: a seeded shuffle partitioned into folds whose sizes
-    differ by at most one. With groups (a length-n list of group labels),
-    whole groups are assigned to folds so no group straddles a boundary.
-    Returns a list of (train_indices, test_indices) tuples.
+    `groups` holds one group label per row. The distinct labels, in a
+    seeded shuffle, are dealt into folds whose group counts differ by at
+    most one, so no group straddles a fold boundary. Returns a list of
+    (train_indices, test_indices) tuples.
     """
     if folds < 2:
         raise ConfigurationError(f"folds must be >= 2, got {folds}")
-    rng = derive_rng(seed, "kfold")
-    if groups is None:
-        if n < folds:
-            raise ConfigurationError(f"{n} rows cannot fill {folds} folds")
-        perm = rng.permutation(n)
-        parts = np.array_split(perm, folds)
-    else:
-        if len(groups) != n:
-            raise ConfigurationError("groups must have one label per row")
-        uniq = sorted(set(groups))
-        if len(uniq) < folds:
-            raise ConfigurationError(
-                f"{len(uniq)} groups cannot fill {folds} folds")
-        order = rng.permutation(len(uniq))
-        group_parts = np.array_split([uniq[i] for i in order], folds)
-        by_group = {}
-        for i, g in enumerate(groups):
-            by_group.setdefault(g, []).append(i)
-        parts = [np.array(sorted(i for g in part for i in by_group[g]),
-                          dtype=int)
-                 for part in group_parts]
+    uniq = sorted(set(groups))
+    if len(uniq) < folds:
+        raise ConfigurationError(
+            f"{len(uniq)} groups cannot fill {folds} folds")
+    order = derive_rng(seed, "kfold").permutation(len(uniq))
+    by_group = {}
+    for i, g in enumerate(groups):
+        by_group.setdefault(g, []).append(i)
     out = []
-    all_idx = set(range(n))
-    for part in parts:
-        test = sorted(int(i) for i in part)
+    all_idx = set(range(len(groups)))
+    for part in np.array_split(order, folds):
+        test = sorted(i for u in part for i in by_group[uniq[u]])
         train = sorted(all_idx.difference(test))
         out.append((train, test))
     return out
 
 
 DEFAULT_BASELINES = ("avg_train", "atc", "sample_8", "sample_16", "sample_32")
+_BASELINE = re.compile(r"avg_train|atc|sample_[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -171,6 +160,11 @@ class ExperimentPlan:
                         ("folds", self.folds)):
             if v < 1:
                 raise ConfigurationError(f"plan field {name} must be >= 1")
+        for name in self.baselines:
+            if not _BASELINE.fullmatch(name):
+                raise ConfigurationError(
+                    f"unknown baseline {name!r}; choose avg_train, atc or "
+                    "sample_<n> with n >= 1")
 
 
 @dataclass
@@ -189,10 +183,6 @@ class ExperimentReport:
     rows: list = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)  # estimator -> (mae, sd)
 
-    def errors_for(self, estimator):
-        return [r.absolute_error for r in self.rows
-                if r.estimator == estimator]
-
     def to_obj(self):
         return {
             "rows": [[r.service_id, r.task_id, r.context_id, r.estimator,
@@ -206,15 +196,6 @@ class ExperimentReport:
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_obj(), f, sort_keys=True)
             f.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-        rep = cls()
-        rep.rows = [ReportRow(*row) for row in obj["rows"]]
-        rep.aggregates = {k: tuple(v) for k, v in obj["aggregates"].items()}
-        return rep
 
 
 def render_table(report: ExperimentReport, services) -> str:
@@ -349,24 +330,14 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     # Sample^n estimates depend only on (service, task); precompute
     sample_ns = sorted(int(b.split("_", 1)[1]) for b in plan.baselines
                        if b.startswith("sample_"))
-    sample_est = {}
-    for n in sample_ns:
-        for s in plan.services:
-            for t in plan.tasks:
-                vals = []
-                for c in contexts[t]:
-                    per = data[(s, t, c)].f1
-                    if len(per) < n:
-                        raise InsufficientDataError(
-                            f"setting {(s, t, c)} has {len(per)} labeled "
-                            f"samples, need {n}")
-                    rng = derive_rng(plan.seed, "samplen", s, t, c)
-                    order = rng.permutation(len(per))
-                    vals.append(float(np.mean(per[order[:n]])))
-                sample_est[(n, s, t)] = float(np.mean(vals))
+    sample_est = {
+        (n, s, t): bl.sample_n_estimate(
+            {(s, t, c): data[(s, t, c)].f1 for c in contexts[t]}, n,
+            plan.seed)
+        for n in sample_ns for s in plan.services for t in plan.tasks}
 
-    groups = [t for (_, t, _) in settings]
-    splits = kfold_split(len(settings), plan.folds, plan.seed, groups=groups)
+    splits = kfold_split([t for (_, t, _) in settings], plan.folds,
+                         plan.seed)
 
     report = ExperimentReport()
     for train_idx, test_idx in splits:

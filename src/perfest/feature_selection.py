@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import UndefinedCorrelationError
+from .errors import InsufficientDataError, UndefinedCorrelationError
 from .features import FeatureKind
 
 PERFORMANCE_LABEL = "F1"
@@ -29,7 +29,8 @@ def pearson(xs, ys) -> float:
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
-        raise ValueError("need at least 2 points for a correlation")
+        raise InsufficientDataError(
+            "need at least 2 points for a correlation")
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n

@@ -48,18 +48,6 @@ class FeatureKind(str, Enum):
     MAXENT = "max_ent"
 
 
-def sample_features(record: InvocationRecord, kinds=None, ppl_mode="normalized"):
-    """All requested features for one record, as {FeatureKind: value}."""
-    kinds = list(FeatureKind) if kinds is None else [FeatureKind(k) for k in kinds]
-    out = {}
-    for kind in kinds:
-        if kind is FeatureKind.PPL:
-            out[kind] = ppl(record, mode=ppl_mode)
-        else:
-            out[kind] = _EXTRACTORS[kind](record)
-    return out
-
-
 def _per_sample(fn):
     """Let a batch feature take one record, returning that record's float.
 

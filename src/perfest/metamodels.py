@@ -53,8 +53,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (ConfigurationError, ModelFormatError, ShapeError,
-                     ValidationError)
+from .errors import (ConfigurationError, InsufficientDataError,
+                     ModelFormatError, ShapeError, ValidationError)
 from .features import FeatureKind
 from .profile import FeatureProfile
 
@@ -463,7 +463,7 @@ def _rows_to_matrix(rows):
     """
     rows = list(rows)
     if not rows:
-        raise ValueError("cannot train on zero rows")
+        raise InsufficientDataError("cannot train on zero rows")
     first = rows[0].profile
     for r in rows:
         if r.profile.dims != first.dims or r.profile.kinds != first.kinds:
@@ -577,6 +577,8 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
 def predict_many(model: TrainedMetaModel, profiles) -> np.ndarray:
     """Vectorized prediction over a batch of profiles, clipped to [0, 1]."""
     profiles = list(profiles)
+    if not profiles:
+        raise InsufficientDataError("no profiles to predict")
     for pr in profiles:
         if pr.dims != model.dims or tuple(pr.kinds) != tuple(model.kinds):
             raise ShapeError(
@@ -643,8 +645,7 @@ def grid_search(kind, grid, rows, folds: int, seed: int) -> ModelSpec:
             raise ConfigurationError(f"grid axis {name!r} is empty")
     rows = list(rows)
     names = list(grid.keys())
-    splits = kfold_split(len(rows), folds, seed,
-                         groups=[row.profile.task_id for row in rows])
+    splits = kfold_split([row.profile.task_id for row in rows], folds, seed)
     best_spec = None
     best_mae = math.inf
     for combo in itertools.product(*(grid[n] for n in names)):

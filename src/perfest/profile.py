@@ -10,7 +10,6 @@ Sorting makes the profile invariant to sample order, which is arbitrary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,30 +93,3 @@ def build_profile(setting, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
                           context_id=context_id, kinds=kinds, dims=d,
                           vector=tuple(vector))
 
-
-def write_profiles(profiles, path):
-    """Profile cache: one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for pr in profiles:
-            obj = {"service_id": pr.service_id, "task_id": pr.task_id,
-                   "context_id": pr.context_id,
-                   "kinds": [k.value for k in pr.kinds],
-                   "dims": pr.dims, "vector": list(pr.vector)}
-            f.write(json.dumps(obj))
-            f.write("\n")
-
-
-def read_profiles(path):
-    profiles = []
-    with open(path, "r", encoding="utf-8") as f:
-        for raw in f:
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            profiles.append(FeatureProfile(
-                service_id=obj["service_id"], task_id=obj["task_id"],
-                context_id=obj["context_id"],
-                kinds=tuple(FeatureKind(k) for k in obj["kinds"]),
-                dims=int(obj["dims"]), vector=tuple(obj["vector"])))
-    return profiles

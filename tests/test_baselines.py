@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfest.baselines import (
     atc_calibrate,
@@ -9,53 +11,86 @@ from perfest.baselines import (
     avg_train_estimate,
     sample_n_estimate,
 )
-from perfest.core import InvocationRecord, TokenStep
 from perfest.errors import InsufficientDataError
+from perfest.seeding import derive_rng
+
+KEY = ("svc00", "task00", "ctx00")
 
 
-def labeled_pair(ctx, i, perf):
-    rec = InvocationRecord(
-        service_id="svc00", task_id="task00", context_id=ctx,
-        sample_id="s%04d" % i, input_text="q", generated_text="a",
-        output_steps=(TokenStep("a", (("a", 0.9),)),), reference="a")
-    return (rec, perf)
+def frozen_sample_n(per_f1, contexts, n, seed, s, t):
+    """run_experiment's inline Sample^n block for one (service, task),
+    as it stood before Sample^n moved into baselines (frozen); per_f1[c]
+    is context c's per-sample F1 array."""
+    vals = []
+    for c in contexts:
+        per = per_f1[c]
+        if len(per) < n:
+            raise InsufficientDataError(
+                f"setting {(s, t, c)} has {len(per)} labeled "
+                f"samples, need {n}")
+        rng = derive_rng(seed, "samplen", s, t, c)
+        order = rng.permutation(len(per))
+        vals.append(float(np.mean(per[order[:n]])))
+    return float(np.mean(vals))
+
+
+# few distinct values, so contexts hold tied F1 scores
+F1_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]),
+                      st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(F1_VALUES, min_size=1, max_size=12),
+                min_size=1, max_size=4),
+       st.integers(0, 2 ** 32), st.data())
+def test_sample_n_equals_the_inline_block_bit_for_bit(columns, seed, data):
+    n = data.draw(st.integers(1, min(map(len, columns))))
+    contexts = ["ctx%02d" % k for k in range(len(columns))]
+    per_f1 = {c: np.array(col) for c, col in zip(contexts, columns)}
+    want = frozen_sample_n(per_f1, contexts, n, seed, "svc01", "task02")
+    got = sample_n_estimate({("svc01", "task02", c): per_f1[c]
+                             for c in contexts}, n, seed)
+    assert got.hex() == want.hex()
 
 
 def test_sample_n_single_value():
-    labeled = [labeled_pair("ctx00", 0, 0.5)]
-    assert sample_n_estimate(labeled, 1, ["ctx00"]) == pytest.approx(0.5)
+    assert sample_n_estimate({KEY: [0.5]}, 1, seed=0) == 0.5
 
 
 def test_sample_n_two_values_mean():
-    labeled = [labeled_pair("ctx00", 0, 0.0), labeled_pair("ctx00", 1, 1.0)]
-    assert sample_n_estimate(labeled, 2, ["ctx00"]) == pytest.approx(0.5)
+    assert sample_n_estimate({KEY: [0.0, 1.0]}, 2, seed=0) == 0.5
 
 
 def test_sample_n_two_contexts_hand_table():
     rng = np.random.default_rng(70)
-    table = {"ctx00": rng.uniform(size=8).tolist(),
-             "ctx01": rng.uniform(size=8).tolist()}
-    labeled = []
-    for ctx, perfs in table.items():
-        for i, p in enumerate(perfs):
-            labeled.append(labeled_pair(ctx, i, p))
-    expected = 0.5 * (sum(table["ctx00"]) / 8 + sum(table["ctx01"]) / 8)
-    got = sample_n_estimate(labeled, 8, ["ctx00", "ctx01"])
-    assert got == pytest.approx(expected, abs=1e-12)
+    table = {("svc00", "task00", "ctx00"): rng.uniform(size=8),
+             ("svc00", "task00", "ctx01"): rng.uniform(size=8)}
+    # n equal to the context size averages every sample, whatever the seed
+    expected = 0.5 * sum(f1.mean() for f1 in table.values())
+    for seed in (0, 1, 2):
+        got = sample_n_estimate(table, 8, seed)
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
-def test_sample_n_uses_only_first_n():
-    labeled = [labeled_pair("ctx00", i, p)
-               for i, p in enumerate([1.0, 1.0, 0.0, 0.0])]
-    assert sample_n_estimate(labeled, 2, ["ctx00"]) == pytest.approx(1.0)
+def test_sample_n_uses_the_seeded_permutation():
+    f1 = np.array([1.0, 1.0, 0.0, 0.0])
+    estimates = set()
+    for seed in range(20):
+        first = derive_rng(seed, "samplen", *KEY).permutation(4)[:2]
+        got = sample_n_estimate({KEY: f1}, 2, seed)
+        assert got == f1[first].mean()
+        estimates.add(got)
+    # the labeled pair is drawn at random, not the first two samples
+    assert estimates == {0.0, 0.5, 1.0}
 
 
 def test_sample_n_insufficient_labels_raises():
-    labeled = [labeled_pair("ctx00", 0, 0.5)]
     with pytest.raises(InsufficientDataError):
-        sample_n_estimate(labeled, 2, ["ctx00"])
+        sample_n_estimate({KEY: [0.5]}, 2, seed=0)
     with pytest.raises(InsufficientDataError):
-        sample_n_estimate(labeled, 0, ["ctx00"])
+        sample_n_estimate({KEY: [0.5]}, 0, seed=0)
+    with pytest.raises(InsufficientDataError):
+        sample_n_estimate({}, 1, seed=0)
 
 
 def test_avg_train_mean_and_empty():

@@ -378,6 +378,11 @@ def test_synthetic_settings_prepare_exactly(unlabeled_n):
         assert all(isinstance(v, float) for v in table[FeatureKind.NLL])
 
 
+def store_records(store):
+    """Every record of a RecordStore, settings in key order."""
+    return [r for key in store.keys() for r in store.get(*key)]
+
+
 def test_store_keeps_order_of_interleaved_records(tmp_path):
     config = MarketplaceConfig(n_services=1, n_tasks=1, samples_per_task=9,
                                contexts_per_task=3, seed=8)
@@ -393,8 +398,7 @@ def test_store_keeps_order_of_interleaved_records(tmp_path):
     path = tmp_path / "store.jsonl"
     write_records(interleaved, str(path))
     again = RecordStore.from_file(str(path))
-    assert list(again.all_records()) == [r for recs in settings_
-                                         for r in recs]
+    assert store_records(again) == [r for recs in settings_ for r in recs]
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +591,7 @@ def test_store_save_equals_per_record_writer(tmp_path):
     _, _, store = synth_marketplace(config)
     store.save(str(tmp_path / "store.jsonl"))
     with open(tmp_path / "store.jsonl", encoding="utf-8") as f:
-        assert f.readlines() == frozen_lines(store.all_records())
+        assert f.readlines() == frozen_lines(store_records(store))
 
 
 def grouped(records):
@@ -726,7 +730,7 @@ def test_errors_name_the_per_record_readers_field_and_line(tmp_path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     want = outcome(frozen_read, str(path))
     assert outcome(read_records, str(path)) == want
-    got = outcome(lambda p: list(RecordStore.from_file(p).all_records()),
+    got = outcome(lambda p: store_records(RecordStore.from_file(p)),
                   str(path))
     if want[0] == "ok":
         assert got[0] == "ok" and sorted(got[1], key=lambda r: r.key) == \

@@ -300,6 +300,23 @@ def test_invoke_mock_bad_task_is_domain_error(capsys, tmp_path, task):
     assert "error" in err
 
 
+@pytest.mark.parametrize("config", [{"n_tasks": "x"}, {"skill_range": 5},
+                                    {"feature_fidelity": [0.5]}])
+def test_invoke_mock_malformed_service_config_is_domain_error(
+        capsys, tmp_path, config):
+    store_dir = small_store(capsys, tmp_path)
+    services = json.loads((store_dir / "services.json").read_text())
+    services[0]["config"].update(config)
+    (store_dir / "services.json").write_text(json.dumps(services))
+    code, _, err = run(capsys, "invoke",
+                       "--service-config", str(store_dir / "services.json"),
+                       "--service", "svc00", "--task", "task00",
+                       "--context", "ctx00", "--sample", "s0003",
+                       "--out", str(tmp_path / "invoked.jsonl"))
+    assert code == 1
+    assert err.startswith("error: service 'svc00' config")
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_estimate_needs_a_positive_sample_count(capsys, tmp_path, n):
     records = str(small_store(capsys, tmp_path) / "records.jsonl")
@@ -310,3 +327,42 @@ def test_estimate_needs_a_positive_sample_count(capsys, tmp_path, n):
                        "--records", records, "--n", n)
     assert code == 1
     assert ">= 1" in err
+
+
+def settings_file(capsys, tmp_path, count):
+    """A records file holding `count` settings (0 or 1)."""
+    if count == 0:
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        return str(path)
+    store_dir = tmp_path / "one"
+    assert run(capsys, *synth_args(store_dir, services=1, tasks=1,
+                                   samples=10, contexts=1))[0] == 0
+    return str(store_dir / "records.jsonl")
+
+
+@pytest.mark.parametrize("command", ["train", "select",
+                                     "recommend-finetune"])
+def test_no_settings_is_domain_error(capsys, tmp_path, command):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    model_path = str(tmp_path / "model.json")
+    assert run(capsys, "train", "--records", records, "--d", "4",
+               "--hyperparams", '{"n_trees": 2}', "--out", model_path)[0] == 0
+    empty = settings_file(capsys, tmp_path, 0)
+    if command == "train":
+        argv = ["train", "--records", empty,
+                "--out", str(tmp_path / "empty-model.json")]
+    else:
+        argv = [command, "--model", model_path, "--records", empty]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not (tmp_path / "empty-model.json").exists()
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_select_features_needs_two_settings(capsys, tmp_path, count):
+    records = settings_file(capsys, tmp_path, count)
+    code, _, err = run(capsys, "select-features", "--records", records)
+    assert code == 1
+    assert err.startswith("error: ") and "2 points" in err

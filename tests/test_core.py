@@ -147,7 +147,7 @@ def test_thousand_synthetic_records_round_trip(tmp_path):
     cfg = MarketplaceConfig(n_services=2, n_tasks=2, samples_per_task=125,
                             contexts_per_task=2, seed=11)
     _, _, store = synth_marketplace(cfg)
-    records = list(store.all_records())
+    records = [r for key in store.keys() for r in store.get(*key)]
     assert len(records) >= 1000
     path = tmp_path / "big.jsonl"
     write_records(records, str(path))
@@ -166,7 +166,8 @@ def test_store_groups_by_setting_and_preserves_order(tmp_path):
     path = tmp_path / "store.jsonl"
     store.save(str(path))
     again = RecordStore.from_file(str(path))
-    assert list(again.all_records()) == list(store.all_records())
+    assert [again.get(*key) for key in again.keys()] == \
+        [store.get(*key) for key in store.keys()]
 
 
 def test_store_contexts_for_task():

@@ -1,5 +1,7 @@
 """Scoring, error metrics, CV splitting, and the experiment runner."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from perfest.errors import ConfigurationError, CoverageError, ValidationError
 from perfest.evaluation import (
     DEFAULT_BASELINES,
     ExperimentPlan,
-    ExperimentReport,
     f1_score,
     kfold_split,
     mae,
@@ -117,7 +118,7 @@ def test_mae_single_pair():
 
 
 def test_kfold_partitions_all_indices():
-    splits = kfold_split(10, 5, seed=0)
+    splits = kfold_split(["g%d" % i for i in range(10)], 5, seed=0)
     assert len(splits) == 5
     test_sets = [set(test) for _, test in splits]
     assert all(len(t) == 2 for t in test_sets)
@@ -128,16 +129,17 @@ def test_kfold_partitions_all_indices():
 
 
 def test_kfold_deterministic_and_seed_sensitive():
-    a = kfold_split(20, 4, seed=5)
-    b = kfold_split(20, 4, seed=5)
-    c = kfold_split(20, 4, seed=6)
+    groups = ["g%d" % (i % 10) for i in range(20)]
+    a = kfold_split(groups, 4, seed=5)
+    b = kfold_split(groups, 4, seed=5)
+    c = kfold_split(groups, 4, seed=6)
     assert a == b
     assert a != c
 
 
 def test_kfold_grouped_keeps_groups_whole():
     groups = ["task%02d" % (i % 13) for i in range(13 * 4)]
-    splits = kfold_split(len(groups), 5, seed=1, groups=groups)
+    splits = kfold_split(groups, 5, seed=1)
     for _, test in splits:
         test_groups = {groups[i] for i in test}
         for i, g in enumerate(groups):
@@ -179,14 +181,13 @@ def test_run_experiment_structural(tmp_path):
                 abs(r.estimate - r.true_performance), abs=1e-12)
     assert set(report.aggregates) == estimators
     for est, (m, sd) in report.aggregates.items():
-        errs = report.errors_for(est)
+        errs = [r.absolute_error for r in report.rows if r.estimator == est]
         assert m == pytest.approx(float(np.mean(errs)), abs=1e-12)
         assert sd == pytest.approx(float(np.std(errs)), abs=1e-12)
-    # report round-trip and table rendering
+    # the saved report and table rendering
     path = tmp_path / "report.json"
     report.save(str(path))
-    loaded = ExperimentReport.load(str(path))
-    assert loaded.to_obj() == report.to_obj()
+    assert json.loads(path.read_text()) == report.to_obj()
     table = render_table(report, plan.services)
     assert "avg_train" in table and "total" in table
 
@@ -234,6 +235,22 @@ def test_plan_validation():
     with pytest.raises(ConfigurationError):
         ExperimentPlan(services=("svc00",), tasks=("task00",),
                        contexts_per_task=0)
+
+
+@pytest.mark.parametrize("name", ["foo", "sample_x", "sample_0",
+                                  "sample_-3", "sample_", "sample_08"])
+def test_plan_rejects_unknown_baselines(name):
+    with pytest.raises(ConfigurationError) as exc:
+        ExperimentPlan(services=("svc00",), tasks=("task00",),
+                       contexts_per_task=1, baselines=("atc", name))
+    assert repr(name) in str(exc.value)
+
+
+def test_plan_accepts_every_baseline_it_names():
+    plan = ExperimentPlan(services=("svc00",), tasks=("task00",),
+                          contexts_per_task=1,
+                          baselines=DEFAULT_BASELINES + ("sample_1",))
+    assert plan.baselines[-1] == "sample_1"
 
 
 def test_unlabeled_ablation_trend_single_seed():

@@ -19,7 +19,6 @@ from perfest.features import (
     max_ent,
     nll,
     ppl,
-    sample_features,
     sequence_confidence,
 )
 
@@ -229,13 +228,6 @@ def test_sequence_confidence_is_exp_of_mean_nll():
     rec = random_record(rng, n_steps=4)
     expected = math.exp(-naive_nll(rec) / 4)
     assert sequence_confidence(rec) == pytest.approx(expected, rel=REL_TOL)
-
-
-def test_sample_features_singleton():
-    rec = record_from_steps(steps_from_top1([0.5]))
-    vals = sample_features(rec, kinds=(FeatureKind.NLL,))
-    assert set(vals) == {FeatureKind.NLL}
-    assert vals[FeatureKind.NLL] == pytest.approx(math.log(2), rel=REL_TOL)
 
 
 def test_extract_task_features_matches_per_record_loop():

@@ -10,8 +10,6 @@ from perfest.profile import (
     FeatureProfile,
     build_profile,
     interpolate_profile,
-    read_profiles,
-    write_profiles,
 )
 from perfest.services import MarketplaceConfig, synth_marketplace
 
@@ -117,18 +115,3 @@ def test_profile_vector_length_checked():
         FeatureProfile(service_id="s", task_id="t", context_id="c",
                        kinds=(FeatureKind.NLL,), dims=4,
                        vector=(1.0, 2.0))
-
-
-def test_profiles_round_trip_through_file(tmp_path):
-    cfg = MarketplaceConfig(n_services=2, n_tasks=2, samples_per_task=30,
-                            contexts_per_task=2, seed=8)
-    _, _, store = synth_marketplace(cfg)
-    profiles = [build_profile(store.get(*key), d=16) for key in store.keys()]
-    path = tmp_path / "profiles.jsonl"
-    write_profiles(profiles, str(path))
-    back = read_profiles(str(path))
-    assert len(back) == len(profiles)
-    for orig, loaded in zip(profiles, back):
-        assert loaded.service_id == orig.service_id
-        assert loaded.kinds == orig.kinds
-        assert np.allclose(loaded.vector, orig.vector, atol=0, rtol=0)
