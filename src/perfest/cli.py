@@ -45,7 +45,9 @@ def _json_object(flag, text):
     """The JSON object given as the text of ``flag``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an integer past int's digit limit;
+        # RecursionError: nesting deeper than the decoder's stack
         raise ConfigurationError(f"{flag} is not JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{flag} must be a JSON object, got "
@@ -64,7 +66,7 @@ def _config_defaults(command, path):
     with open(path, "r", encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # as in _json_object
             raise ConfigurationError(f"config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigurationError("config file must hold a JSON object")

@@ -335,6 +335,12 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
             {(s, t, c): data[(s, t, c)].f1 for c in contexts[t]}, n,
             plan.seed)
         for n in sample_ns for s in plan.services for t in plan.tasks}
+    # an ATC threshold depends on its own setting alone; calibrate once
+    atc = {}
+    if "atc" in plan.baselines:
+        atc = {k: bl.atc_calibrate(d.confidences, d.sampled_f1,
+                                   source_task_id=k[1], context_id=k[2])
+               for k, d in data.items()}
 
     splits = kfold_split([t for (_, t, _) in settings], plan.folds,
                          plan.seed)
@@ -362,13 +368,10 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
                 for s in plan.services}
             estimates["avg_train"] = {k: per_service[k[0]]
                                       for k in test_keys}
-        if "atc" in plan.baselines:
+        if atc:
             calibs = {s: [] for s in plan.services}
             for k in train_keys:
-                d = data[k]
-                calibs[k[0]].append(bl.atc_calibrate(
-                    d.confidences, d.sampled_f1,
-                    source_task_id=k[1], context_id=k[2]))
+                calibs[k[0]].append(atc[k])
             estimates["atc"] = {
                 k: bl.atc_estimate(calibs[k[0]], data[k].confidences)
                 for k in test_keys}

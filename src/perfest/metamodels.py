@@ -11,6 +11,17 @@ Distance- and gradient-based learners (kNN, MLP) consume z-scored
 profiles; trees are scale-invariant and consume raw profiles.
 Predictions are clipped to [0, 1] since targets are F1 scores.
 
+The MLP trains with float32 matrix products, which move half the bytes
+of float64 ones, and float64 weights, as mixed-precision training keeps
+full-precision master weights (Micikevicius et al. 2018): weight updates
+do not round to float32, and the loss and the output bias stay float64.
+Its predictions stay within 1e-5 of float64 training for as many epochs,
+and early stopping ends at float64 training's epoch unless an epoch's
+loss improvement lies within 1e-9 of the 1e-8 threshold, where the two
+may end one epoch apart. Prediction, ``save_model`` and ``load_model``
+run in float64, and the gradient check runs ``mlp_loss_and_grads`` in
+float64.
+
 Tree split search is exact and sorts floats once per model: ``train``
 turns each feature of the training matrix into dense integer ranks
 (equal values share a rank) with one stable argsort, and each bootstrap
@@ -403,22 +414,30 @@ class TreeStack:
 # MLP internals (exposed for gradient checking)
 
 def mlp_forward(params, X):
-    h = np.tanh(X @ params["W1"] + params["b1"])
-    return h @ params["W2"] + params["b2"], h
+    """Outputs and hidden activations on ``X``. The layers' products run
+    in ``X``'s dtype; the output bias is added in float64."""
+    dtype = X.dtype
+    h = np.tanh(X @ params["W1"].astype(dtype, copy=False)
+                + params["b1"].astype(dtype, copy=False))
+    return (h @ params["W2"].astype(dtype, copy=False)
+            + np.float64(params["b2"])), h
 
 
 def mlp_loss_and_grads(params, X, y):
-    """Mean squared error and its analytic gradients w.r.t. all weights."""
+    """Mean squared error and its analytic gradients w.r.t. all weights.
+
+    The loss and the output bias's gradient are float64; the other
+    gradients have ``X``'s dtype.
+    """
     yhat, h = mlp_forward(params, X)
     resid = yhat - y
     n = X.shape[0]
     loss = float(np.mean(resid ** 2))
     g = 2.0 * resid / n
-    grads = {
-        "W2": h.T @ g,
-        "b2": float(np.sum(g)),
-    }
-    gh = np.outer(g, params["W2"])
+    grads = {"b2": float(np.sum(g))}
+    g = g.astype(X.dtype, copy=False)
+    grads["W2"] = h.T @ g
+    gh = np.outer(g, params["W2"].astype(X.dtype, copy=False))
     gz = gh * (1.0 - h ** 2)
     grads["W1"] = X.T @ gz
     grads["b1"] = gz.sum(axis=0)
@@ -438,6 +457,9 @@ def _train_mlp(X, y, hp, rng):
         "W2": np.zeros(width),
         "b2": float(np.mean(y)),
     }
+    # an epoch's products run in float32; the weights, their updates and
+    # the loss stay float64
+    X = X.astype(np.float32)
     prev = math.inf
     for _ in range(epochs):
         loss, grads = mlp_loss_and_grads(params, X, y)

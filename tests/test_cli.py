@@ -1,11 +1,16 @@
 """Command-line entry point: exit codes, determinism, pipeline smoke."""
 
+import argparse
 import json
 import os
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perfest.cli import dispatch
+from perfest.cli import _config_defaults, build_parser, dispatch
+from perfest.errors import ConfigurationError
 
 
 def run(capsys, *argv):
@@ -259,7 +264,11 @@ def test_unknown_feature_kind_in_config_is_domain_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("flag,text", [
     ("--hyperparams", "nope"), ("--grid", "nope"), ("--hyperparams", "3"),
-    ("--grid", "[1, 2]"), ("--hyperparams", "null")])
+    ("--grid", "[1, 2]"), ("--hyperparams", "null"),
+    pytest.param("--hyperparams", '{"n_trees": 1%s}' % ("0" * 5000),
+                 id="hyperparams-5001-digit-int"),
+    pytest.param("--grid", '{"k": %s%s}' % ("[" * 5000, "]" * 5000),
+                 id="grid-nested-5000-deep")])
 def test_train_json_flags_must_hold_an_object(capsys, tmp_path, flag, text):
     records = str(small_store(capsys, tmp_path) / "records.jsonl")
     code, _, err = run(capsys, "train", "--records", records, flag, text,
@@ -366,3 +375,75 @@ def test_select_features_needs_two_settings(capsys, tmp_path, count):
     code, _, err = run(capsys, "select-features", "--records", records)
     assert code == 1
     assert err.startswith("error: ") and "2 points" in err
+
+
+# ---------------------------------------------------------------------------
+# The config merge, fuzzed: a config value becomes a value of its flag's
+# type or a ConfigurationError, never another exception.
+
+def subcommand_flags():
+    """(subcommand, flag action) for every flag of every subcommand."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action) for command in sub.choices.values()
+            for action in command._actions if action.dest != "help"]
+
+
+FLAGS = subcommand_flags()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers() | st.integers(-1, 1).flatmap(
+        # up to 6,000 digits, past int's 4,300-digit string limit
+        lambda sign: st.integers(0, 6000).map(lambda k: sign * 10 ** k)),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
+
+
+def write_json(path, obj):
+    """json.dump of ``obj``, integers of any length included."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        path.write_text(json.dumps(obj), encoding="utf-8")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag=st.sampled_from(FLAGS), dashed=st.booleans(), value=json_values)
+def test_config_value_is_the_flag_type_or_a_configuration_error(
+        tmp_path_factory, flag, dashed, value):
+    command, action = flag
+    key = action.option_strings[0].lstrip("-") if dashed else action.dest
+    path = tmp_path_factory.mktemp("config") / "run.json"
+    write_json(path, {key: value})
+    try:
+        defaults = _config_defaults(command, str(path))
+    except ConfigurationError:
+        return
+    assert list(defaults) == [action.dest]
+    got = defaults[action.dest]
+    if got is None:
+        assert value is None and action.default is None
+    else:
+        assert type(got) is (action.type or str)
+    if isinstance(value, str) and action.type is None:
+        assert got == value
+    if type(value) is int and action.type is int:
+        assert got == value
+
+
+@pytest.mark.parametrize("text", [
+    '{"seed": 1%s}' % ("0" * 5000), '{"seed": %s%s}' % ("[" * 5000,
+                                                         "]" * 5000)],
+    ids=["5001-digit-int", "nested-5000-deep"])
+def test_config_past_json_limits_is_domain_error(capsys, tmp_path, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "--config", str(cfg), "synth",
+                       "--out", str(tmp_path / "store"))
+    assert code == 1
+    assert "config file" in err

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from perfest import baselines
+from perfest.baselines import atc_calibrate, atc_estimate
 from perfest.core import InvocationRecord, TokenStep
 from perfest.errors import ConfigurationError, CoverageError, ValidationError
 from perfest.evaluation import (
@@ -14,6 +16,7 @@ from perfest.evaluation import (
     kfold_split,
     mae,
     per_sample_f1,
+    prepare_setting,
     render_table,
     run_experiment,
     task_performance,
@@ -269,3 +272,51 @@ def test_unlabeled_ablation_trend_single_seed():
         est = [e for e in report.aggregates if "random_forest" in e][0]
         maes.append(report.aggregates[est][0])
     assert maes[1] <= maes[0] * 1.25
+
+
+def per_fold_atc_rows(plan, store):
+    """FROZEN: ATC report rows from calibrating every train setting of
+    every fold, as run_experiment did before it calibrated once per
+    setting."""
+    contexts = {t: store.contexts_for_task(t)[:plan.contexts_per_task]
+                for t in plan.tasks}
+    settings = [(s, t, c) for s in plan.services for t in plan.tasks
+                for c in contexts[t]]
+    data = {k: prepare_setting(store.batch(*k), plan.feature_kinds, plan.d,
+                               plan.unlabeled_n, plan.seed, plan.ppl_mode)
+            for k in settings}
+    rows = []
+    for train_idx, test_idx in kfold_split([t for _, t, _ in settings],
+                                           plan.folds, plan.seed):
+        calibs = {s: [] for s in plan.services}
+        for i in train_idx:
+            k = settings[i]
+            calibs[k[0]].append(atc_calibrate(
+                data[k].confidences, data[k].sampled_f1,
+                source_task_id=k[1], context_id=k[2]))
+        for i in test_idx:
+            k = settings[i]
+            est = float(atc_estimate(calibs[k[0]], data[k].confidences))
+            truth = data[k].truth
+            rows.append([*k, "atc", est, truth, abs(est - truth)])
+    return rows
+
+
+def test_atc_calibrates_each_setting_once(monkeypatch):
+    cfg = MarketplaceConfig(n_services=2, n_tasks=5, samples_per_task=40,
+                            contexts_per_task=2, seed=41)
+    _, _, store = synth_marketplace(cfg)
+    plan = marketplace_plan(cfg, (ModelSpec(ModelKind.KNN, {"k": 2}),),
+                            folds=3, baselines=("avg_train", "atc"))
+    expected = per_fold_atc_rows(plan, store)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs["source_task_id"], kwargs["context_id"]))
+        return atc_calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "atc_calibrate", counted)
+    report = run_experiment(plan, store)
+    settings = cfg.n_services * cfg.n_tasks * cfg.contexts_per_task
+    assert len(calls) == settings
+    assert [r for r in report.to_obj()["rows"] if r[3] == "atc"] == expected

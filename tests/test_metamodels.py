@@ -3,6 +3,8 @@
 import copy
 import hashlib
 import json
+import math
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perfest import metamodels
 from perfest.errors import (ConfigurationError, ModelFormatError,
                             ValidationError)
 from perfest.features import FeatureKind
@@ -24,6 +27,7 @@ from perfest.metamodels import (
     gbt_training_mse_curve,
     grid_search,
     load_model,
+    mlp_forward,
     mlp_loss_and_grads,
     predict,
     predict_many,
@@ -803,3 +807,156 @@ def test_forest_file_without_feature_ratio_loads_as_full_width(tmp_path):
     profiles = [r.profile for r in rows]
     assert np.array_equal(predict_many(loaded, profiles),
                           predict_many(model, profiles))
+
+
+# ---------------------------------------------------------------------------
+# The MLP trains with float32 products and float64 weights. FROZEN: the
+# all-float64 trainer it replaced, which it must track closely.
+
+def float64_train_mlp(X, y, hp, rng, updates=None):
+    """(params, losses) of the float64 trainer; with ``updates``, it makes
+    that many updates instead of stopping by the 1e-8 test."""
+    n, dim = X.shape
+    width = int(hp["hidden_width"])
+    lr = float(hp["learning_rate"])
+    epochs = int(hp["epochs"]) if updates is None else updates
+    params = {
+        "W1": rng.normal(0.0, 1.0 / math.sqrt(dim), size=(dim, width)),
+        "b1": np.zeros(width),
+        "W2": np.zeros(width),
+        "b2": float(np.mean(y)),
+    }
+    prev = math.inf
+    losses = []
+    for _ in range(epochs):
+        h = np.tanh(X @ params["W1"] + params["b1"])
+        resid = h @ params["W2"] + params["b2"] - y
+        loss = float(np.mean(resid ** 2))
+        losses.append(loss)
+        if updates is None and prev - loss < 1e-8:
+            break
+        prev = loss
+        g = 2.0 * resid / n
+        gz = np.outer(g, params["W2"]) * (1.0 - h ** 2)
+        params["W1"] -= lr * (X.T @ gz)
+        params["b1"] -= lr * gz.sum(axis=0)
+        params["W2"] -= lr * (h.T @ g)
+        params["b2"] -= lr * float(np.sum(g))
+    return params, losses
+
+
+def updates_made(losses):
+    """Weight updates of a run that evaluated ``losses``: one per loss,
+    but none after a loss that stopped it."""
+    return len(losses) - (len(losses) > 1 and losses[-2] - losses[-1] < 1e-8)
+
+
+def float64_fit(model, rows, updates=None):
+    """``float64_train_mlp`` on ``rows``, z-scored and seeded as ``model``
+    was trained."""
+    X = np.array([r.profile.vector for r in rows])
+    y = np.array([r.target for r in rows])
+    return float64_train_mlp((X - model.mean) / model.std, y,
+                             model.spec.hyperparams, _rng(model.seed, 1),
+                             updates)
+
+
+def float64_predictions(model, params, queries):
+    Q = np.array([q.vector for q in queries])
+    return np.clip(mlp_forward(params, (Q - model.mean) / model.std)[0],
+                   0.0, 1.0)
+
+
+def mlp_case(n, dims, log_scale, data_seed, width, epochs):
+    """(spec, rows, queries): random profiles at scale 10**log_scale."""
+    scale = 10.0 ** log_scale
+    rng = np.random.default_rng(data_seed)
+    rows = [TrainingRow(profile_from_vector(rng.uniform(0, scale, dims)),
+                        float(rng.uniform()))
+            for _ in range(n)]
+    queries = [profile_from_vector(rng.uniform(-scale, 2 * scale, dims))
+               for _ in range(10)]
+    spec = ModelSpec(ModelKind.MLP, {"hidden_width": width,
+                                     "epochs": epochs})
+    return spec, rows, queries
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 60), dims=st.integers(1, 8),
+       log_scale=st.floats(-3, 3), data_seed=st.integers(0, 2**32 - 1),
+       width=st.integers(1, 16), epochs=st.integers(0, 300),
+       seed=st.integers(0, 2**31 - 1))
+# all-float32 training (float32 weights and loss) stops at another epoch
+@example(n=50, dims=1, log_scale=0.0, data_seed=1, width=1, epochs=47,
+         seed=95362)
+# this one stops an epoch later than float64 training: the float64 loss
+# improved by 9.979e-9, the mixed-precision one by 1.0049e-8
+@example(n=39, dims=1, log_scale=0.0, data_seed=1932, width=11, epochs=208,
+         seed=1932)
+def test_mlp_tracks_the_float64_trainer(n, dims, log_scale, data_seed,
+                                        width, epochs, seed):
+    spec, rows, queries = mlp_case(n, dims, log_scale, data_seed, width,
+                                   epochs)
+    losses = []
+
+    def logged(params, X, y):
+        loss, grads = mlp_loss_and_grads(params, X, y)
+        losses.append(loss)
+        return loss, grads
+
+    with mock.patch.object(metamodels, "mlp_loss_and_grads", logged):
+        model = train(spec, rows, seed)
+    _, losses64 = float64_fit(model, rows)
+    made, made64 = updates_made(losses), updates_made(losses64)
+    if made != made64:
+        # one epoch's improvement sat at the 1e-8 stopping threshold, and
+        # float32 rounding put it on the other side
+        first = min(made, made64)
+        assert abs(made - made64) == 1
+        assert abs(losses64[first - 1] - losses64[first] - 1e-8) < 1e-9
+    params, _ = float64_fit(model, rows, updates=made)
+    assert np.max(np.abs(predict_many(model, queries) - float64_predictions(
+        model, params, queries))) <= 1e-5
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 60), numerator=st.integers(0, 64),
+       width=st.integers(1, 16), epochs=st.integers(0, 300),
+       seed=st.integers(0, 2**31 - 1))
+def test_mlp_constant_targets_stay_a_fixed_point(n, numerator, width, epochs,
+                                                  seed):
+    # a multiple of 1/64 sums exactly, so its mean is itself
+    rng = np.random.default_rng(seed)
+    rows = [TrainingRow(profile_from_vector(rng.uniform(0, 5, DIMS)),
+                        numerator / 64) for _ in range(n)]
+    model = train(ModelSpec(ModelKind.MLP, {"hidden_width": width,
+                                            "epochs": epochs}), rows, seed)
+    assert not model.params["W2"].any()
+    assert model.params["b2"] == float(np.mean([r.target for r in rows]))
+    queries = [r.profile for r in rows]
+    assert np.array_equal(predict_many(model, queries), float64_predictions(
+        model, float64_fit(model, rows)[0], queries))
+
+
+def test_mlp_weights_are_float64_and_reload_exactly(tmp_path):
+    rng = np.random.default_rng(66)
+    rows = random_rows(rng, 40)
+    queries = [profile_from_vector(rng.uniform(0, 5, size=DIMS))
+               for _ in range(50)]
+    model = train(all_specs()[1], rows, seed=5)
+    for name in ("W1", "b1", "W2"):
+        assert model.params[name].dtype == np.float64, name
+    assert type(model.params["b2"]) is float
+    path = tmp_path / "mlp.json"
+    save_model(model, str(path))
+    assert np.array_equal(predict_many(load_model(str(path)), queries),
+                          predict_many(model, queries))
+
+
+def test_mlp_model_file_repeats_for_a_seed(tmp_path):
+    rows = random_rows(np.random.default_rng(67), 40)
+    files = []
+    for name in ("a.json", "b.json"):
+        save_model(train(all_specs()[1], rows, seed=8), str(tmp_path / name))
+        files.append((tmp_path / name).read_bytes())
+    assert files[0] == files[1]
