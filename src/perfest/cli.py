@@ -26,10 +26,13 @@ from .core import (RecordStore, append_records, read_records, write_records,
 from .errors import ConfigurationError, PerfestError
 from .feature_selection import rank_combinations
 from .features import FeatureKind, extract_task_features
-from .profile import build_profile
+from .profile import DEFAULT_DIMS, DEFAULT_KINDS, build_profile
 from .services import (MarketplaceConfig, ServiceDescriptor, invoke,
                        marketplace_contexts, mock_task_index,
                        synth_marketplace)
+
+
+_KINDS = ",".join(k.value for k in DEFAULT_KINDS)
 
 
 def _parse_kinds(text):
@@ -55,6 +58,15 @@ def _json_object(flag, text):
     return obj
 
 
+def _json_file(what, path):
+    """The JSON value in file ``path``, described as ``what`` in errors."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:  # as in _json_object
+            raise ConfigurationError(f"{what} {path}: {exc}") from exc
+
+
 def _config_defaults(command, path):
     """Defaults for subcommand parser ``command`` from JSON config ``path``.
 
@@ -63,11 +75,7 @@ def _config_defaults(command, path):
     flag's text, any other value as its JSON text, and goes through the
     flag's ``type``; JSON null keeps a flag whose default is None unset.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except (ValueError, RecursionError) as exc:  # as in _json_object
-            raise ConfigurationError(f"config file {path}: {exc}") from exc
+    obj = _json_file("config file", path)
     if not isinstance(obj, dict):
         raise ConfigurationError("config file must hold a JSON object")
     config = {key.replace("-", "_"): value for key, value in obj.items()}
@@ -118,12 +126,29 @@ def _cmd_synth(args):
     return 0
 
 
-def _cmd_invoke(args):
-    with open(args.service_config, "r", encoding="utf-8") as f:
-        descriptors = [ServiceDescriptor(
+def _service_descriptors(path):
+    """The ServiceDescriptors listed in JSON file ``path``."""
+    entries = _json_file("service config", path)
+    if not isinstance(entries, list):
+        raise ConfigurationError("service config must hold a JSON list")
+    descriptors = []
+    for i, o in enumerate(entries):
+        if not (isinstance(o, dict) and isinstance(o.get("service_id"), str)
+                and isinstance(o.get("kind"), str)
+                and isinstance(o.get("capabilities", {}), dict)
+                and isinstance(o.get("config", {}), dict)):
+            raise ConfigurationError(
+                f"service config entry {i} must be an object with string "
+                "service_id and kind, and object capabilities and config")
+        descriptors.append(ServiceDescriptor(
             service_id=o["service_id"], kind=o["kind"],
             capabilities=o.get("capabilities", {}),
-            config=o.get("config", {})) for o in json.load(f)]
+            config=o.get("config", {})))
+    return descriptors
+
+
+def _cmd_invoke(args):
+    descriptors = _service_descriptors(args.service_config)
     by_id = {d.service_id: d for d in descriptors}
     if args.service not in by_id:
         raise ConfigurationError(f"unknown service {args.service!r}")
@@ -334,7 +359,7 @@ def build_parser():
 
     p = add("extract", _cmd_extract, help="per-setting feature lists")
     p.add_argument("--records", required=True)
-    p.add_argument("--kinds", default="nll,ppl")
+    p.add_argument("--kinds", default=_KINDS)
     p.add_argument("--out", required=True)
 
     p = add("select-features", _cmd_select_features,
@@ -345,8 +370,8 @@ def build_parser():
     p = add("train", _cmd_train, help="train a meta-model on labeled runs")
     p.add_argument("--records", required=True)
     p.add_argument("--kind", default="random_forest")
-    p.add_argument("--kinds", default="nll,ppl")
-    p.add_argument("--d", type=int, default=100)
+    p.add_argument("--kinds", default=_KINDS)
+    p.add_argument("--d", type=int, default=DEFAULT_DIMS)
     p.add_argument("--hyperparams", default=None,
                    help="JSON object of hyperparameters")
     p.add_argument("--grid", default=None,
@@ -365,10 +390,10 @@ def build_parser():
             help="cross-validated comparison against baselines")
     p.add_argument("--records", required=True)
     p.add_argument("--models", default="random_forest")
-    p.add_argument("--kinds", default="nll,ppl")
+    p.add_argument("--kinds", default=_KINDS)
     p.add_argument("--contexts", type=int, required=True)
     p.add_argument("--n", type=int, default=400)
-    p.add_argument("--d", type=int, default=100)
+    p.add_argument("--d", type=int, default=DEFAULT_DIMS)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--out", default=None)
 

@@ -58,10 +58,9 @@ class InvocationRecord:
     input_scores: Optional[tuple] = None  # per-input-token probs in (0, 1]
     reference: Optional[str] = None
 
-    def validate(self, require_steps=False):
+    def validate(self):
         """SettingBatch.validate on this one record."""
-        SettingBatch.from_records([self]).validate(
-            require_steps=require_steps)
+        SettingBatch.from_records([self]).validate()
 
     @property
     def key(self):
@@ -220,15 +219,15 @@ class SettingBatch:
                     self.generated_texts.tolist(), self.references.tolist(),
                     self.has_scores.tolist(), so, so[1:], io, io[1:])]
 
-    def validate(self, lines=None, require_steps=False):
+    def validate(self, lines=None):
         """Check every sample against the record rules in one pass.
 
         Rules: each step has k >= 1 candidates whose probabilities lie in
         [0, 1] (NaN fails), never increase, and sum (left to right) to at
-        most 1 + 1e-9; input scores lie in (0, 1]; with require_steps,
-        every sample has a step. Raises the ValidationError that checking
-        sample by sample, step by step, would raise first; lines[i] is
-        sample i's 1-based line in its file.
+        most 1 + 1e-9; input scores lie in (0, 1]. A sample may have no
+        steps: the features that need them reject it. Raises the
+        ValidationError that checking sample by sample, step by step,
+        would raise first; lines[i] is sample i's 1-based line in its file.
         """
         probs = self.cand_probs
         counts = np.diff(self.cand_offsets)
@@ -246,15 +245,10 @@ class SettingBatch:
         bad = np.zeros(len(self), dtype=bool)
         bad[np.repeat(rows, n_steps)[bad_step]] = True
         bad[np.repeat(rows, np.diff(self.score_offsets))[bad_score]] = True
-        if require_steps:
-            bad |= n_steps == 0
         if not bad.any():
             return
         i = int(np.argmax(bad))
         line = None if lines is None else lines[i]
-        if require_steps and n_steps[i] == 0:
-            raise ValidationError("output_steps empty", field="output_steps",
-                                  line=line)
         first = self.step_offsets[i]
         hit = np.flatnonzero(bad_step[first:self.step_offsets[i + 1]])
         if hit.size:
@@ -417,20 +411,24 @@ def read_batches(path):
     """Validated SettingBatches of a JSON Lines record file, one per run of
     consecutive lines of one setting.
 
+    Lines end at "\n" and are decoded as UTF-8 one by one. Each run is
+    validated as it ends, so a file that interleaves settings record by
+    record still reads in linear time, as one small batch per run.
+
     Raises ValidationError naming the field and 1-based line number of the
-    first fault a line-by-line reader would meet; raises OSError for a
-    missing file.
+    first fault a line-by-line reader would meet, bytes that are not UTF-8
+    included; raises OSError for a missing file.
     """
     key, lines, parsed = None, [], []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for i, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
                 try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
+                    text = raw.decode("utf-8").strip()
+                    if not text:
+                        continue
+                    obj = json.loads(text)
+                except (ValueError, RecursionError) as exc:
                     raise ValidationError(f"invalid JSON: {exc}",
                                           line=i) from exc
                 fields = _parse(obj, i)

@@ -25,7 +25,8 @@ from .core import RecordStore, SettingBatch
 from .errors import (ConfigurationError, CoverageError,
                      InsufficientDataError, ValidationError)
 from .features import FeatureKind, sequence_confidence
-from .profile import FeatureProfile, build_profile
+from .profile import (DEFAULT_DIMS, DEFAULT_KINDS, FeatureProfile,
+                      build_profile)
 from .seeding import derive_rng
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -138,13 +139,12 @@ class ExperimentPlan:
     tasks: tuple
     contexts_per_task: int
     unlabeled_n: int = 400
-    d: int = 100
-    feature_kinds: tuple = (FeatureKind.NLL, FeatureKind.PPL)
+    d: int = DEFAULT_DIMS
+    feature_kinds: tuple = DEFAULT_KINDS
     model_specs: tuple = ()
     baselines: tuple = DEFAULT_BASELINES
     folds: int = 5
     seed: int = 0
-    ppl_mode: str = "normalized"
 
     def __post_init__(self):
         object.__setattr__(self, "services", tuple(self.services))
@@ -253,8 +253,8 @@ class PreparedSetting:
         return self.f1[self.index].tolist()
 
 
-def prepare_setting(batch: SettingBatch, kinds, d, unlabeled_n=None, seed=0,
-                    ppl_mode="normalized") -> PreparedSetting:
+def prepare_setting(batch: SettingBatch, kinds, d, unlabeled_n=None,
+                    seed=0) -> PreparedSetting:
     """Profile, truth and confidences of one setting.
 
     With unlabeled_n below the setting's size, the profile and the
@@ -277,8 +277,8 @@ def prepare_setting(batch: SettingBatch, kinds, d, unlabeled_n=None, seed=0,
         scores = per_sample_f1(batch)
         truth = sum(scores) / len(scores)
         f1 = np.array(scores)
-    table = ft.extract_task_features(sampled, kinds, ppl_mode=ppl_mode)
-    profile = build_profile(sampled, kinds, d, ppl_mode=ppl_mode, table=table)
+    table = ft.extract_task_features(sampled, kinds)
+    profile = build_profile(sampled, kinds, d, table=table)
     nll = table.get(FeatureKind.NLL)
     return PreparedSetting(profile=profile, sampled=sampled, index=index,
                            f1=f1, truth=truth,
@@ -318,8 +318,7 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
             f"(service, task, context) groups", missing=missing)
 
     data = {key: prepare_setting(store.batch(*key), plan.feature_kinds,
-                                 plan.d, plan.unlabeled_n, plan.seed,
-                                 plan.ppl_mode)
+                                 plan.d, plan.unlabeled_n, plan.seed)
             for key in settings}
     for key, setting in data.items():
         if setting.truth is None:

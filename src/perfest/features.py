@@ -4,8 +4,9 @@ Four features are computed per sample:
 
 * nll      -- negative log-likelihood of the generated answer (sum of
               -ln p_top1 over steps); lower means more confident.
-* ppl      -- perplexity of the input reconstruction; lower means the
-              service is more familiar with the input text.
+* ppl      -- perplexity of the input reconstruction, exp(mean of
+              -ln score) over the input tokens; lower means the service
+              is more familiar with the input text.
 * gap      -- summed margin between the top-1 and top-2 candidate
               probabilities; higher means more decisive.
 * max_ent  -- maximum per-step Shannon entropy (natural log) of the
@@ -17,8 +18,9 @@ value per sample. Given a single InvocationRecord it returns that
 record's float, computed by the same code on a one-record batch. The
 arithmetic is the per-record loop's: math.log and math.exp apply
 elementwise, and each sample's steps accumulate left to right from 0.0
-(never numpy's pairwise sum), so values are bit-for-bit those of a plain
-Python loop over the record.
+(never numpy's pairwise sum; a negated sum adds the negated values, which
+IEEE arithmetic makes exactly the running subtraction), so values are
+bit-for-bit those of a plain Python loop over the record.
 
 Probabilities below 1e-12 are rejected outright rather than floored:
 real APIs never return exact zeros for chosen tokens, so a zero here is
@@ -33,8 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (InvocationRecord, SettingBatch, as_batch, ordered_sum,
-                   padded_rows)
+from .core import InvocationRecord, SettingBatch, as_batch, ordered_sum
 from .errors import (CapabilityError, DegenerateProbabilityError,
                      ValidationError)
 
@@ -74,12 +75,7 @@ def _exp(values):
     return _MATH_EXP(values).astype(float)
 
 
-def _sum_negated(values, offsets):
-    """Per-row ((0.0 - v1) - v2) - ..., in order."""
-    return np.subtract.accumulate(padded_rows(values, offsets), axis=1)[:, -1]
-
-
-def _require_steps(batch: SettingBatch):
+def _check_steps(batch: SettingBatch):
     empty = np.flatnonzero(np.diff(batch.step_offsets) == 0)
     if empty.size:
         raise ValidationError(
@@ -99,38 +95,30 @@ def _require_floor(batch, values, offsets, what):
 @_per_sample
 def nll(batch: SettingBatch):
     """Sum of -ln(top-1 probability) over the generated steps."""
-    _require_steps(batch)
+    _check_steps(batch)
     top1 = batch.top1
     _require_floor(batch, top1, batch.step_offsets, "top probability")
-    return _sum_negated(_log(top1), batch.step_offsets)
+    return ordered_sum(-_log(top1), batch.step_offsets)
 
 
 @_per_sample
-def ppl(batch: SettingBatch, mode: str = "normalized"):
-    """Input-reconstruction perplexity.
-
-    mode="normalized" (default) returns exp(mean of -ln score), which is
-    comparable across input lengths. mode="summed" returns exp(sum),
-    the unnormalized exponentiated reconstruction loss.
-    """
-    if mode not in ("normalized", "summed"):
-        raise ValueError(f"unknown ppl mode {mode!r}")
+def ppl(batch: SettingBatch):
+    """Input-reconstruction perplexity: exp(mean of -ln score), a
+    per-token quantity comparable across input lengths."""
     lengths = np.diff(batch.score_offsets)
     if not (batch.has_scores.all() and lengths.all()):
         raise CapabilityError(
             "record has no input_scores; PPL requires a service with "
             "input-scoring capability")
     _require_floor(batch, batch.scores, batch.score_offsets, "input score")
-    total = _sum_negated(_log(batch.scores), batch.score_offsets)
-    if mode == "normalized":
-        total = total / lengths
-    return _exp(total)
+    total = ordered_sum(-_log(batch.scores), batch.score_offsets)
+    return _exp(total / lengths)
 
 
 @_per_sample
 def gap(batch: SettingBatch):
     """Summed (p_top1 - p_top2) over steps; p_top2 is 0 when k == 1."""
-    _require_steps(batch)
+    _check_steps(batch)
     return ordered_sum(batch.top1 - batch.top2, batch.step_offsets)
 
 
@@ -143,7 +131,7 @@ def max_ent(batch: SettingBatch):
     biases the entropy downward, which is acceptable since only relative
     comparisons are consumed downstream.
     """
-    _require_steps(batch)
+    _check_steps(batch)
     probs, offsets = batch.cand_probs, batch.cand_offsets
     mass = ordered_sum(probs, offsets)
     if np.any(mass < PROB_FLOOR):
@@ -153,7 +141,7 @@ def max_ent(batch: SettingBatch):
     terms = np.zeros(len(q))
     live = q > 0.0
     terms[live] = q[live] * _log(q[live])
-    entropy = _sum_negated(terms, offsets)
+    entropy = ordered_sum(-terms, offsets)
     return np.maximum.reduceat(entropy, batch.step_offsets[:-1])
 
 
@@ -165,7 +153,7 @@ _EXTRACTORS = {
 }
 
 
-def extract_task_features(setting, kinds, ppl_mode: str = "normalized"):
+def extract_task_features(setting, kinds):
     """Compute one value per sample for each requested feature kind.
 
     `setting` is a SettingBatch or records that share (service_id,
@@ -173,14 +161,8 @@ def extract_task_features(setting, kinds, ppl_mode: str = "normalized"):
     sample order.
     """
     batch = as_batch(setting)
-    out = {}
-    for kind in kinds:
-        kind = FeatureKind(kind)
-        if kind is FeatureKind.PPL:
-            out[kind] = ppl(batch, mode=ppl_mode).tolist()
-        else:
-            out[kind] = _EXTRACTORS[kind](batch).tolist()
-    return out
+    return {kind: _EXTRACTORS[kind](batch).tolist()
+            for kind in map(FeatureKind, kinds)}
 
 
 @_per_sample

@@ -181,7 +181,7 @@ class RegressionTree:
 
     __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def fit(self, X, y, max_depth, ranks=None):
+    def fit(self, X, y, max_depth, ranks):
         """Grow the tree on rows ``X`` (n, p) with targets ``y``.
 
         ``ranks`` (p, n) orders each feature's values as ``dense_ranks(X)``
@@ -193,8 +193,6 @@ class RegressionTree:
         is the order a stable argsort of the child's rows would give.
         """
         n, p = X.shape
-        if ranks is None:
-            ranks = dense_ranks(X)
         order = np.argsort(ranks, axis=1, kind="stable")
         # each feature's ranks in its sorted order
         ranks = ranks.ravel().take(order + np.arange(0, p * n, n)[:, None])
@@ -779,7 +777,7 @@ def load_model(path) -> TrainedMetaModel:
     with open(path, "r", encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # as in cli._json_object
             raise ModelFormatError(f"corrupt model file: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ModelFormatError(

@@ -72,7 +72,7 @@ class FeatureProfile:
 
 
 def build_profile(setting, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
-                  ppl_mode="normalized", table=None) -> FeatureProfile:
+                  table=None) -> FeatureProfile:
     """Extract per-sample features of a SettingBatch (or records of one
     setting) and concatenate interpolated profiles in `kinds` order.
 
@@ -84,7 +84,7 @@ def build_profile(setting, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
         raise ValueError("kinds must be non-empty")
     batch = as_batch(setting)
     if table is None:
-        table = extract_task_features(batch, kinds, ppl_mode=ppl_mode)
+        table = extract_task_features(batch, kinds)
     vector = []
     for kind in kinds:
         vector.extend(interpolate_profile(table[kind], d))

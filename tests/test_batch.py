@@ -233,11 +233,9 @@ def test_batch_features_equal_frozen_loops_bit_for_bit(records):
         assert bits(fn(r) for r in records) == bits(want)
     scored = [r for r in records if r.input_scores is not None]
     if scored:
-        for mode in ("normalized", "summed"):
-            want = [frozen_ppl(r, mode) for r in scored]
-            assert bits(ppl(SettingBatch.from_records(scored),
-                            mode=mode)) == bits(want)
-            assert bits(ppl(r, mode=mode) for r in scored) == bits(want)
+        want = [frozen_ppl(r, "normalized") for r in scored]
+        assert bits(ppl(SettingBatch.from_records(scored))) == bits(want)
+        assert bits(ppl(r) for r in scored) == bits(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,15 +251,14 @@ def test_prepare_setting_equals_frozen_preparation(records, n, seed, d):
         return
     kinds = (FeatureKind.NLL, FeatureKind.PPL, FeatureKind.GAP,
              FeatureKind.MAXENT)
-    for mode in ("normalized", "summed"):
-        got = prepare_setting(SettingBatch.from_records(records), kinds, d,
-                              unlabeled_n=n, seed=seed, ppl_mode=mode)
-        vector, truth, sampled_f1, conf = frozen_prepare(
-            records, kinds, d, n, seed, mode)
-        assert bits(got.profile.vector) == bits(vector)
-        assert got.truth.hex() == truth.hex()
-        assert bits(got.sampled_f1) == bits(sampled_f1)
-        assert bits(got.confidences) == bits(conf)
+    got = prepare_setting(SettingBatch.from_records(records), kinds, d,
+                          unlabeled_n=n, seed=seed)
+    vector, truth, sampled_f1, conf = frozen_prepare(
+        records, kinds, d, n, seed, "normalized")
+    assert bits(got.profile.vector) == bits(vector)
+    assert got.truth.hex() == truth.hex()
+    assert bits(got.sampled_f1) == bits(sampled_f1)
+    assert bits(got.confidences) == bits(conf)
 
 
 @settings(max_examples=40, deadline=None)
@@ -774,17 +771,16 @@ def test_batch_validate_raises_what_the_record_scan_raises(records, data):
                                        rec.input_text, rec.generated_text,
                                        tuple(steps_), scores, rec.reference))
     lines = list(range(3, 3 + len(broken)))
-    for require_steps in (False, True):
-        want = None
-        for rec, line in zip(broken, lines):
-            try:
-                frozen_validate(rec, line, require_steps)
-            except ValidationError as exc:
-                want = (exc.field, exc.line, str(exc))
-                break
+    want = None
+    for rec, line in zip(broken, lines):
         try:
-            SettingBatch.from_records(broken).validate(lines, require_steps)
-            got = None
+            frozen_validate(rec, line, False)
         except ValidationError as exc:
-            got = (exc.field, exc.line, str(exc))
-        assert got == want
+            want = (exc.field, exc.line, str(exc))
+            break
+    try:
+        SettingBatch.from_records(broken).validate(lines)
+        got = None
+    except ValidationError as exc:
+        got = (exc.field, exc.line, str(exc))
+    assert got == want

@@ -447,3 +447,64 @@ def test_config_past_json_limits_is_domain_error(capsys, tmp_path, text):
                        "--out", str(tmp_path / "store"))
     assert code == 1
     assert "config file" in err
+
+
+# ---------------------------------------------------------------------------
+# Malformed record, model and service files end as typed errors (exit 1).
+
+@pytest.mark.parametrize("bad", [
+    b'{"service_id": 1%s}' % (b"0" * 5000), b"[" * 5000 + b"]" * 5000,
+    b"\xff\xfe", b'{"sample_id": "caf\xe9"}'],
+    ids=["5001-digit-int", "nested-5000-deep", "bytes-ff-fe",
+         "latin-1-text"])
+def test_record_file_past_json_limits_is_domain_error(capsys, tmp_path, bad):
+    records = small_store(capsys, tmp_path) / "records.jsonl"
+    lines = records.read_bytes().splitlines(keepends=True)
+    records.write_bytes(b"".join(lines[:3]) + bad + b"\n"
+                        + b"".join(lines[3:]))
+    model_path = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--records", str(records),
+                       "--out", str(model_path))
+    assert code == 1
+    assert err.startswith("error: line 4: ")
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", "1" + "0" * 5000), ("mean", "[" * 5000 + "]" * 5000)],
+    ids=["5001-digit-seed", "nested-5000-deep"])
+def test_model_file_past_json_limits_is_domain_error(capsys, tmp_path, field,
+                                                     value):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    model_path = tmp_path / "model.json"
+    assert run(capsys, "train", "--records", records, "--kind", "knn",
+               "--d", "4", "--out", str(model_path))[0] == 0
+    obj = json.loads(model_path.read_text())
+    obj[field] = "@"
+    model_path.write_text(json.dumps(obj).replace('"@"', value))
+    code, _, err = run(capsys, "estimate", "--model", str(model_path),
+                       "--records", records)
+    assert code == 1
+    assert err.startswith("error: corrupt model file: ")
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "[" * 5000 + "]" * 5000, '{"service_id": "svc00"}',
+    '[{"kind": "mock"}]', '["svc00"]', '[{"service_id": 0, "kind": "mock"}]',
+    '[{"service_id": "svc00", "kind": "mock", "config": [1]}]'],
+    ids=["not-json", "nested-5000-deep", "object-not-list",
+         "no-service-id", "entry-not-object", "service-id-not-string",
+         "config-not-object"])
+def test_invoke_malformed_service_config_file_is_domain_error(
+        capsys, tmp_path, text):
+    store_dir = small_store(capsys, tmp_path)
+    (store_dir / "services.json").write_text(text)
+    out = tmp_path / "invoked.jsonl"
+    code, _, err = run(capsys, "invoke",
+                       "--service-config", str(store_dir / "services.json"),
+                       "--service", "svc00", "--task", "task00",
+                       "--context", "ctx00", "--sample", "s0003",
+                       "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: service config")
+    assert not out.exists()

@@ -175,3 +175,16 @@ def test_store_contexts_for_task():
                             contexts_per_task=3, seed=1)
     _, _, store = synth_marketplace(cfg)
     assert store.contexts_for_task("task00") == ["ctx00", "ctx01", "ctx02"]
+
+
+def test_record_lines_are_stripped_of_unicode_whitespace(tmp_path):
+    path = tmp_path / "spaced.jsonl"
+    path.write_bytes("\u3000{}\u2003\r\n\xa0\u2028\n{}\n".format(
+        record_line(), record_line(sample_id="s0001")).encode("utf-8"))
+    assert [r.sample_id for r in read_records(str(path))] == ["s0000",
+                                                             "s0001"]
+    path.write_bytes("{}\n\u3000\n{}\n".format(
+        record_line(), record_line(input_scores=[1.5])).encode("utf-8"))
+    with pytest.raises(ValidationError) as exc:
+        read_records(str(path))
+    assert exc.value.line == 3

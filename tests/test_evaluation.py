@@ -283,7 +283,7 @@ def per_fold_atc_rows(plan, store):
     settings = [(s, t, c) for s in plan.services for t in plan.tasks
                 for c in contexts[t]]
     data = {k: prepare_setting(store.batch(*k), plan.feature_kinds, plan.d,
-                               plan.unlabeled_n, plan.seed, plan.ppl_mode)
+                               plan.unlabeled_n, plan.seed)
             for k in settings}
     rows = []
     for train_idx, test_idx in kfold_split([t for _, t, _ in settings],

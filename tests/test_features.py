@@ -56,10 +56,6 @@ def naive_nll(rec):
     return sum(-math.log(s.top_probs[0][1]) for s in rec.output_steps)
 
 
-def naive_ppl_exact(rec):
-    return math.exp(sum(-math.log(p) for p in rec.input_scores))
-
-
 def naive_ppl_normalized(rec):
     losses = [-math.log(p) for p in rec.input_scores]
     return math.exp(sum(losses) / len(losses))
@@ -107,21 +103,18 @@ def test_ppl_certain_input_is_one():
     for n in (1, 3, 10):
         rec = record_from_steps(steps_from_top1([0.9]),
                                 input_scores=tuple([1.0] * n))
-        assert ppl(rec, mode="normalized") == pytest.approx(1.0, rel=REL_TOL)
-        assert ppl(rec, mode="summed") == pytest.approx(1.0, rel=REL_TOL)
+        assert ppl(rec) == pytest.approx(1.0, rel=REL_TOL)
 
 
 def test_ppl_two_scores_e_inverse():
     rec = record_from_steps(steps_from_top1([0.9]),
                             input_scores=(math.exp(-1.0), math.exp(-1.0)))
-    assert ppl(rec, mode="normalized") == pytest.approx(math.e, rel=REL_TOL)
-    assert ppl(rec, mode="summed") == pytest.approx(math.e ** 2, rel=REL_TOL)
+    assert ppl(rec) == pytest.approx(math.e, rel=REL_TOL)
 
 
 def test_ppl_single_half_score():
     rec = record_from_steps(steps_from_top1([0.9]), input_scores=(0.5,))
-    assert ppl(rec, mode="normalized") == pytest.approx(2.0, rel=REL_TOL)
-    assert ppl(rec, mode="summed") == pytest.approx(2.0, rel=REL_TOL)
+    assert ppl(rec) == pytest.approx(2.0, rel=REL_TOL)
 
 
 def test_ppl_requires_input_scores():
@@ -203,10 +196,8 @@ def test_features_match_naive_oracles_on_random_records():
     for _ in range(200):
         rec = random_record(rng)
         assert nll(rec) == pytest.approx(naive_nll(rec), rel=REL_TOL)
-        assert ppl(rec, mode="normalized") == pytest.approx(
+        assert ppl(rec) == pytest.approx(
             naive_ppl_normalized(rec), rel=REL_TOL)
-        assert ppl(rec, mode="summed") == pytest.approx(
-            naive_ppl_exact(rec), rel=REL_TOL)
         assert gap(rec) == pytest.approx(naive_gap(rec), rel=REL_TOL)
         assert max_ent(rec) == pytest.approx(naive_max_ent(rec), rel=REL_TOL)
 

@@ -478,7 +478,7 @@ def tree_cases(draw):
 @example((np.ones((8, 3)), np.linspace(0, 1, 8), 4))
 def test_presorted_tree_fit_matches_per_node_argsort(case):
     X, y, depth = case
-    tree = RegressionTree().fit(X, y, depth)
+    tree = RegressionTree().fit(X, y, depth, dense_ranks(X))
     assert tree.to_obj() == SeedTree().fit(X, y, depth).to_obj()
 
 

@@ -62,7 +62,8 @@ def test_synth_shape_and_invariants():
         recs = store.get(*key)
         assert len(recs) == cfg.samples_per_task
         for rec in recs:
-            rec.validate(require_steps=True)
+            rec.validate()
+            assert rec.output_steps
             for step in rec.output_steps:
                 probs = [p for _, p in step.top_probs]
                 assert probs == sorted(probs, reverse=True)
