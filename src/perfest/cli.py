@@ -160,7 +160,7 @@ def _cmd_invoke(args):
             mock_config = MarketplaceConfig(**{
                 "seed": args.seed,
                 **{k: v for k, v in desc.config.items() if k in names}})
-        except (TypeError, ValueError) as exc:
+        except ConfigurationError as exc:
             raise ConfigurationError(
                 f"service {desc.service_id!r} config: {exc}") from exc
         task_index = mock_task_index(mock_config, args.task)
@@ -249,11 +249,15 @@ def _cmd_train(args):
 def _cmd_estimate(args):
     model = mm.load_model(args.model)
     store = RecordStore.from_file(args.records)
+    settings = _prepared(store, model.kinds, model.dims,
+                         unlabeled_n=args.n, seed=args.seed)
+    # one batch, as select scores its candidates, so the two agree bit
+    # for bit; an empty store has no estimates
+    estimates = (mm.predict_many(model, [s.profile for s in settings])
+                 .tolist() if settings else [])
     results = []
-    for setting in _prepared(store, model.kinds, model.dims,
-                             unlabeled_n=args.n, seed=args.seed):
+    for setting, est in zip(settings, estimates):
         key, truth = setting.key, setting.truth
-        est = mm.predict(model, setting.profile)
         results.append({"service_id": key[0], "task_id": key[1],
                         "context_id": key[2], "estimate": est,
                         "true_performance": truth})

@@ -364,7 +364,8 @@ def _parse(obj, line):
                                    else ((), ()))
         cand_tokens = list(map(sys.intern, map(str, cand_tokens)))
         cand_probs = list(map(float, cand_probs))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer past the float range
         raise ValidationError(f"malformed step: {exc}",
                               field="output_steps", line=line) from exc
     try:
@@ -375,7 +376,7 @@ def _parse(obj, line):
     if scores is not None:
         try:
             scores = list(map(float, scores))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed input scores: {exc}",
                                   field="input_scores", line=line) from exc
     ref = obj.get("reference")

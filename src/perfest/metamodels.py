@@ -38,18 +38,18 @@ finite midpoint, so a training profile holding a non-finite value is a
 ``ValidationError``.
 
 Random forests and GBT grow their trees through one core. Each tree draws
-its rows, and then, when a forest's ``feature_ratio`` leaves fewer than
-all p columns, ``round(feature_ratio * p)`` of them, from its own seeded
+its rows, and then, when ``feature_ratio`` leaves fewer than all p
+columns, ``round(feature_ratio * p)`` of them, from its own seeded
 generator; the tree searches only those columns (a random subspace, Ho
-1998; Breiman's ``mtry`` for forests, 2001), and its split features are
-mapped back to profile positions. Forests default to a third of the
-columns: a profile's columns are two strongly correlated quantile
-curves, and on the synthetic marketplace a third estimates as well as
-all of them. GBT trees search every column. ``feature_ratio=1.0`` is the
-paper's forest, which searches every column. A random forest or GBT
-model stacks its trees' node arrays into one ``TreeStack`` when it is
-trained or loaded, and one vectorized walk moves every tree's node for
-every row at once.
+1998; Breiman's ``mtry`` for forests, 2001; per-tree column subsampling
+for boosting, Chen & Guestrin 2016), and its split features are mapped
+back to profile positions. Both default to a third of the columns: a
+profile's columns are two strongly correlated quantile curves, and on
+the synthetic marketplace a third estimates as well as all of them.
+``feature_ratio=1.0`` is the paper's forest and boosting, which search
+every column. A random forest or GBT model stacks its trees' node arrays
+into one ``TreeStack`` when it is trained or loaded, and one vectorized
+walk moves every tree's node for every row at once.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ DEFAULT_HYPERPARAMS = {
     ModelKind.RANDOM_FOREST: {"max_depth": 10, "n_trees": 260,
                               "sampling_ratio": 0.8, "feature_ratio": 1 / 3},
     ModelKind.GBT: {"max_depth": 4, "n_rounds": 200, "learning_rate": 0.1,
-                    "sampling_ratio": 0.8},
+                    "sampling_ratio": 0.8, "feature_ratio": 1 / 3},
 }
 
 
@@ -506,14 +506,14 @@ def _rng(seed, *salt):
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0x7FFFFFFF, *salt]))
 
 
-def _grower(X, hp, feature_ratio, seed, salt, bootstrap):
+def _grower(X, hp, seed, salt, bootstrap):
     """The tree-growing core of random forests and GBT on training matrix
     ``X`` (n, p): ``grow(t, target)`` fits tree ``t`` to ``target`` (n,).
 
     Tree ``t`` draws its rows from ``_rng(seed, salt, t)``: a bootstrap
     of ``round(sampling_ratio * n)`` rows, or a subsample without
-    replacement of at most n. When ``k = round(feature_ratio * p)`` (at
-    least 1) is below p, the same generator then draws k sorted columns,
+    replacement of at most n. When ``k = round(hp["feature_ratio"] * p)``
+    (at least 1) is below p, the same generator then draws k sorted columns,
     the tree is fit on those columns alone, and its split features are
     mapped back to columns of ``X``. At k == p nothing more is drawn.
     """
@@ -521,7 +521,7 @@ def _grower(X, hp, feature_ratio, seed, salt, bootstrap):
     size = max(1, round(float(hp["sampling_ratio"]) * n))
     if not bootstrap:
         size = min(n, size)
-    k = max(1, round(float(feature_ratio) * p))
+    k = max(1, round(float(hp["feature_ratio"]) * p))
     depth = int(hp["max_depth"])
     ranks = dense_ranks(X)
     columns = np.arange(p)
@@ -560,14 +560,14 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
     elif spec.kind is ModelKind.MLP:
         params = _train_mlp(Xs, y, hp, _rng(seed, 1))
     elif spec.kind is ModelKind.RANDOM_FOREST:
-        grow = _grower(X, hp, hp["feature_ratio"], seed, 2, bootstrap=True)
+        grow = _grower(X, hp, seed, 2, bootstrap=True)
         trees = [grow(t, y) for t in range(int(hp["n_trees"]))]
         params = {"trees": trees, "stack": TreeStack(trees)}
     elif spec.kind is ModelKind.GBT:
         lr = float(hp["learning_rate"])
         base = float(np.mean(y))
         pred = np.full(X.shape[0], base)
-        grow = _grower(X, hp, 1.0, seed, 3, bootstrap=False)
+        grow = _grower(X, hp, seed, 3, bootstrap=False)
         trees = []
         scales = []
         for t in range(int(hp["n_rounds"])):
@@ -711,6 +711,15 @@ def _field(obj, key, kind):
     return value
 
 
+def _float(obj, key):
+    """``obj[key]``, a JSON number, as a float; ModelFormatError if it is
+    an integer past the float range."""
+    try:
+        return float(_field(obj, key, (int, float)))
+    except OverflowError as exc:
+        raise ModelFormatError(f"model field {key!r}: {exc}") from exc
+
+
 def _array(obj, key, shape, integer=False):
     """``obj[key]`` as a float (or integer) array of ``shape``.
 
@@ -743,12 +752,12 @@ def _params_from_obj(kind, obj, width):
         return {"W1": W1,
                 "b1": _array(obj, "b1", (W1.shape[1],)),
                 "W2": _array(obj, "W2", (W1.shape[1],)),
-                "b2": float(_field(obj, "b2", (int, float)))}
+                "b2": _float(obj, "b2")}
     trees = [RegressionTree.from_obj(t, width)
              for t in _field(obj, "trees", list)]
     if kind is ModelKind.RANDOM_FOREST:
         return {"trees": trees, "stack": TreeStack(trees)}
-    return {"base": float(_field(obj, "base", (int, float))),
+    return {"base": _float(obj, "base"),
             "scales": _array(obj, "scales", (len(trees),)).tolist(),
             "trees": trees, "stack": TreeStack(trees)}
 
@@ -786,9 +795,9 @@ def load_model(path) -> TrainedMetaModel:
     try:
         kind = ModelKind(_field(obj, "kind", str))
         hyperparams = dict(_field(obj, "hyperparams", dict))
-        if kind is ModelKind.RANDOM_FOREST:
-            # a forest file written before feature_ratio existed was grown
-            # on every column
+        if "feature_ratio" in DEFAULT_HYPERPARAMS[kind]:
+            # a tree-model file written before feature_ratio existed was
+            # grown on every column
             hyperparams.setdefault("feature_ratio", 1.0)
         spec = ModelSpec(kind=kind, hyperparams=hyperparams)
         kinds = tuple(FeatureKind(k) for k in _field(obj, "kinds", list))

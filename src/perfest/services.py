@@ -42,6 +42,7 @@ Mock invoke() and the HTTP client return InvocationRecords.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -83,6 +84,11 @@ class ServiceDescriptor:
         return bool(self.capabilities.get("input_scoring", False))
 
 
+def _is(value, kind):
+    """``value`` is a ``kind`` (a ``numbers`` class) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MarketplaceConfig:
     n_services: int = 5
@@ -96,16 +102,28 @@ class MarketplaceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Raises ConfigurationError for a value of the wrong type or out
+        of range: counts are integers in [1, 2**63), which numpy can size
+        arrays with, and the seed is an integer."""
         for name in ("skill_range", "difficulty_range", "helpfulness_range"):
-            lo, hi = getattr(self, name)
-            if not (0.0 <= lo <= hi <= 1.0):
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                lo = hi = None
+            if not (_is(lo, numbers.Real) and _is(hi, numbers.Real)
+                    and 0.0 <= lo <= hi <= 1.0):
                 raise ConfigurationError(f"{name} must be within [0, 1]")
-        if not (0.0 <= self.feature_fidelity <= 1.0):
+        if not (_is(self.feature_fidelity, numbers.Real)
+                and 0.0 <= self.feature_fidelity <= 1.0):
             raise ConfigurationError("feature_fidelity must be in [0, 1]")
         for name in ("n_services", "n_tasks", "samples_per_task",
                      "contexts_per_task"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not (_is(value, numbers.Integral) and 1 <= value < 2 ** 63):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1 and < 2**63")
+        if not _is(self.seed, numbers.Integral):
+            raise ConfigurationError("seed must be an integer")
 
     def service_id(self, i):
         return f"svc{i:02d}"

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfest.cli import _config_defaults, build_parser, dispatch
+from perfest.applications import candidates_from_model
+from perfest.cli import _config_defaults, _prepared, build_parser, dispatch
+from perfest.core import RecordStore
 from perfest.errors import ConfigurationError
+from perfest.metamodels import load_model
 
 
 def run(capsys, *argv):
@@ -239,6 +242,29 @@ def small_store(capsys, tmp_path):
     return store_dir
 
 
+@pytest.mark.parametrize("kind", ["random_forest", "mlp"])
+def test_estimate_equals_select_candidates_bit_for_bit(capsys, tmp_path, kind):
+    store_dir = tmp_path / "store"
+    assert run(capsys, *synth_args(store_dir, services=2, tasks=4,
+                                   samples=60, contexts=3))[0] == 0
+    records = str(store_dir / "records.jsonl")
+    model_path, est = str(tmp_path / "model.json"), tmp_path / "est.json"
+    assert run(capsys, "train", "--records", records, "--kind", kind,
+               "--d", "12", "--out", model_path)[0] == 0
+    assert run(capsys, "estimate", "--model", model_path, "--records",
+               records, "--n", "40", "--out", str(est))[0] == 0
+    estimates = {(r["service_id"], r["task_id"], r["context_id"]):
+                 r["estimate"].hex() for r in json.loads(est.read_text())}
+    model = load_model(model_path)
+    settings = _prepared(RecordStore.from_file(records), model.kinds,
+                         model.dims, unlabeled_n=40, seed=0)
+    candidates = candidates_from_model(model, [s.profile for s in settings])
+    assert estimates == {
+        (c.service_id, c.profile.task_id, c.context_id): c.estimate.hex()
+        for c in candidates}
+    assert len(estimates) == 2 * 4 * 3
+
+
 @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
 def test_unknown_feature_kind_is_domain_error(capsys, tmp_path, command):
     records = str(small_store(capsys, tmp_path) / "records.jsonl")
@@ -284,7 +310,8 @@ def test_train_json_flags_must_hold_an_object(capsys, tmp_path, flag, text):
     ("random_forest", '{"feature_ratio": 0}'),
     ("random_forest", '{"feature_raito": 1.0}'),
     ("random_forest", '{"sampling_ratio": 1%s}' % ("0" * 400)),
-    ("gbt", '{"feature_ratio": 1.0}'),
+    ("gbt", '{"feature_ratio": 1.5}'),
+    ("gbt", '{"n_trees": 5}'),
     ("knn", '{"k": 0}')])
 def test_train_out_of_range_hyperparams_is_domain_error(
         capsys, tmp_path, kind, hyperparams):

@@ -1,0 +1,249 @@
+"""Mutation fuzzing of the three file readers: record files, model files
+and service configs each end in one typed error, never a traceback.
+
+Each case takes a valid file, mutates one value of its JSON (drops it,
+retypes it, nests it, or swaps in a huge integer, a NaN or an infinity),
+and may then damage the bytes (invalid UTF-8, truncation).
+"""
+
+import copy
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from perfest.cli import build_parser
+from perfest.core import RecordStore
+from perfest.errors import (ConfigurationError, ModelFormatError,
+                            ValidationError)
+from perfest.features import FeatureKind
+from perfest.metamodels import (ModelKind, ModelSpec, TrainingRow,
+                                load_model, save_model, train)
+from perfest.profile import FeatureProfile
+from perfest.services import MarketplaceConfig, synth_marketplace
+
+# placeholders, swapped for their text once the value is JSON: an integer
+# past int's 4,300-digit limit, and nesting past the decoder's stack
+HUGE, DEEP = "\x00huge", "\x00deep"
+PLACEHOLDERS = {json.dumps(HUGE): "1" + "0" * 5000,
+                json.dumps(DEEP): "[" * 100_000 + "]" * 100_000}
+# no "http", so no mutation reaches the network
+ODD_VALUES = [None, True, False, 0, -1, 1, 3, 0.5, -0.0, 1e308,
+              float("nan"), float("inf"), float("-inf"), 2 ** 63, 10 ** 30,
+              -10 ** 30, 10 ** 400, "", "x", "svc00", "1e999", HUGE, DEEP,
+              [], {}, [[0.5]], {"a": 1}, [None, "x"]]
+BAD_BYTES = [b"\xff\xfe", b"\x80", b"\xc3\x28", b"\xed\xa0\x80", b"\n"]
+
+
+def paths(value, prefix=()):
+    """Every path of keys and indices into a JSON value, the root first."""
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` deep-copied with one value at a drawn path dropped,
+    replaced or nested."""
+    value = copy.deepcopy(value)
+    path = draw(st.sampled_from(list(paths(value))))
+    how = draw(st.sampled_from(["drop", "replace", "nest"]))
+    if not path:
+        return draw(st.sampled_from(ODD_VALUES)) if how != "nest" \
+            else [value]
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if how == "drop":
+        del parent[key]
+    elif how == "replace":
+        parent[key] = draw(st.sampled_from(ODD_VALUES))
+    else:
+        parent[key] = draw(st.sampled_from(
+            [[parent[key]], {"v": parent[key]}, [[[parent[key]]]]]))
+    return value
+
+
+def to_bytes(text):
+    for placeholder, swap in PLACEHOLDERS.items():
+        text = text.replace(placeholder, swap)
+    return text.encode("utf-8")
+
+
+@st.composite
+def damaged(draw, data):
+    """``data`` unchanged, with bytes that are not UTF-8 (or a line break)
+    inserted, or truncated, at a drawn position."""
+    how = draw(st.sampled_from(["keep", "keep", "insert", "truncate"]))
+    if how == "keep":
+        return data
+    at = draw(st.integers(0, len(data)))
+    if how == "truncate":
+        return data[:at]
+    return data[:at] + draw(st.sampled_from(BAD_BYTES)) + data[at:]
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow,
+                                       HealthCheck.function_scoped_fixture])
+
+
+# ---------------------------------------------------------------------------
+# Record files: only ValidationError, naming a line
+
+def record_objects():
+    _, _, store = synth_marketplace(MarketplaceConfig(
+        n_services=1, n_tasks=1, samples_per_task=3, contexts_per_task=1,
+        seed=5))
+    return [{"service_id": rec.service_id, "task_id": rec.task_id,
+             "context_id": rec.context_id, "sample_id": rec.sample_id,
+             "input_text": rec.input_text,
+             "generated_text": rec.generated_text,
+             "output_steps": [{"token": s.token,
+                               "top_probs": [list(c) for c in s.top_probs]}
+                              for s in rec.output_steps],
+             "input_scores": list(rec.input_scores),
+             "reference": rec.reference}
+            for key in store.keys() for rec in store.get(*key)]
+
+
+RECORD_LINES = record_objects()
+
+
+@st.composite
+def record_files(draw):
+    lines = list(RECORD_LINES)
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = draw(mutated(lines[at]))
+    text = "".join(json.dumps(obj) + "\n" for obj in lines)
+    return draw(damaged(to_bytes(text)))
+
+
+@FUZZ
+@given(data=record_files())
+@example(data=b'{"output_steps": [{"token": "a", "top_probs": [["a", '
+         + b"1" + b"0" * 400 + b']]}]}\n')
+def test_record_reader_raises_only_a_validation_error_naming_a_line(
+        tmp_path, data):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(data)
+    try:
+        RecordStore.from_file(str(path))
+    except ValidationError as exc:
+        assert exc.line is not None
+        assert 1 <= exc.line <= data.count(b"\n") + 1
+
+
+# ---------------------------------------------------------------------------
+# Model files: only ModelFormatError
+
+def model_objects(tmp_path_factory):
+    rng = np.random.default_rng(9)
+    rows = [TrainingRow(FeatureProfile(
+        service_id="svc00", task_id=f"task{i % 3:02d}", context_id="ctx00",
+        kinds=(FeatureKind.NLL,), dims=3,
+        vector=tuple(sorted(rng.uniform(0, 5, size=3).tolist()))),
+        float(rng.uniform())) for i in range(12)]
+    out = []
+    for spec in (ModelSpec(ModelKind.KNN, {"k": 2}),
+                 ModelSpec(ModelKind.MLP, {"hidden_width": 2, "epochs": 3}),
+                 ModelSpec(ModelKind.RANDOM_FOREST,
+                           {"n_trees": 2, "max_depth": 2}),
+                 ModelSpec(ModelKind.GBT, {"n_rounds": 2, "max_depth": 2})):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(train(spec, rows, seed=0), str(path))
+        out.append(json.loads(path.read_text()))
+    return out
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    return model_objects(tmp_path_factory)
+
+
+@FUZZ
+@given(data=st.data())
+def test_model_reader_raises_only_a_model_format_error(tmp_path, models,
+                                                      data):
+    obj = data.draw(st.sampled_from(models))
+    raw = data.draw(damaged(to_bytes(json.dumps(data.draw(mutated(obj))))))
+    path = tmp_path / "model.json"
+    path.write_bytes(raw)
+    try:
+        load_model(str(path))
+    except ModelFormatError:
+        pass
+
+
+@pytest.mark.parametrize("kind, key", [(ModelKind.MLP, "b2"),
+                                       (ModelKind.GBT, "base")])
+def test_model_bias_past_the_float_range_is_a_model_format_error(
+        tmp_path, models, kind, key):
+    obj = next(o for o in models if o["kind"] == kind.value)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**obj, "params": {**obj["params"],
+                                                  key: 10 ** 400}}))
+    with pytest.raises(ModelFormatError, match=key):
+        load_model(str(path))
+
+
+# ---------------------------------------------------------------------------
+# Service configs: exit 0 with one record, or ConfigurationError and none
+
+@pytest.fixture(scope="module")
+def services():
+    services, _, _ = synth_marketplace(MarketplaceConfig(
+        n_services=2, n_tasks=2, samples_per_task=4, contexts_per_task=2,
+        seed=5))
+    return [{"service_id": s.service_id, "kind": s.kind,
+             "capabilities": s.capabilities, "config": s.config}
+            for s in services]
+
+
+def invoke_args(config, out):
+    return build_parser().parse_args([
+        "invoke", "--service-config", str(config), "--service", "svc00",
+        "--task", "task01", "--context", "ctx01", "--sample", "s0003",
+        "--out", str(out)])
+
+
+@FUZZ
+@given(data=st.data())
+def test_service_config_reader_raises_only_a_configuration_error(
+        tmp_path, services, data):
+    raw = data.draw(damaged(to_bytes(json.dumps(
+        data.draw(mutated(services))))))
+    config, out = tmp_path / "services.json", tmp_path / "invoked.jsonl"
+    config.write_bytes(raw)
+    out.unlink(missing_ok=True)
+    args = invoke_args(config, out)
+    try:
+        assert args.fn(args) == 0
+    except ConfigurationError:
+        assert not out.exists()
+    else:
+        assert len(out.read_bytes().splitlines()) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_services", 10 ** 30), ("n_tasks", 2 ** 63),
+    ("contexts_per_task", 10 ** 400), ("samples_per_task", True),
+    ("samples_per_task", 4.0), ("seed", float("nan")), ("seed", "7"),
+    ("seed", 1.5), ("feature_fidelity", "0.9"),
+    ("skill_range", [0.2, None])])
+def test_mock_config_with_an_odd_value_is_a_configuration_error(
+        tmp_path, services, field, value):
+    bad = copy.deepcopy(services)
+    bad[0]["config"][field] = value
+    config, out = tmp_path / "services.json", tmp_path / "invoked.jsonl"
+    config.write_text(json.dumps(bad))
+    args = invoke_args(config, out)
+    with pytest.raises(ConfigurationError, match=field):
+        args.fn(args)
+    assert not out.exists()

@@ -253,7 +253,8 @@ def test_model_spec_fills_defaults_and_rejects_unknown_kind():
     rf = ModelSpec("random_forest")
     assert rf.hyperparams["n_trees"] == 260
     assert rf.hyperparams["feature_ratio"] == pytest.approx(1 / 3)
-    assert "feature_ratio" not in ModelSpec(ModelKind.GBT).hyperparams
+    gbt = ModelSpec(ModelKind.GBT)
+    assert gbt.hyperparams["feature_ratio"] == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         ModelSpec("decision_stump")
 
@@ -276,7 +277,8 @@ def test_model_spec_fills_defaults_and_rejects_unknown_kind():
     (ModelKind.GBT, "learning_rate", 0),
     (ModelKind.GBT, "learning_rate", float("nan")),
     (ModelKind.GBT, "learning_rate", 10 ** 400),
-    (ModelKind.GBT, "feature_ratio", 1.0),
+    (ModelKind.GBT, "feature_ratio", -0.5),
+    (ModelKind.GBT, "n_trees", 5),
     (ModelKind.KNN, "k", 0),
     (ModelKind.KNN, "k", "3"),
     (ModelKind.KNN, "n_trees", 5),
@@ -297,6 +299,7 @@ def test_model_spec_rejects_out_of_range_hyperparams(kind, name, value):
     (ModelKind.GBT, {"n_rounds": 0, "learning_rate": 3}),
     (ModelKind.KNN, {"k": np.int64(2)}),
     (ModelKind.MLP, {"epochs": 0, "hidden_width": 1}),
+    (ModelKind.GBT, {"feature_ratio": 1}),
 ])
 def test_model_spec_accepts_edge_hyperparams(kind, hyperparams):
     assert ModelSpec(kind, hyperparams).hyperparams.items() \
@@ -621,18 +624,40 @@ def per_tree_loop(model, profiles):
     return np.clip(out, 0.0, 1.0)
 
 
-def forest_columns(model, n, width):
-    """The columns each tree of a random forest drew after its bootstrap
-    rows."""
+def drawn_columns(model, n, width):
+    """The columns each tree of a random forest, or each round of GBT,
+    drew after its bootstrap or subsample rows."""
     hp = model.spec.hyperparams
     k = max(1, round(hp["feature_ratio"] * width))
+    size = max(1, round(hp["sampling_ratio"] * n))
+    forest = model.spec.kind is ModelKind.RANDOM_FOREST
     out = []
-    for t in range(hp["n_trees"]):
-        rng = _rng(model.seed, 2, t)
-        rng.integers(0, n, size=max(1, round(hp["sampling_ratio"] * n)))
+    for t in range(hp["n_trees"] if forest else hp["n_rounds"]):
+        rng = _rng(model.seed, 2 if forest else 3, t)
+        if forest:
+            rng.integers(0, n, size=size)
+        else:
+            rng.choice(n, size=min(n, size), replace=False)
         out.append(np.sort(rng.choice(width, k, replace=False)) if k < width
                    else np.arange(width))
     return out
+
+
+def train_recording_trees(spec, rows, seed):
+    """``train``, and every tree it grew, in order, dropped ones too."""
+    grown = []
+    real_grower = metamodels._grower
+
+    def grower(*args, **kwargs):
+        grow = real_grower(*args, **kwargs)
+
+        def recorded(t, target):
+            grown.append(grow(t, target))
+            return grown[-1]
+        return recorded
+
+    with mock.patch.object(metamodels, "_grower", grower):
+        return train(spec, rows, seed), grown
 
 
 @settings(max_examples=30, deadline=None)
@@ -648,16 +673,18 @@ def test_stacked_tree_predictions_match_per_tree_loop(
     hp = ({"n_trees": max(size, 1), "max_depth": depth}
           if kind is ModelKind.RANDOM_FOREST
           else {"n_rounds": size, "max_depth": depth})
-    if ratio is not None and kind is ModelKind.RANDOM_FOREST:
+    if ratio is not None:
         hp["feature_ratio"] = ratio
-    model = train(ModelSpec(kind, hp), rows, seed=seed)
+    model, grown = train_recording_trees(ModelSpec(kind, hp), rows, seed)
     for tree in model.params["trees"]:
         split = tree.feature[tree.feature >= 0]
         assert ((split >= 0) & (split < DIMS)).all()
-    if kind is ModelKind.RANDOM_FOREST:  # GBT drops trees that fit nothing
-        for tree, cols in zip(model.params["trees"],
-                              forest_columns(model, n, DIMS), strict=True):
-            assert np.isin(tree.feature[tree.feature >= 0], cols).all()
+    # GBT drops the trees that fit nothing; each kept tree is its round's
+    columns = drawn_columns(model, n, DIMS)
+    assert len(grown) == len(columns)
+    for tree in model.params["trees"]:
+        t = next(t for t, g in enumerate(grown) if g is tree)
+        assert np.isin(tree.feature[tree.feature >= 0], columns[t]).all()
     profiles = [r.profile for r in rows] + [
         profile_from_vector(rng.uniform(-1, 6, size=DIMS))
         for _ in range(queries)]
@@ -757,10 +784,14 @@ def test_saved_model_file_is_unchanged_by_a_load(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Forest files at feature_ratio=1.0, and GBT files, are the files of the
-# learner that searched every column: sha256 of save_model's bytes, frozen
-# from the learner before feature_ratio existed (given the same spec,
-# which it recorded and ignored).
+# Forest and GBT files at feature_ratio=1.0 are the files of the learner
+# that searched every column: sha256 of save_model's bytes. The forest
+# hashes were frozen from the learner before feature_ratio existed (given
+# the same spec, which it recorded and ignored). A GBT file records the
+# key that the full-width learner's files lacked, so its hash was
+# recomputed for that key alone, and the sha256 of its learned ``params``
+# block (base, scales, trees), as json.dumps(sort_keys=True) writes it,
+# is frozen from that learner.
 
 FROZEN_FULL_WIDTH_FILES = {
     (ModelKind.RANDOM_FOREST, 0):
@@ -770,17 +801,23 @@ FROZEN_FULL_WIDTH_FILES = {
     (ModelKind.RANDOM_FOREST, 2):
         "fbf9d2d7a4762f1289eebde5f52fc05c9e1eb225c08cd71c6727e8c4e9c9eece",
     (ModelKind.GBT, 0):
-        "ccd78f8bc45453e3ef3583d51b5ec5c3e1c9d9eba006bccd35a233d44f5e2469",
+        "3783ab79c6210f468d369e734511baa24eb37bb646d32d96ed36b8d7f613e8a9",
     (ModelKind.GBT, 1):
-        "815ac4348906e6a4ac94be70c5ba08ec8c7b0466998ad43cc6f305c811d20848",
+        "f74e1b5c2a61c0f53f089453c0b2bc63f49e27ad9a4dd61c4283652f2c798fa4",
     (ModelKind.GBT, 2):
-        "4d46fe4fe4c9988da140daf1ad0b9de376b47a29877d89e24f4c953f5f496cf5",
+        "3e4bbb952488e5091724e086fe7b0602531073b6e4931f3b38f1e1bd5cf8f2f7",
+}
+FROZEN_FULL_WIDTH_GBT_PARAMS = {
+    0: "55fd257c9147e0f310c8c2f778436441985ef95e3ea3fc38cdc9e6b550d58659",
+    1: "13a2c690d4e2f6d8ba778322fa72c4e75ff328b9626fcd439d15e2781307030b",
+    2: "47074536268ea561d6e306fdaa633a459c44cc889b7342c97e89bebc588a0d2b",
 }
 FULL_WIDTH_SPECS = {
     ModelKind.RANDOM_FOREST: ModelSpec(ModelKind.RANDOM_FOREST, {
         "max_depth": 6, "n_trees": 8, "feature_ratio": 1.0}),
     ModelKind.GBT: ModelSpec(ModelKind.GBT, {
-        "max_depth": 3, "n_rounds": 15, "sampling_ratio": 0.7}),
+        "max_depth": 3, "n_rounds": 15, "sampling_ratio": 0.7,
+        "feature_ratio": 1.0}),
 }
 
 
@@ -792,11 +829,26 @@ def test_full_width_model_files_equal_frozen_bytes(tmp_path, kind, seed):
                str(path))
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == FROZEN_FULL_WIDTH_FILES[kind, seed])
+    if kind is ModelKind.GBT:
+        params = json.dumps(json.loads(path.read_text())["params"],
+                            sort_keys=True)
+        assert (hashlib.sha256(params.encode()).hexdigest()
+                == FROZEN_FULL_WIDTH_GBT_PARAMS[seed])
 
 
 def test_forest_file_without_feature_ratio_loads_as_full_width(tmp_path):
+    assert_loads_as_full_width(tmp_path, ModelKind.RANDOM_FOREST)
+
+
+def test_gbt_file_without_feature_ratio_loads_as_full_width(tmp_path):
+    assert_loads_as_full_width(tmp_path, ModelKind.GBT)
+
+
+def assert_loads_as_full_width(tmp_path, kind):
+    """A ``kind`` file saved at feature_ratio=1.0, the key then deleted,
+    loads as 1.0 and predicts what the model that wrote it did."""
     rows = tied_rows(3, 60)
-    model = train(FULL_WIDTH_SPECS[ModelKind.RANDOM_FOREST], rows, 3)
+    model = train(FULL_WIDTH_SPECS[kind], rows, 3)
     path = tmp_path / "model.json"
     save_model(model, str(path))
     obj = json.loads(path.read_text())
