@@ -22,9 +22,9 @@ def main():
     print("setting                      F1     mean nll  mean ppl  "
           "mean gap  mean max_ent")
     for key in store.keys():
-        records = store.get(*key)
-        table = extract_task_features(records, kinds)
-        f1 = task_performance(records)
+        batch = store.batch(*key)
+        table = extract_task_features(batch, kinds)
+        f1 = task_performance(batch)
         means = [float(np.mean(table[k])) for k in kinds]
         name = "/".join(key)
         print(f"{name:<26} {f1:6.3f}  " +

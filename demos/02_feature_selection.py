@@ -23,11 +23,11 @@ def main():
     table = {k: [] for k in kinds}
     performance = []
     for key in store.keys():
-        records = store.get(*key)
-        features = extract_task_features(records, kinds)
+        batch = store.batch(*key)
+        features = extract_task_features(batch, kinds)
         for k in kinds:
             table[k].append(float(np.mean(features[k])))
-        performance.append(task_performance(records))
+        performance.append(task_performance(batch))
 
     scored, corr = rank_combinations(table, performance)
 

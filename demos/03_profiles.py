@@ -29,15 +29,15 @@ def main():
     config = MarketplaceConfig(n_services=1, n_tasks=1, samples_per_task=400,
                                contexts_per_task=1, seed=2)
     _, _, store = synth_marketplace(config)
-    records = store.get("svc00", "task00", "ctx00")
+    batch = store.batch("svc00", "task00", "ctx00")
 
     print("same 400-sample setting at different profile dimensions:")
     for d in (5, 10, 100):
-        profile = build_profile(records, kinds=(FeatureKind.NLL,), d=d)
+        profile = build_profile(batch, kinds=(FeatureKind.NLL,), d=d)
         head = ", ".join(f"{x:.3f}" for x in profile.vector[:5])
         print(f"  d={d:<4} first entries: [{head}{', ...' if d > 5 else ''}]")
 
-    profile = build_profile(records,
+    profile = build_profile(batch,
                             kinds=(FeatureKind.NLL, FeatureKind.PPL), d=100)
     print("\nquantile curves (low -> high):")
     for kind in profile.kinds:

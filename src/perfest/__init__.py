@@ -13,7 +13,7 @@ from .feature_selection import (combination_score, correlation_matrix,
                                 pearson, select_best_combination)
 from .profile import FeatureProfile, build_profile, interpolate_profile
 from .metamodels import (ModelKind, ModelSpec, TrainedMetaModel, TrainingRow,
-                         grid_search, load_model, predict, predict_many,
+                         grid_search, load_model, predict_many,
                          save_model, train)
 from .baselines import (AtcCalibration, atc_calibrate, atc_estimate,
                         avg_train_estimate, sample_n_estimate)

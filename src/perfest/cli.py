@@ -21,8 +21,8 @@ from . import evaluation as ev
 from . import metamodels as mm
 # read_records, write_records and build_profile are not called here, but
 # perfbench/tracing.py wraps them under this module's names too
-from .core import (RecordStore, append_records, read_records, write_records,
-                   write_tasks)
+from .core import (ContextSpec, RecordStore, append_records, read_records,
+                   write_records, write_tasks)
 from .errors import ConfigurationError, PerfestError
 from .feature_selection import rank_combinations
 from .features import FeatureKind, extract_task_features
@@ -153,7 +153,8 @@ def _cmd_invoke(args):
     if args.service not in by_id:
         raise ConfigurationError(f"unknown service {args.service!r}")
     desc = by_id[args.service]
-    mock_config = ctx = None
+    # a service other than the mock is sent the input with no examples
+    mock_config, ctx = None, ContextSpec(args.context, (), 0)
     if desc.kind == "mock":
         names = {f.name for f in dataclasses.fields(MarketplaceConfig)}
         try:
@@ -246,18 +247,22 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_estimate(args):
+def _candidates(args):
     model = mm.load_model(args.model)
     store = RecordStore.from_file(args.records)
     settings = _prepared(store, model.kinds, model.dims,
                          unlabeled_n=args.n, seed=args.seed)
-    # one batch, as select scores its candidates, so the two agree bit
-    # for bit; an empty store has no estimates
-    estimates = (mm.predict_many(model, [s.profile for s in settings])
-                 .tolist() if settings else [])
+    truths = {s.key: s.truth for s in settings}
+    return apps.candidates_from_model(
+        model, [s.profile for s in settings]), truths
+
+
+def _cmd_estimate(args):
+    cands, truths = _candidates(args)
     results = []
-    for setting, est in zip(settings, estimates):
-        key, truth = setting.key, setting.truth
+    for c in cands:
+        key = (c.service_id, c.profile.task_id, c.context_id)
+        truth, est = truths[key], c.estimate
         results.append({"service_id": key[0], "task_id": key[1],
                         "context_id": key[2], "estimate": est,
                         "true_performance": truth})
@@ -288,16 +293,6 @@ def _cmd_evaluate(args):
         report.save(args.out)
         print(f"\nreport written to {args.out}")
     return 0
-
-
-def _candidates(args):
-    model = mm.load_model(args.model)
-    store = RecordStore.from_file(args.records)
-    settings = _prepared(store, model.kinds, model.dims,
-                         unlabeled_n=args.n, seed=args.seed)
-    truths = {s.key: s.truth for s in settings}
-    return apps.candidates_from_model(
-        model, [s.profile for s in settings]), truths
 
 
 def _cmd_select(args):

@@ -58,10 +58,6 @@ class InvocationRecord:
     input_scores: Optional[tuple] = None  # per-input-token probs in (0, 1]
     reference: Optional[str] = None
 
-    def validate(self):
-        """SettingBatch.validate on this one record."""
-        SettingBatch.from_records([self]).validate()
-
     @property
     def key(self):
         return (self.service_id, self.task_id, self.context_id)

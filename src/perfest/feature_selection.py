@@ -60,12 +60,11 @@ class CorrelationMatrix:
             raise KeyError(f"label not in correlation matrix: {exc}") from exc
 
 
-def correlation_matrix(feature_table, performance, absolute=True):
-    """Correlations between every feature list and the performance list.
+def correlation_matrix(feature_table, performance):
+    """|Pearson r| between every feature list and the performance list.
 
     feature_table maps FeatureKind -> list of per-setting values; the
-    performance list is aligned by position. With absolute=True (the
-    default used for combination scoring) entries store |r|.
+    performance list is aligned by position.
     """
     kinds = list(feature_table.keys())
     columns = [list(feature_table[k]) for k in kinds] + [list(performance)]
@@ -74,9 +73,7 @@ def correlation_matrix(feature_table, performance, absolute=True):
     values = [[1.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            r = pearson(columns[i], columns[j])
-            if absolute:
-                r = abs(r)
+            r = abs(pearson(columns[i], columns[j]))
             values[i][j] = values[j][i] = r
     return CorrelationMatrix(labels=labels,
                              values=tuple(tuple(row) for row in values))
@@ -108,7 +105,7 @@ def rank_combinations(feature_table, performance):
 
     Ordering is stable for ties: smaller subsets first, then lexicographic.
     """
-    corr = correlation_matrix(feature_table, performance, absolute=True)
+    corr = correlation_matrix(feature_table, performance)
     scored = [(s, combination_score(s, corr))
               for s in enumerate_combinations(feature_table.keys())]
     # stable sort preserves the smallest-then-lexicographic tie-break

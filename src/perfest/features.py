@@ -13,9 +13,7 @@ Four features are computed per sample:
               truncated-and-renormalized top-k distribution; lower means
               more certain.
 
-Each feature has one implementation, over a SettingBatch: it returns one
-value per sample. Given a single InvocationRecord it returns that
-record's float, computed by the same code on a one-record batch. The
+Each feature takes a SettingBatch and returns one value per sample. The
 arithmetic is the per-record loop's: math.log and math.exp apply
 elementwise, and each sample's steps accumulate left to right from 0.0
 (never numpy's pairwise sum; a negated sum adds the negated values, which
@@ -29,13 +27,12 @@ an upstream bug worth surfacing.
 
 from __future__ import annotations
 
-import functools
 import math
 from enum import Enum
 
 import numpy as np
 
-from .core import InvocationRecord, SettingBatch, as_batch, ordered_sum
+from .core import SettingBatch, ordered_sum
 from .errors import (CapabilityError, DegenerateProbabilityError,
                      ValidationError)
 
@@ -47,20 +44,6 @@ class FeatureKind(str, Enum):
     PPL = "ppl"
     GAP = "gap"
     MAXENT = "max_ent"
-
-
-def _per_sample(fn):
-    """Let a batch feature take one record, returning that record's float.
-
-    A SettingBatch, or records of one setting, give one value per sample.
-    """
-    @functools.wraps(fn)
-    def feature(setting, *args, **kwargs):
-        if isinstance(setting, InvocationRecord):
-            batch = SettingBatch.from_records([setting])
-            return float(fn(batch, *args, **kwargs)[0])
-        return fn(as_batch(setting), *args, **kwargs)
-    return feature
 
 
 _MATH_LOG = np.frompyfunc(math.log, 1, 1)
@@ -92,7 +75,6 @@ def _require_floor(batch, values, offsets, what):
             f"{batch.sample_ids[sample]!r}")
 
 
-@_per_sample
 def nll(batch: SettingBatch):
     """Sum of -ln(top-1 probability) over the generated steps."""
     _check_steps(batch)
@@ -101,7 +83,6 @@ def nll(batch: SettingBatch):
     return ordered_sum(-_log(top1), batch.step_offsets)
 
 
-@_per_sample
 def ppl(batch: SettingBatch):
     """Input-reconstruction perplexity: exp(mean of -ln score), a
     per-token quantity comparable across input lengths."""
@@ -115,14 +96,12 @@ def ppl(batch: SettingBatch):
     return _exp(total / lengths)
 
 
-@_per_sample
 def gap(batch: SettingBatch):
     """Summed (p_top1 - p_top2) over steps; p_top2 is 0 when k == 1."""
     _check_steps(batch)
     return ordered_sum(batch.top1 - batch.top2, batch.step_offsets)
 
 
-@_per_sample
 def max_ent(batch: SettingBatch):
     """Maximum per-step entropy of the renormalized top-k distribution.
 
@@ -153,19 +132,15 @@ _EXTRACTORS = {
 }
 
 
-def extract_task_features(setting, kinds):
-    """Compute one value per sample for each requested feature kind.
-
-    `setting` is a SettingBatch or records that share (service_id,
-    task_id, context_id). Returns a dict FeatureKind -> list of floats in
-    sample order.
+def extract_task_features(batch: SettingBatch, kinds):
+    """Compute one value per sample of the batch for each requested
+    feature kind. Returns a dict FeatureKind -> list of floats in sample
+    order.
     """
-    batch = as_batch(setting)
     return {kind: _EXTRACTORS[kind](batch).tolist()
             for kind in map(FeatureKind, kinds)}
 
 
-@_per_sample
 def sequence_confidence(batch: SettingBatch, nll_values=None):
     """Length-normalized sequence likelihood exp(-nll/|x|), in (0, 1].
 

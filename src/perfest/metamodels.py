@@ -15,12 +15,12 @@ The MLP trains with float32 matrix products, which move half the bytes
 of float64 ones, and float64 weights, as mixed-precision training keeps
 full-precision master weights (Micikevicius et al. 2018): weight updates
 do not round to float32, and the loss and the output bias stay float64.
-Its predictions stay within 1e-5 of float64 training for as many epochs,
-and early stopping ends at float64 training's epoch unless an epoch's
-loss improvement lies within 1e-9 of the 1e-8 threshold, where the two
-may end one epoch apart. Prediction, ``save_model`` and ``load_model``
-run in float64, and the gradient check runs ``mlp_loss_and_grads`` in
-float64.
+Its predictions stay within 1e-5 of float64 training for as many epochs.
+Early stopping ends once its own loss improves by less than 1e-8; float32
+rounding of that loss can move the stop some epochs from float64
+training's where improvements hover near 1e-8. Prediction,
+``save_model`` and ``load_model`` run in float64, and the gradient check
+runs ``mlp_loss_and_grads`` in float64.
 
 Tree split search is exact and sorts floats once per model: ``train``
 turns each feature of the training matrix into dense integer ranks
@@ -595,10 +595,11 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
 
 
 def predict_many(model: TrainedMetaModel, profiles) -> np.ndarray:
-    """Vectorized prediction over a batch of profiles, clipped to [0, 1]."""
+    """Vectorized prediction over a batch of profiles, clipped to [0, 1];
+    no profiles give an empty array."""
     profiles = list(profiles)
     if not profiles:
-        raise InsufficientDataError("no profiles to predict")
+        return np.empty(0)
     for pr in profiles:
         if pr.dims != model.dims or tuple(pr.kinds) != tuple(model.kinds):
             raise ShapeError(
@@ -630,10 +631,6 @@ def _boost(params, X):
     for h, scale in zip(params["stack"].values(X), params["scales"]):
         out.append(out[-1] + scale * h)
     return out
-
-
-def predict(model: TrainedMetaModel, profile: FeatureProfile) -> float:
-    return float(predict_many(model, [profile])[0])
 
 
 def gbt_training_mse_curve(model: TrainedMetaModel, rows):

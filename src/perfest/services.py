@@ -359,16 +359,39 @@ def _retry_after(resp) -> float:
     return seconds if math.isfinite(seconds) else 0.0
 
 
+def _text(value, what) -> str:
+    """``value``, a string UTF-8 can encode (a JSON escape can hold a lone
+    surrogate, which it cannot); CapabilityError for anything else."""
+    try:
+        if isinstance(value, str):
+            value.encode("utf-8")
+            return value
+    except UnicodeEncodeError:
+        pass
+    raise CapabilityError(f"{what} {value!r} is not a UTF-8 string")
+
+
+def _prob(logprob) -> float:
+    """exp of a response's logprob, a number <= 0 in float range."""
+    try:
+        if _is(logprob, numbers.Real) and float(logprob) <= 0.0:
+            return float(np.exp(float(logprob)))
+    except OverflowError:  # an integer past the float range
+        pass
+    raise CapabilityError(f"logprob {logprob!r} is not a number <= 0")
+
+
 class HttpClient:
     """Completions client for services that expose top-k token logprobs.
 
     Connection failures, 5xx and 429 responses are retried up to
     `max_attempts` times with exponential backoff (after a 429, at least
     its numeric Retry-After); any other 4xx raises TransportError at once.
-    Responses missing logprob fields raise CapabilityError and
-    nothing is fabricated. Input scoring uses the echo-with-logprobs
-    form when the service supports it and keeps the input text's tokens
-    only, found by their `text_offset`.
+    A response that lacks a logprob field, or holds one of another shape
+    (a logprob that is not a number <= 0, a token or text that is not a
+    UTF-8 string), raises CapabilityError, and nothing is fabricated. Input
+    scoring uses the echo-with-logprobs form when the service supports it
+    and keeps the input text's tokens only, found by their `text_offset`.
     """
 
     def __init__(self, descriptor: ServiceDescriptor, session=None,
@@ -427,78 +450,80 @@ class HttpClient:
     def _steps_from_logprobs(lp) -> tuple:
         tokens = lp.get("tokens")
         top = lp.get("top_logprobs")
-        if tokens is None or top is None:
+        if not (isinstance(tokens, list) and isinstance(top, list)
+                and len(tokens) == len(top)):
             raise CapabilityError(
-                "response lacks token-level top logprobs; request the "
+                "response lacks top logprobs for each token; request the "
                 "completion with logprobs enabled")
         steps = []
         for tok, cand in zip(tokens, top):
-            if cand is None:
+            if not isinstance(cand, dict):
                 raise CapabilityError(
-                    f"no candidate logprobs returned for token {tok!r}")
-            pairs = sorted(((t, float(np.exp(v))) for t, v in cand.items()),
-                           key=lambda tp: -tp[1])
-            steps.append(TokenStep(token=tok, top_probs=tuple(pairs)))
+                    f"no candidate logprobs object for token {tok!r}")
+            pairs = sorted(((_text(t, "token"), _prob(v))
+                            for t, v in cand.items()), key=lambda tp: -tp[1])
+            steps.append(TokenStep(token=_text(tok, "token"),
+                                   top_probs=tuple(pairs)))
         return tuple(steps)
 
     @staticmethod
-    def _first_choice(resp, what) -> dict:
-        """The first choice of a response body; CapabilityError if the body
-        is not JSON or has no choices."""
+    def _first_choice(resp, what) -> tuple:
+        """The first choice of a response body and its logprobs object;
+        CapabilityError if the body is not JSON or lacks either."""
         try:
             choice = resp.json()["choices"][0]
-        except (ValueError, TypeError, KeyError, IndexError) as exc:
+            lp = choice["logprobs"]
+        except (ValueError, RecursionError, TypeError, KeyError,
+                IndexError) as exc:
+            # RecursionError: nesting deeper than the decoder's stack
             raise CapabilityError(
                 f"malformed {what} response: {exc!r}") from exc
-        if not isinstance(choice, dict):
+        if not (isinstance(choice, dict) and isinstance(lp, dict)):
             raise CapabilityError(f"malformed {what} response: choice "
-                                  f"{choice!r} is not an object")
-        return choice
+                                  f"{choice!r} has no logprobs object")
+        return choice, lp
 
     @staticmethod
     def _input_scores(lp, start, end) -> tuple:
         """Probabilities of the echoed tokens that start in prompt
         characters [start, end), the input text after the in-context
         examples; PPL scores the input alone."""
-        values = None if lp is None else lp.get("token_logprobs")
-        offsets = None if lp is None else lp.get("text_offset")
-        if values is None:
+        values = lp.get("token_logprobs")
+        offsets = lp.get("text_offset")
+        if not isinstance(values, list):
             raise CapabilityError("echo scoring returned no token logprobs")
-        if not isinstance(offsets, list) or len(offsets) != len(values):
+        if not (isinstance(offsets, list) and len(offsets) == len(values)
+                and all(_is(at, numbers.Integral) for at in offsets)):
             raise CapabilityError(
-                "echo scoring returned no text_offset for each token, so "
-                "the input text's tokens cannot be told apart")
+                "echo scoring returned no integer text_offset for each "
+                "token, so the input text's tokens cannot be told apart")
         # the prompt's first token has no conditioning context; services
         # emit null for it
-        return tuple(float(np.exp(v)) for v, at in zip(values, offsets)
+        return tuple(_prob(v) for v, at in zip(values, offsets)
                      if v is not None and start <= at < end)
 
     def invoke(self, input_text, context: ContextSpec, sample_id,
                task_id) -> InvocationRecord:
         prompt = "".join(f"{q}\n{a}\n\n" for q, a in context.examples)
         prompt += input_text
-        choice = self._first_choice(
+        choice, lp = self._first_choice(
             self._post(self._completion_payload(prompt, echo=False)),
             "completion")
-        lp = choice.get("logprobs")
-        if lp is None:
-            raise CapabilityError(
-                f"service {self.descriptor.service_id} returned no "
-                "logprobs field")
         steps = self._steps_from_logprobs(lp)
+        text = _text(choice.get("text", ""), "completion text")
 
         input_scores = None
         if self.descriptor.supports_input_scoring():
-            elp = self._first_choice(
+            _, echo = self._first_choice(
                 self._post(self._completion_payload(prompt, echo=True)),
-                "echo scoring").get("logprobs")
+                "echo scoring")
             input_scores = self._input_scores(
-                elp, len(prompt) - len(input_text), len(prompt))
+                echo, len(prompt) - len(input_text), len(prompt))
 
         rec = InvocationRecord(
             service_id=self.descriptor.service_id, task_id=task_id,
             context_id=context.context_id, sample_id=sample_id,
-            input_text=input_text, generated_text=choice.get("text", ""),
+            input_text=input_text, generated_text=text,
             output_steps=steps, input_scores=input_scores, reference=None)
-        rec.validate()
+        SettingBatch.from_records([rec]).validate()
         return rec

@@ -14,7 +14,7 @@ import numpy as np
 
 import perfest.evaluation as ev
 from perfest.cli import dispatch
-from perfest.core import InvocationRecord, TokenStep
+from perfest.core import InvocationRecord, SettingBatch, TokenStep
 from perfest.feature_selection import (
     combination_score,
     correlation_matrix,
@@ -29,7 +29,6 @@ from perfest.metamodels import (
     TrainingRow,
     gbt_training_mse_curve,
     mlp_loss_and_grads,
-    predict,
     predict_many,
     train,
 )
@@ -99,8 +98,11 @@ def test_criterion_1_feature_oracles():
             z = sum(probs)
             oracle_ent = max(oracle_ent, -sum(
                 (p / z) * math.log(p / z) for p in probs))
-        for got, want in ((nll(rec), oracle_nll), (ppl(rec), oracle_ppl),
-                          (gap(rec), oracle_gap), (max_ent(rec), oracle_ent)):
+        batch = SettingBatch.from_records([rec])
+        for got, want in ((nll(batch)[0], oracle_nll),
+                          (ppl(batch)[0], oracle_ppl),
+                          (gap(batch)[0], oracle_gap),
+                          (max_ent(batch)[0], oracle_ent)):
             denom = max(abs(want), 1e-30)
             worst = max(worst, abs(got - want) / denom)
     elapsed = time.perf_counter() - start
@@ -155,7 +157,7 @@ def test_criterion_3_feature_selection():
         FeatureKind.MAXENT: (-0.3 * z + math.sqrt(0.91) * noise[3]).tolist(),
     }
     best = select_best_combination(table, perf.tolist())
-    corr = correlation_matrix(table, perf.tolist(), absolute=True)
+    corr = correlation_matrix(table, perf.tolist())
     subsets = enumerate_combinations(table.keys())
     scores = [combination_score(s, corr) for s in subsets]
     oracle = subsets[int(np.argmax(scores))]
@@ -192,7 +194,8 @@ def test_criterion_4_meta_model_sanity():
 
     knn = train(ModelSpec(ModelKind.KNN, {"k": 1}), rows, seed=0)
     one_nn_exact = all(
-        abs(predict(knn, r.profile) - r.target) < 1e-12 for r in rows)
+        abs(predict_many(knn, [r.profile])[0] - r.target) < 1e-12
+        for r in rows)
 
     const_rows = [TrainingRow(r.profile, 0.7) for r in rows]
     rf = train(ModelSpec(ModelKind.RANDOM_FOREST,

@@ -11,7 +11,8 @@ from perfest.applications import (
 )
 from perfest.errors import InsufficientDataError
 from perfest.features import FeatureKind
-from perfest.metamodels import ModelKind, ModelSpec, TrainingRow, predict, train
+from perfest.metamodels import (ModelKind, ModelSpec, TrainingRow,
+                                predict_many, train)
 from perfest.profile import FeatureProfile
 
 
@@ -113,6 +114,6 @@ def test_candidates_from_model_use_model_estimates():
     for cand, prof in zip(cands, profiles):
         assert cand.service_id == prof.service_id
         assert cand.context_id == prof.context_id
-        assert cand.estimate == pytest.approx(predict(model, prof))
+        assert cand.estimate == pytest.approx(predict_many(model, [prof])[0])
     best = select_setting(cands)
     assert best.context_id == "ctx05"

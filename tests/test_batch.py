@@ -230,12 +230,14 @@ def test_batch_features_equal_frozen_loops_bit_for_bit(records):
                        (sequence_confidence, frozen_confidence)):
         want = [frozen(r) for r in records]
         assert bits(fn(batch)) == bits(want)
-        assert bits(fn(r) for r in records) == bits(want)
+        assert bits(fn(SettingBatch.from_records([r]))[0]
+                    for r in records) == bits(want)
     scored = [r for r in records if r.input_scores is not None]
     if scored:
         want = [frozen_ppl(r, "normalized") for r in scored]
         assert bits(ppl(SettingBatch.from_records(scored))) == bits(want)
-        assert bits(ppl(r) for r in scored) == bits(want)
+        assert bits(ppl(SettingBatch.from_records([r]))[0]
+                    for r in scored) == bits(want)
 
 
 @settings(max_examples=60, deadline=None)

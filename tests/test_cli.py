@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -534,4 +535,73 @@ def test_invoke_malformed_service_config_file_is_domain_error(
                        "--out", str(out))
     assert code == 1
     assert err.startswith("error: service config")
+    assert not out.exists()
+
+
+class CannedSession:
+    """A requests.Session stand-in that answers each post with the next
+    canned JSON body and keeps the payloads it was sent."""
+
+    def __init__(self, bodies):
+        self.bodies = list(bodies)
+        self.payloads = []
+
+    def post(self, url, json=None, timeout=None):
+        self.payloads.append(json)
+        body = self.bodies.pop(0)
+        return SimpleNamespace(status_code=200, headers={},
+                               json=lambda: body)
+
+
+COMPLETION = {"choices": [{"text": " paris", "logprobs": {
+    "tokens": [" paris"], "top_logprobs": [{" paris": -0.1, " lyon": -3.0}]}}]}
+
+
+def invoke_http(capsys, tmp_path, monkeypatch, bodies):
+    """Run ``perfest invoke`` on an HTTP service answered by ``bodies``."""
+    config = tmp_path / "services.json"
+    config.write_text(json.dumps([{
+        "service_id": "svc-http", "kind": "http",
+        "capabilities": {"generation": True, "input_scoring": False},
+        "config": {"endpoint": "http://127.0.0.1:9/v1/completions"}}]))
+    session = CannedSession(bodies)
+    monkeypatch.setattr("requests.Session", lambda: session)
+    out = tmp_path / "invoked.jsonl"
+    code, _, err = run(capsys, "invoke", "--service-config", str(config),
+                       "--service", "svc-http", "--task", "task00",
+                       "--context", "ctx03", "--sample", "s0001",
+                       "--input-text", "capital of france?",
+                       "--out", str(out))
+    return code, err, out, session
+
+
+def test_invoke_http_sends_the_input_alone(capsys, tmp_path, monkeypatch):
+    code, _, out, session = invoke_http(capsys, tmp_path, monkeypatch,
+                                        [COMPLETION])
+    assert code == 0
+    assert [p["prompt"] for p in session.payloads] == ["capital of france?"]
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
+    assert (rec["service_id"], rec["context_id"], rec["sample_id"]) == (
+        "svc-http", "ctx03", "s0001")
+    assert rec["generated_text"] == " paris"
+
+
+@pytest.mark.parametrize("logprobs, text", [
+    ([1, 2], " paris"),
+    ({"tokens": [" paris"], "top_logprobs": [[" paris", -0.1]]}, " paris"),
+    ({"tokens": [" paris"], "top_logprobs": [{" paris": "-0.1"}]}, " paris"),
+    ({"tokens": [" paris"], "top_logprobs": [{" paris": 10 ** 400}]},
+     " paris"),
+    ({"tokens": "ab", "top_logprobs": [{"a": -0.1}, {"b": -0.2}]}, " paris"),
+    (COMPLETION["choices"][0]["logprobs"], 5)],
+    ids=["logprobs-list", "top-entry-list", "logprob-string",
+         "logprob-huge-int", "tokens-string", "text-number"])
+def test_invoke_http_malformed_response_is_domain_error(
+        capsys, tmp_path, monkeypatch, logprobs, text):
+    body = {"choices": [{"text": text, "logprobs": logprobs}]}
+    code, err, out, _ = invoke_http(capsys, tmp_path, monkeypatch, [body])
+    assert code == 1
+    assert err.startswith("error: ")
     assert not out.exists()

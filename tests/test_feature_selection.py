@@ -118,7 +118,7 @@ def synth_table(rng, n, informative, noise=0.05):
 
 
 def brute_force_best(table, perf):
-    corr = correlation_matrix(table, perf, absolute=True)
+    corr = correlation_matrix(table, perf)
     subsets = enumerate_combinations(table.keys())
     scores = [combination_score(s, corr) for s in subsets]
     return subsets[int(np.argmax(scores))]

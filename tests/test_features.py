@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from perfest.core import InvocationRecord, TokenStep
+from perfest.core import InvocationRecord, SettingBatch, TokenStep
 from perfest.errors import (
     CapabilityError,
     DegenerateProbabilityError,
@@ -23,6 +23,11 @@ from perfest.features import (
 )
 
 REL_TOL = 1e-9
+
+
+def one(fn, rec):
+    """A batch feature's value for one record."""
+    return float(fn(SettingBatch.from_records([rec]))[0])
 
 
 def record_from_steps(steps, input_scores=None, ids=None):
@@ -84,71 +89,72 @@ def naive_max_ent(rec):
 
 def test_nll_certain_steps_is_zero():
     rec = record_from_steps(steps_from_top1([1.0, 1.0, 1.0]))
-    assert nll(rec) == 0.0
+    assert one(nll, rec) == 0.0
 
 
 def test_nll_halving_probs():
     rec = record_from_steps(steps_from_top1([0.5, 0.25, 0.125]))
     expected = math.log(2) + math.log(4) + math.log(8)
-    assert nll(rec) == pytest.approx(expected, rel=REL_TOL)
-    assert nll(rec) == pytest.approx(4.1588830834, abs=1e-9)
+    assert one(nll, rec) == pytest.approx(expected, rel=REL_TOL)
+    assert one(nll, rec) == pytest.approx(4.1588830834, abs=1e-9)
 
 
 def test_nll_single_step_exp_minus_one():
     rec = record_from_steps(steps_from_top1([math.exp(-1.0)]))
-    assert nll(rec) == pytest.approx(1.0, rel=REL_TOL)
+    assert one(nll, rec) == pytest.approx(1.0, rel=REL_TOL)
 
 
 def test_ppl_certain_input_is_one():
     for n in (1, 3, 10):
         rec = record_from_steps(steps_from_top1([0.9]),
                                 input_scores=tuple([1.0] * n))
-        assert ppl(rec) == pytest.approx(1.0, rel=REL_TOL)
+        assert one(ppl, rec) == pytest.approx(1.0, rel=REL_TOL)
 
 
 def test_ppl_two_scores_e_inverse():
     rec = record_from_steps(steps_from_top1([0.9]),
                             input_scores=(math.exp(-1.0), math.exp(-1.0)))
-    assert ppl(rec) == pytest.approx(math.e, rel=REL_TOL)
+    assert one(ppl, rec) == pytest.approx(math.e, rel=REL_TOL)
 
 
 def test_ppl_single_half_score():
     rec = record_from_steps(steps_from_top1([0.9]), input_scores=(0.5,))
-    assert ppl(rec) == pytest.approx(2.0, rel=REL_TOL)
+    assert one(ppl, rec) == pytest.approx(2.0, rel=REL_TOL)
 
 
 def test_ppl_requires_input_scores():
     rec = record_from_steps(steps_from_top1([0.9]))
     with pytest.raises(CapabilityError):
-        ppl(rec)
+        one(ppl, rec)
 
 
 def test_gap_deterministic_steps():
     rec = record_from_steps(steps_from_top1([1.0] * 5))
-    assert gap(rec) == pytest.approx(5.0, rel=REL_TOL)
+    assert one(gap, rec) == pytest.approx(5.0, rel=REL_TOL)
 
 
 def test_gap_single_step_with_runner_up():
     rec = record_from_steps([TokenStep("a", (("a", 0.9), ("b", 0.05)))])
-    assert gap(rec) == pytest.approx(0.85, rel=REL_TOL)
+    assert one(gap, rec) == pytest.approx(0.85, rel=REL_TOL)
 
 
 def test_gap_symmetric_ties():
     steps = [TokenStep("a", (("a", 0.5), ("b", 0.5))) for _ in range(2)]
-    assert gap(record_from_steps(steps)) == pytest.approx(0.0, abs=1e-12)
+    assert one(gap, record_from_steps(steps)) == pytest.approx(0.0,
+                                                               abs=1e-12)
 
 
 def test_max_ent_deterministic_is_zero():
     rec = record_from_steps(steps_from_top1([1.0, 1.0]))
-    assert max_ent(rec) == 0.0
+    assert one(max_ent, rec) == 0.0
 
 
 def test_max_ent_uniform_four():
     steps = steps_from_top1([1.0, 1.0])
     steps.append(TokenStep("u", tuple(("u%d" % i, 0.25) for i in range(4))))
-    assert max_ent(record_from_steps(steps)) == pytest.approx(
+    assert one(max_ent, record_from_steps(steps)) == pytest.approx(
         math.log(4), rel=REL_TOL)
-    assert max_ent(record_from_steps(steps)) == pytest.approx(
+    assert one(max_ent, record_from_steps(steps)) == pytest.approx(
         1.3862943611, abs=1e-9)
 
 
@@ -156,15 +162,15 @@ def test_max_ent_takes_maximum_over_steps():
     two = TokenStep("a", (("a", 0.5), ("b", 0.5)))
     three = TokenStep("c", (("c", 0.2), ("d", 0.2), ("e", 0.2)))
     rec = record_from_steps([two, three])
-    assert max_ent(rec) == pytest.approx(math.log(3), rel=REL_TOL)
-    assert max_ent(rec) == pytest.approx(1.0986122887, abs=1e-9)
+    assert one(max_ent, rec) == pytest.approx(math.log(3), rel=REL_TOL)
+    assert one(max_ent, rec) == pytest.approx(1.0986122887, abs=1e-9)
 
 
 def test_max_ent_renormalizes_partial_top_k():
     # top-k covering only 60% of mass still yields the entropy of the
     # renormalized restriction
     step = TokenStep("a", (("a", 0.3), ("b", 0.3)))
-    assert max_ent(record_from_steps([step])) == pytest.approx(
+    assert one(max_ent, record_from_steps([step])) == pytest.approx(
         math.log(2), rel=REL_TOL)
 
 
@@ -177,16 +183,16 @@ def test_empty_steps_rejected():
         output_steps=())
     for fn in (nll, gap, max_ent):
         with pytest.raises(ValidationError):
-            fn(bare)
+            one(fn, bare)
 
 
 def test_vanishing_probability_rejected_not_floored():
     rec = record_from_steps(steps_from_top1([0.0]))
     with pytest.raises(DegenerateProbabilityError):
-        nll(rec)
+        one(nll, rec)
     bad_inp = record_from_steps(steps_from_top1([0.5]), input_scores=(1e-300,))
     with pytest.raises(DegenerateProbabilityError):
-        ppl(bad_inp)
+        one(ppl, bad_inp)
 
 
 # --- oracle equivalence on 200 random records ---
@@ -195,11 +201,12 @@ def test_features_match_naive_oracles_on_random_records():
     rng = np.random.default_rng(1234)
     for _ in range(200):
         rec = random_record(rng)
-        assert nll(rec) == pytest.approx(naive_nll(rec), rel=REL_TOL)
-        assert ppl(rec) == pytest.approx(
+        assert one(nll, rec) == pytest.approx(naive_nll(rec), rel=REL_TOL)
+        assert one(ppl, rec) == pytest.approx(
             naive_ppl_normalized(rec), rel=REL_TOL)
-        assert gap(rec) == pytest.approx(naive_gap(rec), rel=REL_TOL)
-        assert max_ent(rec) == pytest.approx(naive_max_ent(rec), rel=REL_TOL)
+        assert one(gap, rec) == pytest.approx(naive_gap(rec), rel=REL_TOL)
+        assert one(max_ent, rec) == pytest.approx(naive_max_ent(rec),
+                                                  rel=REL_TOL)
 
 
 def test_feature_bounds_on_random_records():
@@ -207,29 +214,31 @@ def test_feature_bounds_on_random_records():
     for _ in range(100):
         rec = random_record(rng)
         n = len(rec.output_steps)
-        assert nll(rec) >= 0.0
-        assert ppl(rec) >= 1.0
-        assert 0.0 <= gap(rec) <= n
-        assert max_ent(rec) >= 0.0
-        assert 0.0 < sequence_confidence(rec) <= 1.0
+        assert one(nll, rec) >= 0.0
+        assert one(ppl, rec) >= 1.0
+        assert 0.0 <= one(gap, rec) <= n
+        assert one(max_ent, rec) >= 0.0
+        assert 0.0 < one(sequence_confidence, rec) <= 1.0
 
 
 def test_sequence_confidence_is_exp_of_mean_nll():
     rng = np.random.default_rng(5)
     rec = random_record(rng, n_steps=4)
     expected = math.exp(-naive_nll(rec) / 4)
-    assert sequence_confidence(rec) == pytest.approx(expected, rel=REL_TOL)
+    assert one(sequence_confidence, rec) == pytest.approx(expected,
+                                                          rel=REL_TOL)
 
 
 def test_extract_task_features_matches_per_record_loop():
     rng = np.random.default_rng(9)
     recs = [random_record(rng) for _ in range(3)]
-    table = extract_task_features(recs, (FeatureKind.NLL, FeatureKind.PPL))
+    table = extract_task_features(SettingBatch.from_records(recs),
+                                  (FeatureKind.NLL, FeatureKind.PPL))
     assert sorted(table) == sorted([FeatureKind.NLL, FeatureKind.PPL])
     for kind, fn in ((FeatureKind.NLL, nll), (FeatureKind.PPL, ppl)):
         assert len(table[kind]) == 3
         for got, rec in zip(table[kind], recs):
-            assert got == pytest.approx(fn(rec), rel=REL_TOL)
+            assert got == pytest.approx(one(fn, rec), rel=REL_TOL)
 
 
 def test_extract_task_features_rejects_mixed_settings():
@@ -237,4 +246,5 @@ def test_extract_task_features_rejects_mixed_settings():
     a = random_record(rng, ids=("svc00", "task00", "ctx00", "s0000"))
     b = random_record(rng, ids=("svc00", "task00", "ctx01", "s0000"))
     with pytest.raises(GroupingError):
-        extract_task_features([a, b], (FeatureKind.NLL,))
+        extract_task_features(SettingBatch.from_records([a, b]),
+                              (FeatureKind.NLL,))

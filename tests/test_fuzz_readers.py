@@ -1,13 +1,17 @@
-"""Mutation fuzzing of the three file readers: record files, model files
-and service configs each end in one typed error, never a traceback.
+"""Mutation fuzzing of the three file readers and the HTTP client: record
+files, model files, service configs and completion responses each end in
+one typed error, never a traceback.
 
-Each case takes a valid file, mutates one value of its JSON (drops it,
-retypes it, nests it, or swaps in a huge integer, a NaN or an infinity),
-and may then damage the bytes (invalid UTF-8, truncation).
+Each case takes a valid file or response body, mutates one value of its
+JSON (drops it, retypes it, nests it, or swaps in a huge integer, a NaN
+or an infinity), and may then damage the bytes (invalid UTF-8,
+truncation).
 """
 
 import copy
 import json
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +19,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from perfest.cli import build_parser
-from perfest.core import RecordStore
-from perfest.errors import (ConfigurationError, ModelFormatError,
+from perfest.core import ContextSpec, RecordStore, append_records
+from perfest.errors import (CapabilityError, ConfigurationError,
+                            ModelFormatError, TransportError,
                             ValidationError)
 from perfest.features import FeatureKind
 from perfest.metamodels import (ModelKind, ModelSpec, TrainingRow,
                                 load_model, save_model, train)
 from perfest.profile import FeatureProfile
-from perfest.services import MarketplaceConfig, synth_marketplace
+from perfest.services import (HttpClient, MarketplaceConfig,
+                              ServiceDescriptor, synth_marketplace)
 
 # placeholders, swapped for their text once the value is JSON: an integer
 # past int's 4,300-digit limit, and nesting past the decoder's stack
@@ -247,3 +253,57 @@ def test_mock_config_with_an_odd_value_is_a_configuration_error(
     with pytest.raises(ConfigurationError, match=field):
         args.fn(args)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# HTTP responses: a record that reads back as written, or CapabilityError,
+# TransportError or ValidationError
+
+HTTP_SERVICE = ServiceDescriptor(
+    service_id="svc-http", kind="http",
+    capabilities={"generation": True, "input_scoring": True,
+                  "top_k_depth": 2},
+    config={"endpoint": "http://127.0.0.1:9/v1/completions"})
+# prompt "q1\na1\n\n" then the input text, which starts at character 8
+HTTP_CONTEXT = ContextSpec("ctx00", (("q1", "a1"),), 1)
+HTTP_BODIES = [
+    {"choices": [{"text": " paris!", "logprobs": {
+        "tokens": [" paris", "!"],
+        "top_logprobs": [{" paris": -0.1, " lyon": -3.0}, {"!": -0.5}]}}]},
+    {"choices": [{"text": "", "logprobs": {
+        "tokens": ["q1", "capital", " of"],
+        "token_logprobs": [None, -0.1, -0.2], "text_offset": [0, 8, 15],
+        "top_logprobs": [None, None, None]}}]},
+]
+
+
+class BodySession:
+    """A requests.Session stand-in whose posts answer 200 with the next
+    body, decoded from bytes as requests' Response.json decodes it."""
+
+    def __init__(self, bodies):
+        self.bodies = list(bodies)
+
+    def post(self, url, **kwargs):
+        return SimpleNamespace(status_code=200, headers={}, json=partial(
+            json.loads, self.bodies.pop(0)))
+
+
+@FUZZ
+@given(data=st.data())
+def test_http_client_raises_only_a_typed_error(tmp_path, data):
+    at = data.draw(st.integers(0, len(HTTP_BODIES) - 1))
+    bodies = [json.dumps(body).encode("utf-8") for body in HTTP_BODIES]
+    bodies[at] = data.draw(damaged(to_bytes(json.dumps(
+        data.draw(mutated(HTTP_BODIES[at]))))))
+    client = HttpClient(HTTP_SERVICE, session=BodySession(bodies),
+                        backoff=0.0)
+    try:
+        rec = client.invoke("capital of france?", HTTP_CONTEXT, "s0000",
+                            "task00")
+    except (CapabilityError, TransportError, ValidationError):
+        return
+    path = tmp_path / "invoked.jsonl"
+    path.unlink(missing_ok=True)
+    append_records([rec], str(path))
+    assert RecordStore.from_file(str(path)).get(*rec.key) == [rec]

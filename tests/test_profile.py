@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from perfest.core import InvocationRecord, TokenStep
+from perfest.core import InvocationRecord, SettingBatch, TokenStep
 from perfest.errors import EmptyProfileError, ShapeError
 from perfest.features import FeatureKind, nll
 from perfest.profile import (
@@ -81,7 +81,8 @@ def make_record(i, p1):
 def test_build_profile_single_record_repeats_its_nll():
     rec = make_record(0, 0.5)
     prof = build_profile([rec], kinds=(FeatureKind.NLL,), d=4)
-    assert list(prof.vector) == pytest.approx([nll(rec)] * 4, abs=1e-12)
+    want = float(nll(SettingBatch.from_records([rec]))[0])
+    assert list(prof.vector) == pytest.approx([want] * 4, abs=1e-12)
     assert prof.service_id == "svc00"
     assert prof.dims == 4
 

@@ -59,10 +59,10 @@ def test_synth_shape_and_invariants():
     assert len(store.keys()) == (cfg.n_services * cfg.n_tasks
                                  * cfg.contexts_per_task)
     for key in store.keys():
+        store.batch(*key).validate()
         recs = store.get(*key)
         assert len(recs) == cfg.samples_per_task
         for rec in recs:
-            rec.validate()
             assert rec.output_steps
             for step in rec.output_steps:
                 probs = [p for _, p in step.top_probs]
@@ -129,10 +129,10 @@ def test_zero_fidelity_features_uninformative():
     assert len(keys) >= 50
     nll_means, perfs = [], []
     for key in keys:
-        recs = store.get(*key)
-        table = extract_task_features(recs, (FeatureKind.NLL,))
+        batch = store.batch(*key)
+        table = extract_task_features(batch, (FeatureKind.NLL,))
         nll_means.append(float(np.mean(table[FeatureKind.NLL])))
-        perfs.append(task_performance(recs))
+        perfs.append(task_performance(batch))
     assert abs(pearson(nll_means, perfs)) < 0.15
 
 
@@ -143,11 +143,12 @@ def test_full_fidelity_feature_signs():
     _, _, store = synth_marketplace(cfg)
     nll_means, gap_means, perfs = [], [], []
     for key in store.keys():
-        recs = store.get(*key)
-        table = extract_task_features(recs, (FeatureKind.NLL, FeatureKind.GAP))
+        batch = store.batch(*key)
+        table = extract_task_features(batch,
+                                      (FeatureKind.NLL, FeatureKind.GAP))
         nll_means.append(float(np.mean(table[FeatureKind.NLL])))
         gap_means.append(float(np.mean(table[FeatureKind.GAP])))
-        perfs.append(task_performance(recs))
+        perfs.append(task_performance(batch))
     assert pearson(nll_means, perfs) < -0.5
     assert pearson(gap_means, perfs) > 0.5
 
@@ -400,5 +401,92 @@ def test_http_echo_without_token_offsets_is_capability_error(offsets):
                                                        offsets))])
     client = HttpClient(http_descriptor(), session=session, backoff=0.0)
     with pytest.raises(CapabilityError, match="text_offset"):
+        client.invoke("capital of france?", make_context(), "s0000",
+                      "task00")
+
+
+def with_choice(body, **changes):
+    """``body`` with its first choice updated by ``changes``; a change
+    to a logprobs key updates the choice's logprobs."""
+    choice = dict(body["choices"][0])
+    lp = dict(choice.get("logprobs") or {})
+    for key, value in changes.items():
+        if key in ("text", "logprobs"):
+            choice[key] = value
+        else:
+            lp[key] = value
+            choice["logprobs"] = lp
+    return {"choices": [choice]}
+
+
+MALFORMED_COMPLETIONS = {
+    "logprobs-list": with_choice(completion_body(), logprobs=[1, 2]),
+    "top-entry-list": with_choice(completion_body(),
+                                  top_logprobs=[[" paris", -0.1]]),
+    "logprob-string": with_choice(completion_body(),
+                                  top_logprobs=[{" paris": "-0.1"}]),
+    "logprob-huge-int": with_choice(completion_body(),
+                                    top_logprobs=[{" paris": 10 ** 400}]),
+    "logprob-positive": with_choice(completion_body(),
+                                    top_logprobs=[{" paris": 0.5}]),
+    "logprob-nan": with_choice(completion_body(),
+                               top_logprobs=[{" paris": float("nan")}]),
+    "text-number": with_choice(completion_body(), text=5),
+    # a JSON escape can hold a lone surrogate, which UTF-8 cannot encode
+    "text-lone-surrogate": with_choice(completion_body(), text="\ud800"),
+    "candidate-lone-surrogate": with_choice(
+        completion_body(), top_logprobs=[{" paris": -0.1, "\udfff": -3.0}]),
+    "tokens-string": with_choice(completion_body(), tokens="ab",
+                                 top_logprobs=[{"a": -0.1}, {"b": -0.2}]),
+    "token-number": with_choice(completion_body(), tokens=[5]),
+    "tokens-longer": with_choice(completion_body(),
+                                 tokens=[" paris", " lyon"]),
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_COMPLETIONS.values(),
+                         ids=MALFORMED_COMPLETIONS.keys())
+def test_http_completion_of_another_shape_is_capability_error(body):
+    session = FakeSession([FakeResponse(200, body),
+                           FakeResponse(200, echo_body(PROMPT_TOKENS))])
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    with pytest.raises(CapabilityError):
+        client.invoke("capital of france?", make_context(), "s0000",
+                      "task00")
+    assert len(session.requests) == 1
+
+
+def test_http_completion_without_text_generates_empty_text():
+    body = completion_body()
+    del body["choices"][0]["text"]
+    body["choices"][0]["logprobs"]["tokens"] = [""]
+    session = FakeSession([FakeResponse(200, body)])
+    client = HttpClient(http_descriptor(input_scoring=False),
+                        session=session, backoff=0.0)
+    rec = client.invoke("q", make_context(), "s0000", "task00")
+    assert rec.generated_text == ""
+    assert rec.output_steps[0].token == ""
+
+
+MALFORMED_ECHOES = {
+    "logprobs-list": with_choice(echo_body(PROMPT_TOKENS), logprobs=[]),
+    "values-string": with_choice(echo_body(PROMPT_TOKENS),
+                                 token_logprobs="x" * len(PROMPT_TOKENS)),
+    "logprob-string": with_choice(echo_body(PROMPT_TOKENS), token_logprobs=[
+        None] + ["-0.1"] * (len(PROMPT_TOKENS) - 1)),
+    "logprob-huge-int": with_choice(echo_body(PROMPT_TOKENS), token_logprobs=[
+        None] + [-10 ** 400] * (len(PROMPT_TOKENS) - 1)),
+    "offset-string": with_choice(echo_body(PROMPT_TOKENS), text_offset=[
+        str(at) for _, at, _ in PROMPT_TOKENS]),
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED_ECHOES.values(),
+                         ids=MALFORMED_ECHOES.keys())
+def test_http_echo_of_another_shape_is_capability_error(body):
+    session = FakeSession([FakeResponse(200, completion_body()),
+                           FakeResponse(200, body)])
+    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    with pytest.raises(CapabilityError):
         client.invoke("capital of france?", make_context(), "s0000",
                       "task00")
