@@ -28,7 +28,6 @@ from .feature_selection import rank_combinations
 from .features import FeatureKind, extract_task_features
 from .profile import DEFAULT_DIMS, DEFAULT_KINDS, build_profile
 from .services import (MarketplaceConfig, ServiceDescriptor, invoke,
-                       marketplace_contexts, mock_task_index,
                        synth_marketplace)
 
 
@@ -153,8 +152,7 @@ def _cmd_invoke(args):
     if args.service not in by_id:
         raise ConfigurationError(f"unknown service {args.service!r}")
     desc = by_id[args.service]
-    # a service other than the mock is sent the input with no examples
-    mock_config, ctx = None, ContextSpec(args.context, (), 0)
+    mock_config = None
     if desc.kind == "mock":
         names = {f.name for f in dataclasses.fields(MarketplaceConfig)}
         try:
@@ -164,13 +162,9 @@ def _cmd_invoke(args):
         except ConfigurationError as exc:
             raise ConfigurationError(
                 f"service {desc.service_id!r} config: {exc}") from exc
-        task_index = mock_task_index(mock_config, args.task)
-        ctx = next((c for c in marketplace_contexts(mock_config, task_index)
-                    if c.context_id == args.context), None)
-        if ctx is None:
-            raise ConfigurationError(f"unknown context {args.context!r}")
-    rec = invoke(desc, args.input_text or "", ctx, args.sample, args.task,
-                 mock_config=mock_config)
+    # an HTTP service is sent the input with no in-context examples
+    rec = invoke(desc, args.input_text or "", ContextSpec(args.context, ()),
+                 args.sample, args.task, mock_config=mock_config)
     append_records([rec], args.out)
     print(f"appended 1 record to {args.out}")
     return 0

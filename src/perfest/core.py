@@ -78,7 +78,6 @@ class ContextSpec:
 
     context_id: str
     examples: tuple  # tuple of (input_text, reference)
-    count: int
 
 
 def _offsets(lengths):
@@ -381,6 +380,21 @@ def _parse(obj, line):
             tokens, counts, cand_tokens, cand_probs, scores)
 
 
+def _check_utf8(fields, line):
+    """ValidationError naming the first text field of a parsed line that
+    UTF-8 cannot encode. Strict decoding rejects surrogate bytes, so only
+    a \\ud800-\\udfff JSON escape can put a lone surrogate in a line."""
+    key, texts, ref, tokens, _, cand_tokens, _, _ = fields
+    for name, text in (*zip(_FIELDS, (*key, *texts)), ("reference", ref or ""),
+                       ("output_steps", "".join(tokens + cand_tokens))):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError("text holds a lone surrogate, which UTF-8 "
+                                  "cannot encode", field=name,
+                                  line=line) from None
+
+
 def _batch(key, lines, parsed) -> SettingBatch:
     """Parsed lines of one setting as one validated SettingBatch."""
     (_, texts, references, tokens, cand_counts, cand_tokens, cand_probs,
@@ -414,7 +428,8 @@ def read_batches(path):
 
     Raises ValidationError naming the field and 1-based line number of the
     first fault a line-by-line reader would meet, bytes that are not UTF-8
-    included; raises OSError for a missing file.
+    and text that UTF-8 cannot encode (which write_batches could not
+    write) included; raises OSError for a missing file.
     """
     key, lines, parsed = None, [], []
     with open(path, "rb") as f:
@@ -429,6 +444,8 @@ def read_batches(path):
                     raise ValidationError(f"invalid JSON: {exc}",
                                           line=i) from exc
                 fields = _parse(obj, i)
+                if "\\" in text:  # no escape, no lone surrogate
+                    _check_utf8(fields, i)
             except ValidationError:
                 if parsed:  # a fault on an earlier line comes first
                     _batch(key, lines, parsed)

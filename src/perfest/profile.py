@@ -30,7 +30,7 @@ def interpolate_profile(values, d: int):
     d == len(values) reproduces the sorted input.
     """
     if d < 1:
-        raise ValueError(f"profile dimension must be >= 1, got {d}")
+        raise ShapeError(f"profile dimension must be >= 1, got {d}")
     v = np.sort(np.asarray(list(values), dtype=float))
     m = v.shape[0]
     if m == 0:

@@ -50,7 +50,8 @@ import numpy as np
 
 from .core import (ContextSpec, InvocationRecord, RecordStore, SettingBatch,
                    TaskDataset, TokenStep)
-from .errors import CapabilityError, ConfigurationError, TransportError
+from .errors import (CapabilityError, ConfigurationError, TransportError,
+                     ValidationError)
 from .seeding import derive_rng
 
 OUTPUT_STEPS = 4
@@ -103,8 +104,11 @@ class MarketplaceConfig:
 
     def __post_init__(self):
         """Raises ConfigurationError for a value of the wrong type or out
-        of range: counts are integers in [1, 2**63), which numpy can size
-        arrays with, and the seed is an integer."""
+        of range: counts are integers in [1, 2**63) and the seed is an
+        integer. Synth and a mock invoke (which draws every sample of its
+        setting) size numpy arrays by the counts, so a legal count numpy
+        cannot allocate raises numpy's ValueError ("array is too big") or
+        MemoryError."""
         for name in ("skill_range", "difficulty_range", "helpfulness_range"):
             try:
                 lo, hi = getattr(self, name)
@@ -172,16 +176,16 @@ def marketplace_truth(config: MarketplaceConfig) -> MarketplaceTruth:
                             helpfulness=helpfulness)
 
 
-def _task_columns(config: MarketplaceConfig, j: int) -> dict:
-    """The SettingBatch columns all settings of task j share: sample ids,
-    input texts and references of its test split, and the step and score
-    layout."""
+def _task_columns(config: MarketplaceConfig, j: int, samples: range) -> dict:
+    """The SettingBatch columns all settings of task j share over test
+    samples `samples`: sample ids, input texts and references, and the
+    step and score layout."""
     task_id = config.task_id(j)
-    m = config.samples_per_task
+    m = len(samples)
     return {
-        "sample_ids": np.array([config.sample_id(s) for s in range(m)],
+        "sample_ids": np.array([config.sample_id(s) for s in samples],
                                dtype=object),
-        "input_texts": np.array([f"{task_id} query {s}" for s in range(m)],
+        "input_texts": np.array([f"{task_id} query {s}" for s in samples],
                                 dtype=object),
         "references": np.full(m, _REF_TEXT, dtype=object),
         "step_offsets": np.arange(m + 1) * OUTPUT_STEPS,
@@ -190,29 +194,32 @@ def _task_columns(config: MarketplaceConfig, j: int) -> dict:
     }
 
 
-def _draws(config: MarketplaceConfig, i: int, j: int, k: int):
-    """Setting (i, j, k)'s random draws, deterministic in (config.seed, i,
-    j, k)."""
+def _draws(config: MarketplaceConfig, i: int, j: int, k: int,
+           samples: range):
+    """Setting (i, j, k)'s draws for test samples `samples`: a cut of the
+    draws for every sample, deterministic in (config.seed, i, j, k)."""
     m = config.samples_per_task
     rng = derive_rng(config.seed, "records", i, j, k)
-    return (rng.normal(0.0, 1.0, size=m), rng.normal(0.0, 0.08, size=m),
-            rng.normal(0.0, 0.08, size=m),
-            rng.beta(2.0, 2.0, size=(m, OUTPUT_STEPS)),
-            rng.beta(2.0, 2.0, size=(m, INPUT_SCORE_LEN)))
+    return tuple(a[samples.start:samples.stop] for a in (
+        rng.normal(0.0, 1.0, size=m), rng.normal(0.0, 0.08, size=m),
+        rng.normal(0.0, 0.08, size=m),
+        rng.beta(2.0, 2.0, size=(m, OUTPUT_STEPS)),
+        rng.beta(2.0, 2.0, size=(m, INPUT_SCORE_LEN))))
 
 
 def _generate_settings(config: MarketplaceConfig, truth: MarketplaceTruth,
-                       j: int, pairs, columns) -> list:
-    """The batches of task j's settings (i, k) in `pairs`.
+                       j: int, pairs, samples: range) -> list:
+    """The batches of task j's settings (i, k) in `pairs`, over the test
+    samples in range `samples`.
 
     Each setting draws from its own stream; the arithmetic is elementwise,
     so running it once over the stacked draws gives every setting the
-    values it would get alone. `columns` is _task_columns(config, j).
+    values it would get alone.
     """
     phi = config.feature_fidelity
     q = np.array([truth.correctness(i, j, k) for i, k in pairs])[:, None]
     eps, eta_gen, eta_inp, band_gen, band_inp = map(
-        np.stack, zip(*(_draws(config, i, j, k) for i, k in pairs)))
+        np.stack, zip(*(_draws(config, i, j, k, samples) for i, k in pairs)))
 
     sigma = 0.4 * q * (1.0 - q)
     f_grid = np.rint(10.0 * np.clip(q + sigma * eps, 0.0, 1.0)).astype(int)
@@ -241,6 +248,7 @@ def _generate_settings(config: MarketplaceConfig, truth: MarketplaceTruth,
     tokens = candidates[..., 0].reshape(n, -1)
     generated = _PRED_ARRAY[f_grid]
     scores = scores.reshape(n, -1)
+    columns = _task_columns(config, j, samples)
     return [SettingBatch(
         key=(config.service_id(i), config.task_id(j), config.context_id(k)),
         generated_texts=generated[s], tokens=tokens[s],
@@ -271,10 +279,11 @@ def synth_marketplace(config: MarketplaceConfig):
              for k in range(config.contexts_per_task)]
     for j in range(config.n_tasks):
         task_id = config.task_id(j)
-        columns = _task_columns(config, j)
-        test_samples = tuple(zip(columns["sample_ids"].tolist(),
-                                 columns["input_texts"].tolist(),
-                                 columns["references"].tolist()))
+        batches = _generate_settings(config, truth, j, pairs,
+                                     range(config.samples_per_task))
+        test_samples = tuple(zip(batches[0].sample_ids.tolist(),
+                                 batches[0].input_texts.tolist(),
+                                 batches[0].references.tolist()))
         train_samples = tuple(
             (f"tr{s:03d}", f"{task_id} train query {s}", _REF_TEXT)
             for s in range(CONTEXT_EXAMPLES * config.contexts_per_task))
@@ -282,46 +291,24 @@ def synth_marketplace(config: MarketplaceConfig):
                                  split="test"))
         tasks.append(TaskDataset(task_id=task_id, samples=train_samples,
                                  split="train"))
-        for batch in _generate_settings(config, truth, j, pairs, columns):
+        for batch in batches:
             store.add(batch)
     return services, tasks, store
 
 
-def marketplace_contexts(config: MarketplaceConfig, task_index: int):
-    """The ContextSpec objects for one task (3 train examples each)."""
-    task_id = config.task_id(task_index)
-    out = []
-    for k in range(config.contexts_per_task):
-        examples = tuple(
-            (f"{task_id} train query {k * CONTEXT_EXAMPLES + e}", _REF_TEXT)
-            for e in range(CONTEXT_EXAMPLES))
-        out.append(ContextSpec(context_id=config.context_id(k),
-                               examples=examples, count=CONTEXT_EXAMPLES))
-    return out
-
-
-def _mock_index(text, prefix, name, count):
+def _mock_index(config, name, text, count):
+    """The index v < count whose generated id, getattr(config, name)(v),
+    is `text`; ConfigurationError for any other text."""
+    make = getattr(config, name)
+    digits = text[len(text.rstrip("0123456789")):]
     try:
-        v = int(text.removeprefix(prefix))
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"mock ids must follow the generator's naming: {exc}") from exc
-    if not (0 <= v < count):
-        raise ConfigurationError(f"{name} index {v} out of range")
+        v = int(digits)
+    except ValueError:  # no digits, or more than int's digit limit
+        v = count
+    if v >= count or make(v) != text:
+        raise ConfigurationError(f"no mock {name} {text!r}: the generated "
+                                 f"ids are {make(0)} to {make(count - 1)}")
     return v
-
-
-def mock_task_index(config: MarketplaceConfig, task_id: str) -> int:
-    """Index of a mock task id such as ``task03``."""
-    return _mock_index(task_id, "task", "task", config.n_tasks)
-
-
-def _mock_indices(config, service_id, task_id, context_id, sample_id):
-    return (_mock_index(service_id, "svc", "service", config.n_services),
-            mock_task_index(config, task_id),
-            _mock_index(context_id, "ctx", "context",
-                        config.contexts_per_task),
-            _mock_index(sample_id, "s", "sample", config.samples_per_task))
 
 
 def invoke(service: ServiceDescriptor, input_text: str,
@@ -335,12 +322,15 @@ def invoke(service: ServiceDescriptor, input_text: str,
         if mock_config is None:
             raise ConfigurationError("mock invocation needs its "
                                      "MarketplaceConfig")
-        truth = marketplace_truth(mock_config)
-        i, j, k, s = _mock_indices(mock_config, service.service_id, task_id,
-                                   context.context_id, sample_id)
-        batch, = _generate_settings(mock_config, truth, j, [(i, k)],
-                                    _task_columns(mock_config, j))
-        return batch.take([s]).records()[0]
+        c = mock_config
+        i = _mock_index(c, "service_id", service.service_id, c.n_services)
+        j = _mock_index(c, "task_id", task_id, c.n_tasks)
+        k = _mock_index(c, "context_id", context.context_id,
+                        c.contexts_per_task)
+        s = _mock_index(c, "sample_id", sample_id, c.samples_per_task)
+        batch, = _generate_settings(c, marketplace_truth(c), j, [(i, k)],
+                                    range(s, s + 1))
+        return batch.records()[0]
     if service.kind == "http":
         client = client or HttpClient(service)
         return client.invoke(input_text, context, sample_id, task_id)
@@ -371,6 +361,17 @@ def _text(value, what) -> str:
     raise CapabilityError(f"{what} {value!r} is not a UTF-8 string")
 
 
+def _config_int(descriptor, name, value) -> int:
+    """``value`` of the descriptor's field ``name`` as ``int`` reads it;
+    ConfigurationError naming the field if it cannot."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"service {descriptor.service_id!r} config: {name} {value!r} is "
+            "not an integer") from exc
+
+
 def _prob(logprob) -> float:
     """exp of a response's logprob, a number <= 0 in float range."""
     try:
@@ -392,12 +393,27 @@ class HttpClient:
     UTF-8 string), raises CapabilityError, and nothing is fabricated. Input
     scoring uses the echo-with-logprobs form when the service supports it
     and keeps the input text's tokens only, found by their `text_offset`.
+    Before any request, a descriptor without a string `endpoint`, or whose
+    `max_tokens` or `top_k_depth` is not an integer, raises
+    ConfigurationError, and input text UTF-8 cannot encode (a lone
+    surrogate, as from argv bytes that are not UTF-8) raises
+    ValidationError, since no record file could hold it.
     """
 
     def __init__(self, descriptor: ServiceDescriptor, session=None,
                  max_attempts: int = 3, backoff: float = 0.5,
                  timeout: float = 60.0):
         self.descriptor = descriptor
+        cfg = descriptor.config
+        self.endpoint = cfg.get("endpoint")
+        if not isinstance(self.endpoint, str):
+            raise ConfigurationError(
+                f"service {descriptor.service_id!r} config: endpoint "
+                f"{self.endpoint!r} is not a URL string")
+        self.top_k = _config_int(descriptor, "top_k_depth",
+                                 descriptor.capabilities.get("top_k_depth", 5))
+        self.max_tokens = _config_int(descriptor, "max_tokens",
+                                      cfg.get("max_tokens", 32))
         if session is None:
             import requests
             session = requests.Session()
@@ -407,12 +423,11 @@ class HttpClient:
         self.timeout = timeout
 
     def _post(self, payload):
-        url = self.descriptor.config["endpoint"]
         last = None
         for attempt in range(self.max_attempts):
             delay = self.backoff * 2 ** attempt
             try:
-                resp = self.session.post(url, json=payload,
+                resp = self.session.post(self.endpoint, json=payload,
                                          timeout=self.timeout)
             except Exception as exc:  # connection-level failure
                 last = exc
@@ -434,13 +449,12 @@ class HttpClient:
             f"{self.max_attempts} attempts: {last}")
 
     def _completion_payload(self, prompt, echo):
-        cfg = self.descriptor.config
         payload = {
-            "model": cfg.get("model", self.descriptor.service_id),
+            "model": self.descriptor.config.get(
+                "model", self.descriptor.service_id),
             "prompt": prompt,
-            "logprobs": int(self.descriptor.capabilities.get(
-                "top_k_depth", 5)),
-            "max_tokens": 0 if echo else int(cfg.get("max_tokens", 32)),
+            "logprobs": self.top_k,
+            "max_tokens": 0 if echo else self.max_tokens,
             "echo": echo,
             "temperature": 0,
         }
@@ -504,6 +518,11 @@ class HttpClient:
 
     def invoke(self, input_text, context: ContextSpec, sample_id,
                task_id) -> InvocationRecord:
+        try:
+            input_text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"input text {input_text!r} is not UTF-8 "
+                                  "text", field="input_text") from exc
         prompt = "".join(f"{q}\n{a}\n\n" for q, a in context.examples)
         prompt += input_text
         choice, lp = self._first_choice(

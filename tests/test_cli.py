@@ -337,6 +337,35 @@ def test_invoke_mock_bad_task_is_domain_error(capsys, tmp_path, task):
     assert "error" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--task", "task1"), ("--context", "ctx1"), ("--sample", "s3"),
+    ("--sample", "s00003")])
+def test_invoke_mock_non_generator_id_is_domain_error(capsys, tmp_path, flag,
+                                                      value):
+    store_dir = small_store(capsys, tmp_path)
+    ids = {"--task": "task01", "--context": "ctx01", "--sample": "s0003",
+           flag: value}
+    out = tmp_path / "invoked.jsonl"
+    code, _, err = run(capsys, "invoke",
+                       "--service-config", str(store_dir / "services.json"),
+                       "--service", "svc00",
+                       *[arg for pair in ids.items() for arg in pair],
+                       "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"error: no mock {flag[2:]}_id {value!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_train_bad_profile_dimension_is_domain_error(capsys, tmp_path, d):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    code, _, err = run(capsys, "train", "--records", records, "--d", d,
+                       "--out", str(tmp_path / "model.json"))
+    assert code == 1
+    assert "profile dimension" in err
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("config", [{"n_tasks": "x"}, {"skill_range": 5},
                                     {"feature_fidelity": [0.5]}])
 def test_invoke_mock_malformed_service_config_is_domain_error(
@@ -557,21 +586,25 @@ COMPLETION = {"choices": [{"text": " paris", "logprobs": {
     "tokens": [" paris"], "top_logprobs": [{" paris": -0.1, " lyon": -3.0}]}}]}
 
 
-def invoke_http(capsys, tmp_path, monkeypatch, bodies):
-    """Run ``perfest invoke`` on an HTTP service answered by ``bodies``."""
+HTTP_SERVICE = {
+    "service_id": "svc-http", "kind": "http",
+    "capabilities": {"generation": True, "input_scoring": False},
+    "config": {"endpoint": "http://127.0.0.1:9/v1/completions"}}
+
+
+def invoke_http(capsys, tmp_path, monkeypatch, bodies, service=HTTP_SERVICE,
+                input_text="capital of france?"):
+    """Run ``perfest invoke`` on HTTP service ``service`` answered by
+    ``bodies``."""
     config = tmp_path / "services.json"
-    config.write_text(json.dumps([{
-        "service_id": "svc-http", "kind": "http",
-        "capabilities": {"generation": True, "input_scoring": False},
-        "config": {"endpoint": "http://127.0.0.1:9/v1/completions"}}]))
+    config.write_text(json.dumps([service]))
     session = CannedSession(bodies)
     monkeypatch.setattr("requests.Session", lambda: session)
     out = tmp_path / "invoked.jsonl"
     code, _, err = run(capsys, "invoke", "--service-config", str(config),
                        "--service", "svc-http", "--task", "task00",
                        "--context", "ctx03", "--sample", "s0001",
-                       "--input-text", "capital of france?",
-                       "--out", str(out))
+                       "--input-text", input_text, "--out", str(out))
     return code, err, out, session
 
 
@@ -604,4 +637,32 @@ def test_invoke_http_malformed_response_is_domain_error(
     code, err, out, _ = invoke_http(capsys, tmp_path, monkeypatch, [body])
     assert code == 1
     assert err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, change", [
+    ("endpoint", {"config": {}}),
+    ("max_tokens", {"config": {**HTTP_SERVICE["config"],
+                               "max_tokens": "lots"}}),
+    ("top_k_depth", {"capabilities": {**HTTP_SERVICE["capabilities"],
+                                      "top_k_depth": "x"}})])
+def test_invoke_http_bad_service_config_is_domain_error(
+        capsys, tmp_path, monkeypatch, field, change):
+    code, err, out, session = invoke_http(
+        capsys, tmp_path, monkeypatch, [COMPLETION],
+        service={**HTTP_SERVICE, **change})
+    assert code == 1
+    assert err.startswith(f"error: service 'svc-http' config: {field}")
+    assert session.payloads == []
+    assert not out.exists()
+
+
+def test_invoke_http_input_text_utf8_cannot_encode_is_domain_error(
+        capsys, tmp_path, monkeypatch):
+    # a lone surrogate: what argv bytes that are not UTF-8 decode to
+    code, err, out, session = invoke_http(capsys, tmp_path, monkeypatch,
+                                          [COMPLETION], input_text="caf\udcff")
+    assert code == 1
+    assert err.startswith("error: input text")
+    assert session.payloads == []
     assert not out.exists()

@@ -108,6 +108,31 @@ def test_missing_required_field_rejected(tmp_path, field):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("field, change", [
+    ("input_text", {"input_text": "say \ud800"}),
+    ("reference", {"reference": "\udfff"}),
+    ("output_steps", {"output_steps": [
+        {"token": "a", "top_probs": [["\ud83d", 0.9]]}]})])
+def test_lone_surrogate_escape_rejected_with_field_and_line(tmp_path, field,
+                                                            change):
+    # json.dumps writes the surrogate as an escape, which UTF-8 decoding
+    # of the line lets through and the writer could not encode
+    path = tmp_path / "bad.jsonl"
+    path.write_text(record_line() + "\n" + record_line(**change) + "\n")
+    with pytest.raises(ValidationError) as exc:
+        RecordStore.from_file(str(path))
+    assert (exc.value.field, exc.value.line) == (field, 2)
+
+
+def test_surrogate_pair_escape_reads_and_writes_back(tmp_path):
+    path = tmp_path / "pair.jsonl"
+    path.write_text(record_line(input_text="smile \U0001f600") + "\n")
+    assert "\\ud83d\\ude00" in path.read_text()
+    RecordStore.from_file(str(path)).save(str(tmp_path / "out.jsonl"))
+    assert read_records(str(tmp_path / "out.jsonl"))[0].input_text == (
+        "smile \U0001f600")
+
+
 def test_out_of_range_input_scores_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(record_line(input_scores=[0.5, 1.5]) + "\n")

@@ -38,8 +38,8 @@ PLACEHOLDERS = {json.dumps(HUGE): "1" + "0" * 5000,
 # no "http", so no mutation reaches the network
 ODD_VALUES = [None, True, False, 0, -1, 1, 3, 0.5, -0.0, 1e308,
               float("nan"), float("inf"), float("-inf"), 2 ** 63, 10 ** 30,
-              -10 ** 30, 10 ** 400, "", "x", "svc00", "1e999", HUGE, DEEP,
-              [], {}, [[0.5]], {"a": 1}, [None, "x"]]
+              -10 ** 30, 10 ** 400, "", "x", "svc00", "1e999", "\ud800",
+              HUGE, DEEP, [], {}, [[0.5]], {"a": 1}, [None, "x"]]
 BAD_BYTES = [b"\xff\xfe", b"\x80", b"\xc3\x28", b"\xed\xa0\x80", b"\n"]
 
 
@@ -135,15 +135,20 @@ def record_files(draw):
 @given(data=record_files())
 @example(data=b'{"output_steps": [{"token": "a", "top_probs": [["a", '
          + b"1" + b"0" * 400 + b']]}]}\n')
+@example(data=json.dumps({**RECORD_LINES[0], "reference": "\ud800"})
+         .encode("utf-8"))
 def test_record_reader_raises_only_a_validation_error_naming_a_line(
         tmp_path, data):
+    """A store read from a file can be written back, or the read raises."""
     path = tmp_path / "records.jsonl"
     path.write_bytes(data)
     try:
-        RecordStore.from_file(str(path))
+        store = RecordStore.from_file(str(path))
     except ValidationError as exc:
         assert exc.line is not None
         assert 1 <= exc.line <= data.count(b"\n") + 1
+    else:
+        store.save(str(tmp_path / "saved.jsonl"))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +270,7 @@ HTTP_SERVICE = ServiceDescriptor(
                   "top_k_depth": 2},
     config={"endpoint": "http://127.0.0.1:9/v1/completions"})
 # prompt "q1\na1\n\n" then the input text, which starts at character 8
-HTTP_CONTEXT = ContextSpec("ctx00", (("q1", "a1"),), 1)
+HTTP_CONTEXT = ContextSpec("ctx00", (("q1", "a1"),))
 HTTP_BODIES = [
     {"choices": [{"text": " paris!", "logprobs": {
         "tokens": [" paris", "!"],

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from perfest.services import (
     MarketplaceConfig,
     ServiceDescriptor,
     invoke,
-    marketplace_contexts,
     marketplace_truth,
     synth_marketplace,
 )
@@ -75,17 +75,38 @@ def test_synth_shape_and_invariants():
 def test_mock_invoke_matches_store():
     cfg = small_config()
     services, _, store = synth_marketplace(cfg)
-    ctx = marketplace_contexts(cfg, 1)[1]
-    recs = store.get("svc01", "task01", "ctx01")
-    got = invoke(services[1], recs[3].input_text, ctx, "s0003", "task01",
-                 mock_config=cfg)
-    assert got == recs[3]
+    by_id = {s.service_id: s for s in services}
+    m = cfg.samples_per_task
+    for service, task, context in store.keys():
+        recs = store.get(service, task, context)
+        for s in (0, m // 2, m - 1):
+            got = invoke(by_id[service], recs[s].input_text,
+                         ContextSpec(context, ()), recs[s].sample_id, task,
+                         mock_config=cfg)
+            assert got == recs[s]
+
+
+def test_mock_invoke_generates_only_its_sample():
+    cfg = MarketplaceConfig(n_services=1, n_tasks=1,
+                            samples_per_task=200_000, contexts_per_task=1)
+    tracemalloc.start()
+    try:
+        rec = invoke(ServiceDescriptor("svc00", "mock"), "",
+                     ContextSpec("ctx00", ()), "s0003", "task00",
+                     mock_config=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.sample_id == "s0003"
+    # the draws of all 200000 samples take 19.2 MB; building every
+    # sample's record columns took 199 MB
+    assert peak < 50e6
 
 
 def test_mock_invoke_bad_ids_rejected():
     cfg = small_config()
     services, _, _ = synth_marketplace(cfg)
-    ctx = marketplace_contexts(cfg, 0)[0]
+    ctx = ContextSpec("ctx00", ())
     with pytest.raises(ConfigurationError):
         invoke(services[0], "q", ctx, "s9999", "task00", mock_config=cfg)
     with pytest.raises(ConfigurationError):
@@ -217,7 +238,7 @@ def completion_body(with_logprobs=True, echo=False):
 
 def make_context():
     return ContextSpec(context_id="ctx00",
-                       examples=(("q1", "a1"), ("q2", "a2")), count=2)
+                       examples=(("q1", "a1"), ("q2", "a2")))
 
 
 def test_http_invoke_builds_record_from_logprobs():
@@ -387,7 +408,7 @@ def test_http_ppl_without_examples_drops_the_unconditioned_token():
     session = FakeSession([FakeResponse(200, completion_body()),
                            FakeResponse(200, echo_body(tokens))])
     client = HttpClient(http_descriptor(), session=session, backoff=0.0)
-    context = ContextSpec(context_id="ctx00", examples=(), count=0)
+    context = ContextSpec(context_id="ctx00", examples=())
     rec = client.invoke("capital of france?", context, "s0000", "task00")
     assert rec.input_scores == tuple(float(np.exp(v))
                                      for v in (-0.2, -0.3, -0.4))
