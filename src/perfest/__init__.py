@@ -15,8 +15,8 @@ from .profile import FeatureProfile, build_profile, interpolate_profile
 from .metamodels import (ModelKind, ModelSpec, TrainedMetaModel, TrainingRow,
                          grid_search, load_model, predict_many,
                          save_model, train)
-from .baselines import (AtcCalibration, atc_calibrate, atc_estimate,
-                        avg_train_estimate, sample_n_estimate)
+from .baselines import (atc_calibrate, atc_estimate, avg_train_estimate,
+                        sample_n_estimate)
 from .evaluation import (ExperimentPlan, ExperimentReport, PreparedSetting,
                          f1_score, kfold_split, mae, prepare_setting,
                          run_experiment, task_performance)

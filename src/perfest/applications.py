@@ -18,7 +18,6 @@ class SettingCandidate:
     context_id: str
     profile: FeatureProfile
     estimate: float
-    estimator: str = ""
 
 
 def candidates_from_model(model, profiles) -> list:
@@ -27,8 +26,7 @@ def candidates_from_model(model, profiles) -> list:
     preds = mm.predict_many(model, profiles)
     return [SettingCandidate(service_id=pr.service_id,
                              context_id=pr.context_id, profile=pr,
-                             estimate=float(p),
-                             estimator=model.spec.kind.value)
+                             estimate=float(p))
             for pr, p in zip(profiles, preds)]
 
 

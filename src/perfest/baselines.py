@@ -14,8 +14,6 @@ bounded in (0, 1] and monotone in NLL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientDataError
@@ -53,16 +51,6 @@ def avg_train_estimate(training_performances) -> float:
     return sum(perfs) / len(perfs)
 
 
-@dataclass(frozen=True)
-class AtcCalibration:
-    """A confidence threshold fitted on one labeled (task, context)."""
-
-    source_task_id: str
-    context_id: str
-    threshold: float
-    source_accuracy: float
-
-
 def _fractions_above(sorted_confidences: np.ndarray, thresholds) -> np.ndarray:
     """Fraction of confidences strictly above each threshold."""
     m = sorted_confidences.shape[0]
@@ -70,9 +58,8 @@ def _fractions_above(sorted_confidences: np.ndarray, thresholds) -> np.ndarray:
     return above / m
 
 
-def atc_calibrate(confidences, correctness, source_task_id="",
-                  context_id="") -> AtcCalibration:
-    """Pick the threshold whose fraction-above best matches mean correctness.
+def atc_calibrate(confidences, correctness) -> float:
+    """The threshold whose fraction-above best matches mean correctness.
 
     Candidates are a sentinel below the minimum confidence, the midpoints
     between consecutive distinct confidences, and the maximum confidence;
@@ -91,19 +78,15 @@ def atc_calibrate(confidences, correctness, source_task_id="",
     errs = np.abs(_fractions_above(np.sort(confidences), candidates)
                   - accuracy)
     best = int(np.argmin(errs))  # argmin takes the first, i.e. smallest t
-    return AtcCalibration(source_task_id=source_task_id,
-                          context_id=context_id,
-                          threshold=float(candidates[best]),
-                          source_accuracy=accuracy)
+    return float(candidates[best])
 
 
-def atc_estimate(calibrations, target_confidences) -> float:
-    """Mean, over calibrations, of the fraction of target confidences
-    above each calibration's threshold."""
-    calibrations = list(calibrations)
+def atc_estimate(thresholds, target_confidences) -> float:
+    """Mean, over calibrated thresholds, of the fraction of target
+    confidences above each threshold."""
+    thresholds = np.asarray(list(thresholds), dtype=float)
     target = np.sort(np.asarray(list(target_confidences), dtype=float))
-    if not calibrations or target.size == 0:
+    if thresholds.size == 0 or target.size == 0:
         raise InsufficientDataError(
-            "need at least one calibration and one target confidence")
-    thresholds = np.array([c.threshold for c in calibrations])
+            "need at least one threshold and one target confidence")
     return float(np.mean(_fractions_above(target, thresholds)))

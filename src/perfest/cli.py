@@ -34,13 +34,19 @@ from .services import (MarketplaceConfig, ServiceDescriptor, invoke,
 _KINDS = ",".join(k.value for k in DEFAULT_KINDS)
 
 
-def _parse_kinds(text):
+def _member(flag, enum, text):
+    """The member of ``enum`` whose value is ``text``, given in ``flag``."""
     try:
-        return tuple(FeatureKind(k.strip()) for k in text.split(","))
+        return enum(text)
     except ValueError as exc:
         raise ConfigurationError(
-            f"--kinds {text!r}: {exc}; choose from "
-            f"{', '.join(k.value for k in FeatureKind)}") from exc
+            f"{flag}: {text!r} is not one of "
+            f"{', '.join(k.value for k in enum)}") from exc
+
+
+def _parse_kinds(text):
+    return tuple(_member("--kinds", FeatureKind, k.strip())
+                 for k in text.split(","))
 
 
 def _json_object(flag, text):
@@ -221,6 +227,7 @@ def _cmd_select_features(args):
 def _cmd_train(args):
     store = RecordStore.from_file(args.records)
     kinds = _parse_kinds(args.kinds)
+    kind = _member("--kind", mm.ModelKind, args.kind)
     rows = []
     for setting in _prepared(store, kinds, args.d):
         if setting.truth is None:
@@ -229,12 +236,12 @@ def _cmd_train(args):
         rows.append(mm.TrainingRow(profile=setting.profile,
                                    target=setting.truth))
     if args.grid:
-        spec = mm.grid_search(args.kind, _json_object("--grid", args.grid),
+        spec = mm.grid_search(kind, _json_object("--grid", args.grid),
                               rows, folds=args.folds, seed=args.seed)
     else:
         hp = (_json_object("--hyperparams", args.hyperparams)
               if args.hyperparams else {})
-        spec = mm.ModelSpec(kind=mm.ModelKind(args.kind), hyperparams=hp)
+        spec = mm.ModelSpec(kind=kind, hyperparams=hp)
     model = mm.train(spec, rows, args.seed)
     mm.save_model(model, args.out)
     print(f"trained {spec.kind.value} on {len(rows)} settings -> {args.out}")
@@ -274,7 +281,7 @@ def _cmd_evaluate(args):
     store = RecordStore.from_file(args.records)
     services = sorted({s for (s, _, _) in store.keys()})
     tasks = sorted({t for (_, t, _) in store.keys()})
-    specs = tuple(mm.ModelSpec(kind=mm.ModelKind(k))
+    specs = tuple(mm.ModelSpec(kind=_member("--models", mm.ModelKind, k))
                   for k in args.models.split(",") if k)
     plan = ev.ExperimentPlan(
         services=services, tasks=tasks,

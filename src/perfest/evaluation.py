@@ -337,8 +337,7 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     # an ATC threshold depends on its own setting alone; calibrate once
     atc = {}
     if "atc" in plan.baselines:
-        atc = {k: bl.atc_calibrate(d.confidences, d.sampled_f1,
-                                   source_task_id=k[1], context_id=k[2])
+        atc = {k: bl.atc_calibrate(d.confidences, d.sampled_f1)
                for k, d in data.items()}
 
     splits = kfold_split([t for (_, t, _) in settings], plan.folds,
@@ -368,11 +367,11 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
             estimates["avg_train"] = {k: per_service[k[0]]
                                       for k in test_keys}
         if atc:
-            calibs = {s: [] for s in plan.services}
+            thresholds = {s: [] for s in plan.services}
             for k in train_keys:
-                calibs[k[0]].append(atc[k])
+                thresholds[k[0]].append(atc[k])
             estimates["atc"] = {
-                k: bl.atc_estimate(calibs[k[0]], data[k].confidences)
+                k: bl.atc_estimate(thresholds[k[0]], data[k].confidences)
                 for k in test_keys}
         for n in sample_ns:
             estimates[f"sample_{n}"] = {

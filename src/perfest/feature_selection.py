@@ -90,10 +90,9 @@ def combination_score(kinds, corr: CorrelationMatrix) -> float:
     return score
 
 
-def enumerate_combinations(kinds=None):
+def enumerate_combinations(kinds):
     """All non-empty subsets, smallest first, lexicographic within a size."""
-    kinds = list(FeatureKind) if kinds is None else [FeatureKind(k) for k in kinds]
-    kinds = sorted(kinds, key=lambda k: k.value)
+    kinds = sorted((FeatureKind(k) for k in kinds), key=lambda k: k.value)
     subsets = []
     for size in range(1, len(kinds) + 1):
         subsets.extend(itertools.combinations(kinds, size))

@@ -658,8 +658,9 @@ def grid_search(kind, grid, rows, folds: int, seed: int) -> ModelSpec:
     if not grid:
         raise ConfigurationError("grid must be non-empty")
     for name, values in grid.items():
-        if not list(values):
-            raise ConfigurationError(f"grid axis {name!r} is empty")
+        if not (isinstance(values, (list, tuple)) and values):
+            raise ConfigurationError(f"grid axis {name!r} must be a "
+                                     f"non-empty list, got {values!r}")
     rows = list(rows)
     names = list(grid.keys())
     splits = kfold_split([row.profile.task_id for row in rows], folds, seed)

@@ -58,6 +58,9 @@ OUTPUT_STEPS = 4
 INPUT_SCORE_LEN = 5
 REF_TOKEN_COUNT = 10
 CONTEXT_EXAMPLES = 3
+# the most records a marketplace may hold: 16 times the 5 x 13 x 10 x 400
+# criterion-5 marketplace, about 1 GB for synth to hold
+MAX_RECORDS = 2 ** 22
 
 _REF_TOKENS = tuple(f"ref{i}" for i in range(REF_TOKEN_COUNT))
 _BAD_TOKENS = tuple(f"off{i}" for i in range(REF_TOKEN_COUNT))
@@ -104,11 +107,11 @@ class MarketplaceConfig:
 
     def __post_init__(self):
         """Raises ConfigurationError for a value of the wrong type or out
-        of range: counts are integers in [1, 2**63) and the seed is an
-        integer. Synth and a mock invoke (which draws every sample of its
-        setting) size numpy arrays by the counts, so a legal count numpy
-        cannot allocate raises numpy's ValueError ("array is too big") or
-        MemoryError."""
+        of range, before any array is made: counts are integers >= 1, and
+        the records synth makes, n_services * n_tasks * contexts_per_task
+        * samples_per_task, number at most MAX_RECORDS (2**22); the seed
+        is an integer. That bounds every array synth and a mock invoke
+        (which draws every sample of its setting) size by the counts."""
         for name in ("skill_range", "difficulty_range", "helpfulness_range"):
             try:
                 lo, hi = getattr(self, name)
@@ -120,12 +123,19 @@ class MarketplaceConfig:
         if not (_is(self.feature_fidelity, numbers.Real)
                 and 0.0 <= self.feature_fidelity <= 1.0):
             raise ConfigurationError("feature_fidelity must be in [0, 1]")
-        for name in ("n_services", "n_tasks", "samples_per_task",
-                     "contexts_per_task"):
+        counts = ("n_services", "n_tasks", "contexts_per_task",
+                  "samples_per_task")
+        for name in counts:
             value = getattr(self, name)
-            if not (_is(value, numbers.Integral) and 1 <= value < 2 ** 63):
+            if not (_is(value, numbers.Integral)
+                    and 1 <= value <= MAX_RECORDS):
                 raise ConfigurationError(
-                    f"{name} must be an integer >= 1 and < 2**63")
+                    f"{name} must be an integer in [1, {MAX_RECORDS}]")
+        records = math.prod(int(getattr(self, name)) for name in counts)
+        if records > MAX_RECORDS:
+            raise ConfigurationError(
+                f"{' * '.join(counts)} is {records} records, more than "
+                f"{MAX_RECORDS}")
         if not _is(self.seed, numbers.Integral):
             raise ConfigurationError("seed must be an integer")
 
@@ -146,7 +156,6 @@ class MarketplaceConfig:
 class MarketplaceTruth:
     """Generator parameters: the marketplace's own ground truth."""
 
-    config: MarketplaceConfig
     skills: np.ndarray        # (I,)
     difficulties: np.ndarray  # (J,)
     helpfulness: np.ndarray   # (J, K)
@@ -155,13 +164,10 @@ class MarketplaceTruth:
         return float(np.clip(self.skills[i] - self.difficulties[j]
                              + self.helpfulness[j, k], 0.0, 1.0))
 
-    def finetuned_correctness(self, i, j, k) -> float:
-        return float(np.clip(1.3 * self.correctness(i, j, k) + 0.05,
-                             0.0, 1.0))
-
     def simulated_finetune_diff(self, i, j, k) -> float:
         """Expected performance gain of fine-tuning service i on task j."""
-        return self.finetuned_correctness(i, j, k) - self.correctness(i, j, k)
+        q = self.correctness(i, j, k)
+        return float(np.clip(1.3 * q + 0.05, 0.0, 1.0)) - q
 
 
 def marketplace_truth(config: MarketplaceConfig) -> MarketplaceTruth:
@@ -171,8 +177,7 @@ def marketplace_truth(config: MarketplaceConfig) -> MarketplaceTruth:
     helpfulness = rng.uniform(*config.helpfulness_range,
                               size=(config.n_tasks,
                                     config.contexts_per_task))
-    return MarketplaceTruth(config=config, skills=skills,
-                            difficulties=difficulties,
+    return MarketplaceTruth(skills=skills, difficulties=difficulties,
                             helpfulness=helpfulness)
 
 
@@ -258,19 +263,19 @@ def _generate_settings(config: MarketplaceConfig, truth: MarketplaceTruth,
 
 
 def synth_marketplace(config: MarketplaceConfig):
-    """Generate the full marketplace: service descriptors, task datasets
-    (train split feeds contexts; test split is what gets invoked), and a
-    record store covering every (service, task, context) triple."""
+    """Generate the full marketplace: service descriptors, task datasets,
+    and a record store covering every (service, task, context) triple.
+
+    Each task's test split holds the samples its records answer; its train
+    split lists example queries that nothing in the package reads."""
     truth = marketplace_truth(config)
     services = [ServiceDescriptor(
         service_id=config.service_id(i), kind="mock",
         capabilities={"generation": True, "input_scoring": True,
                       "top_k_depth": 3},
-        config={"seed": config.seed, "service_index": i,
-                "n_services": config.n_services, "n_tasks": config.n_tasks,
-                "samples_per_task": config.samples_per_task,
-                "contexts_per_task": config.contexts_per_task,
-                "feature_fidelity": config.feature_fidelity})
+        config={name: getattr(config, name) for name in (
+            "seed", "n_services", "n_tasks", "samples_per_task",
+            "contexts_per_task", "feature_fidelity")})
         for i in range(config.n_services)]
 
     tasks = []
@@ -313,8 +318,7 @@ def _mock_index(config, name, text, count):
 
 def invoke(service: ServiceDescriptor, input_text: str,
            context: ContextSpec, sample_id: str, task_id: str,
-           mock_config: MarketplaceConfig | None = None,
-           client=None) -> InvocationRecord:
+           mock_config: MarketplaceConfig | None = None) -> InvocationRecord:
     """Single invocation. Mock services are deterministic in
     (config seed, service, task, context, sample); HTTP services go
     through HttpClient."""
@@ -332,13 +336,19 @@ def invoke(service: ServiceDescriptor, input_text: str,
                                     range(s, s + 1))
         return batch.records()[0]
     if service.kind == "http":
-        client = client or HttpClient(service)
-        return client.invoke(input_text, context, sample_id, task_id)
+        return HttpClient(service).invoke(input_text, context, sample_id,
+                                          task_id)
     raise ConfigurationError(f"unknown service kind {service.kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # HTTP client (OpenAI-compatible completions with logprobs)
+
+MAX_ATTEMPTS = 3
+BACKOFF = 0.5           # seconds before the first retry, doubling after
+TIMEOUT = 60.0          # seconds per request
+MAX_RETRY_WAIT = 60.0   # the longest Retry-After the client waits for
+
 
 def _retry_after(resp) -> float:
     """A response's numeric Retry-After header in seconds, else 0."""
@@ -346,7 +356,7 @@ def _retry_after(resp) -> float:
         seconds = float(resp.headers.get("Retry-After"))
     except (TypeError, ValueError):
         return 0.0
-    return seconds if math.isfinite(seconds) else 0.0
+    return 0.0 if math.isnan(seconds) else seconds
 
 
 def _text(value, what) -> str:
@@ -385,9 +395,10 @@ def _prob(logprob) -> float:
 class HttpClient:
     """Completions client for services that expose top-k token logprobs.
 
-    Connection failures, 5xx and 429 responses are retried up to
-    `max_attempts` times with exponential backoff (after a 429, at least
-    its numeric Retry-After); any other 4xx raises TransportError at once.
+    Connection failures, 5xx and 429 responses are tried up to
+    MAX_ATTEMPTS times with exponential backoff from BACKOFF (after a 429,
+    at least its numeric Retry-After); a 429 asking for more than
+    MAX_RETRY_WAIT seconds, and any other 4xx, raise TransportError at once.
     A response that lacks a logprob field, or holds one of another shape
     (a logprob that is not a number <= 0, a token or text that is not a
     UTF-8 string), raises CapabilityError, and nothing is fabricated. Input
@@ -400,9 +411,7 @@ class HttpClient:
     ValidationError, since no record file could hold it.
     """
 
-    def __init__(self, descriptor: ServiceDescriptor, session=None,
-                 max_attempts: int = 3, backoff: float = 0.5,
-                 timeout: float = 60.0):
+    def __init__(self, descriptor: ServiceDescriptor, session=None):
         self.descriptor = descriptor
         cfg = descriptor.config
         self.endpoint = cfg.get("endpoint")
@@ -418,17 +427,14 @@ class HttpClient:
             import requests
             session = requests.Session()
         self.session = session
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.timeout = timeout
 
     def _post(self, payload):
         last = None
-        for attempt in range(self.max_attempts):
-            delay = self.backoff * 2 ** attempt
+        for attempt in range(MAX_ATTEMPTS):
+            delay = BACKOFF * 2 ** attempt
             try:
                 resp = self.session.post(self.endpoint, json=payload,
-                                         timeout=self.timeout)
+                                         timeout=TIMEOUT)
             except Exception as exc:  # connection-level failure
                 last = exc
             else:
@@ -441,12 +447,18 @@ class HttpClient:
                         f"the request: HTTP {status}")
                 last = RuntimeError(f"HTTP {status}")
                 if status == 429:
-                    delay = max(delay, _retry_after(resp))
-            if attempt + 1 < self.max_attempts:
+                    wait = _retry_after(resp)
+                    if wait > MAX_RETRY_WAIT:
+                        raise TransportError(
+                            f"service {self.descriptor.service_id} asked to "
+                            f"wait {wait:g} s before a retry (HTTP 429), "
+                            f"more than {MAX_RETRY_WAIT:g} s")
+                    delay = max(delay, wait)
+            if attempt + 1 < MAX_ATTEMPTS:
                 time.sleep(delay)
         raise TransportError(
             f"service {self.descriptor.service_id} unreachable after "
-            f"{self.max_attempts} attempts: {last}")
+            f"{MAX_ATTEMPTS} attempts: {last}")
 
     def _completion_payload(self, prompt, echo):
         payload = {

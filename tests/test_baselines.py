@@ -101,20 +101,19 @@ def test_avg_train_mean_and_empty():
 
 def test_atc_calibrate_two_point_example():
     cal = atc_calibrate([0.1, 0.9], [0.0, 1.0])
-    assert cal.threshold == pytest.approx(0.5)
-    assert cal.source_accuracy == pytest.approx(0.5)
+    assert cal == pytest.approx(0.5)
     assert atc_estimate([cal], [0.1, 0.9]) == pytest.approx(0.5)
 
 
 def test_atc_calibrate_all_correct():
     cal = atc_calibrate([0.3, 0.6, 0.8], [1.0, 1.0, 1.0])
-    assert cal.threshold < 0.3
+    assert cal < 0.3
     assert atc_estimate([cal], [0.3, 0.6, 0.8]) == pytest.approx(1.0)
 
 
 def test_atc_calibrate_all_wrong():
     cal = atc_calibrate([0.3, 0.6, 0.8], [0.0, 0.0, 0.0])
-    assert cal.threshold >= 0.8
+    assert cal >= 0.8
     assert atc_estimate([cal], [0.3, 0.6, 0.8]) == pytest.approx(0.0)
 
 
@@ -127,7 +126,7 @@ def test_atc_calibrated_fraction_matches_accuracy_when_attainable():
         target = int(rng.integers(0, n + 1))
         correct = [1.0] * target + [0.0] * (n - target)
         cal = atc_calibrate(conf.tolist(), correct)
-        frac = float(np.mean(conf > cal.threshold))
+        frac = float(np.mean(conf > cal))
         assert frac == pytest.approx(target / n, abs=1e-12)
 
 
@@ -155,8 +154,8 @@ def test_atc_estimate_averages_calibrations():
     cal_lo = atc_calibrate([0.4, 0.6], [1.0, 1.0])  # threshold < 0.4
     cal_hi = atc_calibrate([0.4, 0.6], [0.0, 0.0])  # threshold >= 0.6
     targets = [0.2, 0.3, 0.5, 0.7, 0.9]
-    lo = float(np.mean(np.asarray(targets) > cal_lo.threshold))
-    hi = float(np.mean(np.asarray(targets) > cal_hi.threshold))
+    lo = float(np.mean(np.asarray(targets) > cal_lo))
+    hi = float(np.mean(np.asarray(targets) > cal_hi))
     got = atc_estimate([cal_lo, cal_hi], targets)
     assert got == pytest.approx((lo + hi) / 2, abs=1e-12)
     assert got == pytest.approx((1.0 + 0.4) / 2, abs=1e-12)
@@ -167,7 +166,7 @@ def test_atc_estimate_hand_mean_of_three_calibrations():
     cals = [atc_calibrate([0.1, 0.9], [0.0, 1.0]),      # t = 0.5
             atc_calibrate([0.2, 0.8], [1.0, 1.0]),      # t < 0.2
             atc_calibrate([0.2, 0.8], [0.0, 0.0])]      # t >= 0.8
-    fractions = [float(np.mean(np.asarray(confs) > c.threshold))
+    fractions = [float(np.mean(np.asarray(confs) > c))
                  for c in cals]
     assert atc_estimate(cals, confs) == pytest.approx(
         sum(fractions) / 3, abs=1e-12)

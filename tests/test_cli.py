@@ -15,6 +15,7 @@ from perfest.cli import _config_defaults, _prepared, build_parser, dispatch
 from perfest.core import RecordStore
 from perfest.errors import ConfigurationError
 from perfest.metamodels import load_model
+from perfest.services import MAX_RECORDS
 
 
 def run(capsys, *argv):
@@ -665,4 +666,110 @@ def test_invoke_http_input_text_utf8_cannot_encode_is_domain_error(
     assert code == 1
     assert err.startswith("error: input text")
     assert session.payloads == []
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Every flag that takes a value, swept with malformed values: exit 1 or 2,
+# no exception, and no --out file.
+
+@pytest.fixture(scope="module")
+def sweep_files(tmp_path_factory):
+    """A small store, a KNN model trained on it, and a service config
+    holding the store's mock services and one HTTP service."""
+    root = tmp_path_factory.mktemp("sweep")
+    store, model = root / "store", root / "model.json"
+    records = str(store / "records.jsonl")
+    assert dispatch(synth_args(store, services=1, tasks=2, samples=40,
+                               contexts=2)) == 0
+    assert dispatch(["train", "--records", records, "--kind", "knn",
+                     "--d", "4", "--out", str(model)]) == 0
+    services = json.loads((store / "services.json").read_text())
+    (root / "services.json").write_text(json.dumps(services + [HTTP_SERVICE]))
+    return {"records": records, "model": str(model),
+            "services": str(root / "services.json"),
+            "missing": str(root / "missing.json"),
+            "in_a_file": os.path.join(records, "out")}
+
+
+# a valid command line for each subcommand, "@name" standing for a file
+# of sweep_files; --out is added where the subcommand takes it
+SWEEP_BASE = {
+    "synth": ["--services", "1", "--tasks", "1", "--samples", "4",
+              "--contexts", "1"],
+    "invoke": ["--service-config", "@services", "--service", "svc00",
+               "--task", "task00", "--context", "ctx00", "--sample",
+               "s0003"],
+    "extract": ["--records", "@records"],
+    "select-features": ["--records", "@records"],
+    "train": ["--records", "@records", "--kind", "knn", "--d", "4"],
+    "estimate": ["--model", "@model", "--records", "@records"],
+    "evaluate": ["--records", "@records", "--models", "knn", "--contexts",
+                 "2", "--folds", "2", "--d", "4"],
+    "select": ["--model", "@model", "--records", "@records"],
+    "recommend-finetune": ["--model", "@model", "--records", "@records"],
+}
+COUNT = ["x", "0", "-1"]
+SWEEP_VALUES = {
+    "--seed": ["x", "1.5"],
+    "--services": COUNT, "--tasks": COUNT,
+    "--samples": COUNT + [str(MAX_RECORDS + 1)],
+    "--contexts": COUNT, "--fidelity": ["x", "nan", "1.5", "-0.1"],
+    "--out": ["@in_a_file"],
+    "--service-config": ["@missing", "@records"],
+    "--service": ["nope"], "--task": ["foo", "task99"],
+    "--context": ["ctx", "ctx99"], "--sample": ["s", "s9999"],
+    "--input-text": ["caf\udcff"], "--records": ["@missing", "@model"],
+    "--model": ["@missing", "@records"], "--kinds": ["foo", "", "nll,"],
+    "--kind": ["foo"], "--models": ["foo", "knn,foo"], "--d": COUNT,
+    "--hyperparams": ["nope", "[]", '{"k": 0}', '{"foo": 1}'],
+    "--grid": ["nope", '{"k": 5}', '{"k": "12"}', '{"k": []}', "{}",
+               '{"k": [0]}'],
+    "--folds": COUNT, "--n": COUNT,
+}
+# flags whose value is read only next to another flag's
+SWEEP_WITH = {("train", "--folds"): ["--grid", '{"k": [1, 2]}'],
+              ("invoke", "--input-text"): ["--service", "svc-http"]}
+
+
+# (subcommand, flag) for every flag that takes a value
+SWEEP = [(c.prog.split()[-1], a.option_strings[0]) for c, a in FLAGS
+         if a.nargs is None]
+
+
+def sweep_argv(files, out, command, *extra):
+    argv = [command, *SWEEP_BASE[command]]
+    if (command, "--out") in SWEEP:
+        argv += ["--out", str(out)]
+    return [files.get(a[1:], a) if a.startswith("@") else a
+            for a in argv + list(extra)]
+
+
+@pytest.mark.parametrize("command", SWEEP_BASE)
+def test_sweep_base_command_lines_succeed(capsys, tmp_path, sweep_files,
+                                          command):
+    out = tmp_path / "out"
+    assert run(capsys, *sweep_argv(sweep_files, out, command))[0] == 0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, flag in SWEEP
+    for value in SWEEP_VALUES[flag]])
+def test_malformed_flag_value_exits_without_a_traceback(
+        capsys, tmp_path, sweep_files, command, flag, value):
+    out = tmp_path / "out"
+    argv = sweep_argv(sweep_files, out, command,
+                      *SWEEP_WITH.get((command, flag), ()), flag, value)
+    code, _, err = run(capsys, *argv)
+    assert code in (1, 2)
+    assert err.startswith("error: ") or code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["missing", "records"])
+def test_malformed_config_flag_exits_without_a_traceback(
+        capsys, tmp_path, sweep_files, name):
+    out = tmp_path / "out"
+    argv = sweep_argv(sweep_files, out, "extract")
+    assert run(capsys, "--config", sweep_files[name], *argv)[0] == 1
     assert not out.exists()

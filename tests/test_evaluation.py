@@ -292,8 +292,7 @@ def per_fold_atc_rows(plan, store):
         for i in train_idx:
             k = settings[i]
             calibs[k[0]].append(atc_calibrate(
-                data[k].confidences, data[k].sampled_f1,
-                source_task_id=k[1], context_id=k[2]))
+                data[k].confidences, data[k].sampled_f1))
         for i in test_idx:
             k = settings[i]
             est = float(atc_estimate(calibs[k[0]], data[k].confidences))
@@ -311,9 +310,9 @@ def test_atc_calibrates_each_setting_once(monkeypatch):
     expected = per_fold_atc_rows(plan, store)
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append((kwargs["source_task_id"], kwargs["context_id"]))
-        return atc_calibrate(*args, **kwargs)
+    def counted(*args):
+        calls.append(args)
+        return atc_calibrate(*args)
 
     monkeypatch.setattr(baselines, "atc_calibrate", counted)
     report = run_experiment(plan, store)

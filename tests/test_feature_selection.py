@@ -95,7 +95,7 @@ def test_combination_score_fully_redundant_triple():
 
 
 def test_enumerate_combinations_covers_all_15_subsets():
-    subsets = enumerate_combinations()
+    subsets = enumerate_combinations(FeatureKind)
     assert len(subsets) == 15
     assert len(set(subsets)) == 15
     sizes = [len(s) for s in subsets]

@@ -27,7 +27,7 @@ from perfest.features import FeatureKind
 from perfest.metamodels import (ModelKind, ModelSpec, TrainingRow,
                                 load_model, save_model, train)
 from perfest.profile import FeatureProfile
-from perfest.services import (HttpClient, MarketplaceConfig,
+from perfest.services import (MAX_RECORDS, HttpClient, MarketplaceConfig,
                               ServiceDescriptor, synth_marketplace)
 
 # placeholders, swapped for their text once the value is JSON: an integer
@@ -247,7 +247,8 @@ def test_service_config_reader_raises_only_a_configuration_error(
     ("contexts_per_task", 10 ** 400), ("samples_per_task", True),
     ("samples_per_task", 4.0), ("seed", float("nan")), ("seed", "7"),
     ("seed", 1.5), ("feature_fidelity", "0.9"),
-    ("skill_range", [0.2, None])])
+    ("skill_range", [0.2, None]), ("samples_per_task", 2 ** 62),
+    ("samples_per_task", MAX_RECORDS + 1)])
 def test_mock_config_with_an_odd_value_is_a_configuration_error(
         tmp_path, services, field, value):
     bad = copy.deepcopy(services)
@@ -282,6 +283,12 @@ HTTP_BODIES = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def no_retry_sleep(monkeypatch):
+    """HTTP retries take no time."""
+    monkeypatch.setattr("perfest.services.time.sleep", lambda seconds: None)
+
+
 class BodySession:
     """A requests.Session stand-in whose posts answer 200 with the next
     body, decoded from bytes as requests' Response.json decodes it."""
@@ -301,8 +308,7 @@ def test_http_client_raises_only_a_typed_error(tmp_path, data):
     bodies = [json.dumps(body).encode("utf-8") for body in HTTP_BODIES]
     bodies[at] = data.draw(damaged(to_bytes(json.dumps(
         data.draw(mutated(HTTP_BODIES[at]))))))
-    client = HttpClient(HTTP_SERVICE, session=BodySession(bodies),
-                        backoff=0.0)
+    client = HttpClient(HTTP_SERVICE, session=BodySession(bodies))
     try:
         rec = client.invoke("capital of france?", HTTP_CONTEXT, "s0000",
                             "task00")

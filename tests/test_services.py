@@ -1,5 +1,6 @@
 """Synthetic service marketplace and the HTTP completions client."""
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -13,6 +14,7 @@ from perfest.evaluation import f1_score, task_performance
 from perfest.features import FeatureKind, extract_task_features
 from perfest.feature_selection import pearson
 from perfest.services import (
+    MAX_RECORDS,
     HttpClient,
     MarketplaceConfig,
     ServiceDescriptor,
@@ -70,6 +72,32 @@ def test_synth_shape_and_invariants():
                 assert sum(probs) <= 1.0 + 1e-9
             assert rec.reference is not None
             assert rec.input_scores is not None
+
+
+def test_synth_mock_configs_hold_only_marketplace_config_fields():
+    cfg = small_config()
+    services, _, _ = synth_marketplace(cfg)
+    names = {f.name for f in dataclasses.fields(MarketplaceConfig)}
+    for service in services:
+        assert set(service.config) <= names
+        assert MarketplaceConfig(**service.config) == cfg
+
+
+@pytest.mark.parametrize("counts", [
+    {"n_tasks": MAX_RECORDS + 1},
+    {"n_services": 2, "samples_per_task": MAX_RECORDS // 2 + 1},
+    {"n_tasks": 2 ** 11, "contexts_per_task": 2 ** 11, "n_services": 2}])
+def test_counts_past_the_record_bound_are_rejected(counts):
+    fields = {"n_services": 1, "n_tasks": 1, "contexts_per_task": 1,
+              "samples_per_task": 1, **counts}
+    with pytest.raises(ConfigurationError, match=next(iter(counts))):
+        MarketplaceConfig(**fields)
+
+
+def test_counts_at_the_record_bound_are_accepted():
+    cfg = MarketplaceConfig(n_services=2, n_tasks=2, contexts_per_task=2,
+                            samples_per_task=MAX_RECORDS // 8)
+    assert cfg.samples_per_task == 2 ** 19
 
 
 def test_mock_invoke_matches_store():
@@ -189,6 +217,14 @@ def test_finetune_diff_positive_below_saturation():
 
 # --- HTTP client against a canned session ---
 
+@pytest.fixture(autouse=True)
+def slept(monkeypatch):
+    """The HTTP client's retry waits, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr("perfest.services.time.sleep", waits.append)
+    return waits
+
+
 class FakeResponse:
     def __init__(self, status_code, body, headers=None):
         self.status_code = status_code
@@ -246,7 +282,7 @@ def test_http_invoke_builds_record_from_logprobs():
         FakeResponse(200, completion_body()),
         FakeResponse(200, completion_body(echo=True)),
     ])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     rec = client.invoke("capital of france?", make_context(), "s0000",
                         "task00")
     assert rec.generated_text == " paris"
@@ -267,7 +303,7 @@ def test_http_invoke_builds_record_from_logprobs():
 
 def test_http_missing_logprobs_is_capability_error():
     session = FakeSession([FakeResponse(200, completion_body(False))])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(CapabilityError):
         client.invoke("q", make_context(), "s0000", "task00")
 
@@ -275,7 +311,7 @@ def test_http_missing_logprobs_is_capability_error():
 def test_http_no_input_scoring_capability_skips_echo():
     session = FakeSession([FakeResponse(200, completion_body())])
     client = HttpClient(http_descriptor(input_scoring=False),
-                        session=session, backoff=0.0)
+                        session=session)
     rec = client.invoke("q", make_context(), "s0000", "task00")
     assert rec.input_scores is None
     assert len(session.requests) == 1
@@ -288,7 +324,7 @@ def test_http_retries_then_succeeds():
         FakeResponse(200, completion_body()),
         FakeResponse(200, completion_body(echo=True)),
     ])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     rec = client.invoke("q", make_context(), "s0000", "task00")
     assert rec.generated_text == " paris"
     assert len(session.requests) == 4
@@ -296,7 +332,7 @@ def test_http_retries_then_succeeds():
 
 def test_http_exhausted_retries_is_transport_error():
     session = FakeSession([FakeResponse(500, {})] * 3)
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(TransportError):
         client.invoke("q", make_context(), "s0000", "task00")
     assert len(session.requests) == 3
@@ -318,7 +354,7 @@ class NotJsonResponse(FakeResponse):
         "echo-empty-choices", "body-not-object", "choice-not-object"])
 def test_http_malformed_body_is_capability_error(responses):
     session = FakeSession(responses)
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(CapabilityError, match="malformed"):
         client.invoke("q", make_context(), "s0000", "task00")
 
@@ -331,7 +367,7 @@ class UnreadResponse(FakeResponse):
 @pytest.mark.parametrize("status", [400, 401, 404, 422])
 def test_http_client_error_raises_without_retry(status):
     session = FakeSession([UnreadResponse(status, None)] * 3)
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(TransportError, match=f"HTTP {status}"):
         client.invoke("q", make_context(), "s0000", "task00")
     assert len(session.requests) == 1
@@ -343,7 +379,7 @@ def test_http_429_is_retried_then_succeeds():
         FakeResponse(200, completion_body()),
         FakeResponse(200, completion_body(echo=True)),
     ])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     rec = client.invoke("q", make_context(), "s0000", "task00")
     assert rec.generated_text == " paris"
     assert len(session.requests) == 3
@@ -351,7 +387,7 @@ def test_http_429_is_retried_then_succeeds():
 
 def test_http_429_every_time_is_transport_error():
     session = FakeSession([UnreadResponse(429, None)] * 3)
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(TransportError, match="HTTP 429"):
         client.invoke("q", make_context(), "s0000", "task00")
     assert len(session.requests) == 3
@@ -360,17 +396,20 @@ def test_http_429_every_time_is_transport_error():
 @pytest.mark.parametrize("retry_after,backoff,want", [
     ("2", 0.0, [2.0, 2.0]), ("2", 5.0, [5.0, 10.0]),
     ("0.25", 0.0, [0.25, 0.25]), ("Wed, 21 Oct 2026 07:28:00 GMT", 0.1,
-                                   [0.1, 0.2]), (None, 0.0, [0.0, 0.0])])
+                                   [0.1, 0.2]), (None, 0.0, [0.0, 0.0]),
+    # past MAX_RETRY_WAIT the tries end at once
+    ("60", 0.0, [60.0, 60.0]), ("60.001", 0.0, []), ("86400", 0.5, []),
+    ("1e20", 0.5, []), ("inf", 0.5, [])])
 def test_http_429_waits_for_the_larger_of_retry_after_and_backoff(
-        monkeypatch, retry_after, backoff, want):
-    slept = []
-    monkeypatch.setattr("perfest.services.time.sleep", slept.append)
+        monkeypatch, slept, retry_after, backoff, want):
+    monkeypatch.setattr("perfest.services.BACKOFF", backoff)
     headers = {} if retry_after is None else {"Retry-After": retry_after}
     session = FakeSession([UnreadResponse(429, None, headers)] * 3)
-    client = HttpClient(http_descriptor(), session=session, backoff=backoff)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(TransportError):
         client.invoke("q", make_context(), "s0000", "task00")
     assert slept == want
+    assert len(session.requests) == (3 if want else 1)
 
 
 PROMPT_TOKENS = [  # make_context's examples, then "capital of france?"
@@ -394,7 +433,7 @@ def echo_body(tokens, offsets=True):
 def test_http_ppl_scores_only_the_input_tokens():
     session = FakeSession([FakeResponse(200, completion_body()),
                            FakeResponse(200, echo_body(PROMPT_TOKENS))])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     rec = client.invoke("capital of france?", make_context(), "s0000",
                         "task00")
     assert session.requests[1][1]["prompt"][14:] == "capital of france?"
@@ -407,7 +446,7 @@ def test_http_ppl_without_examples_drops_the_unconditioned_token():
               ("?", 17, -0.4)]
     session = FakeSession([FakeResponse(200, completion_body()),
                            FakeResponse(200, echo_body(tokens))])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     context = ContextSpec(context_id="ctx00", examples=())
     rec = client.invoke("capital of france?", context, "s0000", "task00")
     assert rec.input_scores == tuple(float(np.exp(v))
@@ -420,7 +459,7 @@ def test_http_echo_without_token_offsets_is_capability_error(offsets):
     session = FakeSession([FakeResponse(200, completion_body()),
                            FakeResponse(200, echo_body(PROMPT_TOKENS,
                                                        offsets))])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(CapabilityError, match="text_offset"):
         client.invoke("capital of france?", make_context(), "s0000",
                       "task00")
@@ -470,7 +509,7 @@ MALFORMED_COMPLETIONS = {
 def test_http_completion_of_another_shape_is_capability_error(body):
     session = FakeSession([FakeResponse(200, body),
                            FakeResponse(200, echo_body(PROMPT_TOKENS))])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(CapabilityError):
         client.invoke("capital of france?", make_context(), "s0000",
                       "task00")
@@ -483,7 +522,7 @@ def test_http_completion_without_text_generates_empty_text():
     body["choices"][0]["logprobs"]["tokens"] = [""]
     session = FakeSession([FakeResponse(200, body)])
     client = HttpClient(http_descriptor(input_scoring=False),
-                        session=session, backoff=0.0)
+                        session=session)
     rec = client.invoke("q", make_context(), "s0000", "task00")
     assert rec.generated_text == ""
     assert rec.output_steps[0].token == ""
@@ -507,7 +546,7 @@ MALFORMED_ECHOES = {
 def test_http_echo_of_another_shape_is_capability_error(body):
     session = FakeSession([FakeResponse(200, completion_body()),
                            FakeResponse(200, body)])
-    client = HttpClient(http_descriptor(), session=session, backoff=0.0)
+    client = HttpClient(http_descriptor(), session=session)
     with pytest.raises(CapabilityError):
         client.invoke("capital of france?", make_context(), "s0000",
                       "task00")
