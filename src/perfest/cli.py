@@ -122,9 +122,8 @@ def _cmd_synth(args):
     write_tasks(tasks, os.path.join(args.out, "tasks.jsonl"))
     with open(os.path.join(args.out, "services.json"), "w",
               encoding="utf-8") as f:
-        json.dump([{"service_id": s.service_id, "kind": s.kind,
-                    "capabilities": s.capabilities, "config": s.config}
-                   for s in services], f, sort_keys=True, indent=2)
+        json.dump([dataclasses.asdict(s) for s in services], f,
+                  sort_keys=True, indent=2)
     print(f"wrote {len(store)} records for {len(services)} services x "
           f"{config.n_tasks} tasks x {config.contexts_per_task} contexts "
           f"to {args.out}")
@@ -157,20 +156,10 @@ def _cmd_invoke(args):
     by_id = {d.service_id: d for d in descriptors}
     if args.service not in by_id:
         raise ConfigurationError(f"unknown service {args.service!r}")
-    desc = by_id[args.service]
-    mock_config = None
-    if desc.kind == "mock":
-        names = {f.name for f in dataclasses.fields(MarketplaceConfig)}
-        try:
-            mock_config = MarketplaceConfig(**{
-                "seed": args.seed,
-                **{k: v for k, v in desc.config.items() if k in names}})
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"service {desc.service_id!r} config: {exc}") from exc
     # an HTTP service is sent the input with no in-context examples
-    rec = invoke(desc, args.input_text or "", ContextSpec(args.context, ()),
-                 args.sample, args.task, mock_config=mock_config)
+    rec = invoke(by_id[args.service], args.input_text or "",
+                 ContextSpec(args.context, ()), args.sample, args.task,
+                 seed=args.seed)
     append_records([rec], args.out)
     print(f"appended 1 record to {args.out}")
     return 0
@@ -225,6 +214,8 @@ def _cmd_select_features(args):
 
 
 def _cmd_train(args):
+    if args.folds < 2:
+        raise ConfigurationError(f"--folds must be >= 2, got {args.folds}")
     store = RecordStore.from_file(args.records)
     kinds = _parse_kinds(args.kinds)
     kind = _member("--kind", mm.ModelKind, args.kind)

@@ -91,9 +91,9 @@ DEFAULT_HYPERPARAMS = {
 }
 
 
-def _count(low):
+def _count(low, high=math.inf):
     return lambda v: (isinstance(v, numbers.Integral)
-                      and not isinstance(v, bool) and v >= low)
+                      and not isinstance(v, bool) and low <= v <= high)
 
 
 def _real(v):
@@ -105,16 +105,26 @@ def _real(v):
         return False
 
 
+# the widest MLP: 16 times the default 64. The first layer holds
+# profile columns x width floats, 134 MB at 4 kinds x MAX_DIMS columns.
+MAX_HIDDEN_WIDTH = 1024
+# the largest tree sample: four times the largest the tests use (2.5).
+# A forest tree copies sampling_ratio x rows of the matrix, and a
+# bootstrap past a few times the rows only repeats them.
+MAX_SAMPLING_RATIO = 10.0
+
 # the legal values of each hyperparameter, as (description, test)
 HYPERPARAM_RANGES = {
     "n_trees": ("an integer >= 1", _count(1)),
     "k": ("an integer >= 1", _count(1)),
-    "hidden_width": ("an integer >= 1", _count(1)),
+    "hidden_width": (f"an integer in [1, {MAX_HIDDEN_WIDTH}]",
+                     _count(1, MAX_HIDDEN_WIDTH)),
     "max_depth": ("an integer >= 0", _count(0)),
     "epochs": ("an integer >= 0", _count(0)),
     "n_rounds": ("an integer >= 0", _count(0)),
     "learning_rate": ("a finite number > 0", lambda v: _real(v) and v > 0),
-    "sampling_ratio": ("a finite number > 0", lambda v: _real(v) and v > 0),
+    "sampling_ratio": (f"a number in (0, {MAX_SAMPLING_RATIO:g}]",
+                       lambda v: _real(v) and 0 < v <= MAX_SAMPLING_RATIO),
     "feature_ratio": ("a number in (0, 1]",
                       lambda v: _real(v) and 0 < v <= 1),
 }

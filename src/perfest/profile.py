@@ -20,6 +20,10 @@ from .features import FeatureKind, extract_task_features
 
 DEFAULT_KINDS = (FeatureKind.NLL, FeatureKind.PPL)
 DEFAULT_DIMS = 100
+# the most points a profile may have: ten times the 400 samples of a
+# criterion-5 setting, past which a profile only repeats interpolations
+# between its samples while every setting's profile grows by d floats
+MAX_DIMS = 4096
 
 
 def interpolate_profile(values, d: int):
@@ -27,10 +31,12 @@ def interpolate_profile(values, d: int):
 
     Returns a python list of length d, non-decreasing, bounded by
     min(values) and max(values). Exact at integral positions, so
-    d == len(values) reproduces the sorted input.
+    d == len(values) reproduces the sorted input. ShapeError for d
+    outside [1, MAX_DIMS], before any array is made.
     """
-    if d < 1:
-        raise ShapeError(f"profile dimension must be >= 1, got {d}")
+    if not 1 <= d <= MAX_DIMS:
+        raise ShapeError(
+            f"profile dimension must be in [1, {MAX_DIMS}], got {d}")
     v = np.sort(np.asarray(list(values), dtype=float))
     m = v.shape[0]
     if m == 0:

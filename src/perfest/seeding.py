@@ -1,8 +1,11 @@
 """Deterministic RNG derivation.
 
-One global seed governs every run; component RNGs are derived by stable
-hashing of (seed, *salt), so adding a component never perturbs the
-streams of existing ones.
+One global seed governs every run; component RNGs are derived from it,
+so adding a component never perturbs the streams of existing ones. Most
+are derived here by stable hashing of (seed, *salt). The meta-models'
+tree and MLP streams are not: ``metamodels._rng`` seeds them with
+``SeedSequence([seed & 0x7FFFFFFF, *salt])``. Saved model bytes pin both
+schemes.
 """
 
 from __future__ import annotations

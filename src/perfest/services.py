@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -80,12 +80,9 @@ _CANDIDATES = np.array(
 class ServiceDescriptor:
     service_id: str
     kind: str  # "mock" | "http"
-    capabilities: dict = field(default_factory=lambda: {
-        "generation": True, "input_scoring": True, "top_k_depth": 3})
+    capabilities: dict = field(default_factory=dict)
+    # mock: its marketplace's MarketplaceConfig fields; http: see HttpClient
     config: dict = field(default_factory=dict)
-
-    def supports_input_scoring(self):
-        return bool(self.capabilities.get("input_scoring", False))
 
 
 def _is(value, kind):
@@ -273,9 +270,7 @@ def synth_marketplace(config: MarketplaceConfig):
         service_id=config.service_id(i), kind="mock",
         capabilities={"generation": True, "input_scoring": True,
                       "top_k_depth": 3},
-        config={name: getattr(config, name) for name in (
-            "seed", "n_services", "n_tasks", "samples_per_task",
-            "contexts_per_task", "feature_fidelity")})
+        config=asdict(config))
         for i in range(config.n_services)]
 
     tasks = []
@@ -318,15 +313,18 @@ def _mock_index(config, name, text, count):
 
 def invoke(service: ServiceDescriptor, input_text: str,
            context: ContextSpec, sample_id: str, task_id: str,
-           mock_config: MarketplaceConfig | None = None) -> InvocationRecord:
-    """Single invocation. Mock services are deterministic in
-    (config seed, service, task, context, sample); HTTP services go
-    through HttpClient."""
+           seed: int = 0) -> InvocationRecord:
+    """Single invocation. A mock service is the marketplace its config's
+    MarketplaceConfig fields describe, `seed` standing in for a missing
+    seed; HTTP services go through HttpClient."""
     if service.kind == "mock":
-        if mock_config is None:
-            raise ConfigurationError("mock invocation needs its "
-                                     "MarketplaceConfig")
-        c = mock_config
+        names = {f.name for f in fields(MarketplaceConfig)}
+        try:
+            c = MarketplaceConfig(**{"seed": seed, **{
+                k: v for k, v in service.config.items() if k in names}})
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"service {service.service_id!r} config: {exc}") from exc
         i = _mock_index(c, "service_id", service.service_id, c.n_services)
         j = _mock_index(c, "task_id", task_id, c.n_tasks)
         k = _mock_index(c, "context_id", context.context_id,
@@ -544,7 +542,7 @@ class HttpClient:
         text = _text(choice.get("text", ""), "completion text")
 
         input_scores = None
-        if self.descriptor.supports_input_scoring():
+        if self.descriptor.capabilities.get("input_scoring", False):
             _, echo = self._first_choice(
                 self._post(self._completion_payload(prompt, echo=True)),
                 "echo scoring")

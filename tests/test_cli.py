@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 from perfest.applications import candidates_from_model
 from perfest.cli import _config_defaults, _prepared, build_parser, dispatch
-from perfest.core import RecordStore
+from perfest.core import ContextSpec, RecordStore
 from perfest.errors import ConfigurationError
-from perfest.metamodels import load_model
-from perfest.services import MAX_RECORDS
+from perfest.metamodels import (MAX_HIDDEN_WIDTH, MAX_SAMPLING_RATIO,
+                                load_model)
+from perfest.profile import MAX_DIMS
+from perfest.services import MAX_RECORDS, ServiceDescriptor, invoke
 
 
 def run(capsys, *argv):
@@ -312,6 +315,11 @@ def test_train_json_flags_must_hold_an_object(capsys, tmp_path, flag, text):
     ("random_forest", '{"feature_ratio": 0}'),
     ("random_forest", '{"feature_raito": 1.0}'),
     ("random_forest", '{"sampling_ratio": 1%s}' % ("0" * 400)),
+    ("random_forest", '{"sampling_ratio": 1%s}' % ("0" * 30)),
+    ("random_forest", '{"sampling_ratio": %r}'
+     % math.nextafter(MAX_SAMPLING_RATIO, math.inf)),
+    ("mlp", '{"hidden_width": 1%s}' % ("0" * 30)),
+    ("mlp", '{"hidden_width": %d}' % (MAX_HIDDEN_WIDTH + 1)),
     ("gbt", '{"feature_ratio": 1.5}'),
     ("gbt", '{"n_trees": 5}'),
     ("knn", '{"k": 0}')])
@@ -357,7 +365,7 @@ def test_invoke_mock_non_generator_id_is_domain_error(capsys, tmp_path, flag,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("d", ["0", "-3"])
+@pytest.mark.parametrize("d", ["0", "-3", str(MAX_DIMS + 1), str(10 ** 30)])
 def test_train_bad_profile_dimension_is_domain_error(capsys, tmp_path, d):
     records = str(small_store(capsys, tmp_path) / "records.jsonl")
     code, _, err = run(capsys, "train", "--records", records, "--d", d,
@@ -622,6 +630,27 @@ def test_invoke_http_sends_the_input_alone(capsys, tmp_path, monkeypatch):
     assert rec["generated_text"] == " paris"
 
 
+def test_invoke_http_descriptor_sends_the_same_requests_however_made(
+        capsys, tmp_path, monkeypatch):
+    # an entry without capabilities: the client's own defaults apply
+    entry = {key: HTTP_SERVICE[key] for key in ("service_id", "kind",
+                                                 "config")}
+    echo = {"choices": [{"text": "", "logprobs": {
+        "token_logprobs": [-0.1], "text_offset": [0]}}]}
+    session = CannedSession([COMPLETION, echo])
+    monkeypatch.setattr("requests.Session", lambda: session)
+    built = invoke(ServiceDescriptor(**entry), "capital of france?",
+                   ContextSpec("ctx03", ()), "s0001", "task00")
+    code, _, out, read = invoke_http(capsys, tmp_path, monkeypatch,
+                                     [COMPLETION, echo], service=entry)
+    assert code == 0
+    assert session.payloads == read.payloads
+    assert [(p["echo"], p["logprobs"]) for p in read.payloads] == [
+        (False, 5)]
+    assert RecordStore.from_file(str(out)).get(
+        "svc-http", "task00", "ctx03") == [built]
+
+
 @pytest.mark.parametrize("logprobs, text", [
     ([1, 2], " paris"),
     ({"tokens": [" paris"], "top_logprobs": [[" paris", -0.1]]}, " paris"),
@@ -721,15 +750,15 @@ SWEEP_VALUES = {
     "--context": ["ctx", "ctx99"], "--sample": ["s", "s9999"],
     "--input-text": ["caf\udcff"], "--records": ["@missing", "@model"],
     "--model": ["@missing", "@records"], "--kinds": ["foo", "", "nll,"],
-    "--kind": ["foo"], "--models": ["foo", "knn,foo"], "--d": COUNT,
+    "--kind": ["foo"], "--models": ["foo", "knn,foo"],
+    "--d": COUNT + [str(10 ** 30), str(MAX_DIMS + 1)],
     "--hyperparams": ["nope", "[]", '{"k": 0}', '{"foo": 1}'],
     "--grid": ["nope", '{"k": 5}', '{"k": "12"}', '{"k": []}', "{}",
                '{"k": [0]}'],
     "--folds": COUNT, "--n": COUNT,
 }
 # flags whose value is read only next to another flag's
-SWEEP_WITH = {("train", "--folds"): ["--grid", '{"k": [1, 2]}'],
-              ("invoke", "--input-text"): ["--service", "svc-http"]}
+SWEEP_WITH = {("invoke", "--input-text"): ["--service", "svc-http"]}
 
 
 # (subcommand, flag) for every flag that takes a value

@@ -17,6 +17,8 @@ from perfest.errors import (ConfigurationError, ModelFormatError,
                             ValidationError)
 from perfest.features import FeatureKind
 from perfest.metamodels import (
+    MAX_HIDDEN_WIDTH,
+    MAX_SAMPLING_RATIO,
     MIN_LEAF,
     ModelKind,
     ModelSpec,
@@ -270,6 +272,10 @@ def test_model_spec_fills_defaults_and_rejects_unknown_kind():
     (ModelKind.RANDOM_FOREST, "sampling_ratio", 0.0),
     (ModelKind.RANDOM_FOREST, "sampling_ratio", float("inf")),
     (ModelKind.RANDOM_FOREST, "sampling_ratio", 10 ** 400),
+    (ModelKind.RANDOM_FOREST, "sampling_ratio", 10 ** 30),
+    (ModelKind.RANDOM_FOREST, "sampling_ratio",
+     math.nextafter(MAX_SAMPLING_RATIO, math.inf)),
+    (ModelKind.GBT, "sampling_ratio", 10 ** 30),
     (ModelKind.RANDOM_FOREST, "feature_ratio", 0.0),
     (ModelKind.RANDOM_FOREST, "feature_ratio", 1.5),
     (ModelKind.RANDOM_FOREST, "feature_ratio", "all"),
@@ -284,6 +290,8 @@ def test_model_spec_fills_defaults_and_rejects_unknown_kind():
     (ModelKind.KNN, "k", "3"),
     (ModelKind.KNN, "n_trees", 5),
     (ModelKind.MLP, "hidden_width", 0),
+    (ModelKind.MLP, "hidden_width", 10 ** 30),
+    (ModelKind.MLP, "hidden_width", MAX_HIDDEN_WIDTH + 1),
     (ModelKind.MLP, "epochs", -1),
     (ModelKind.MLP, "epochs", 1.5),
     (ModelKind.MLP, "learning_rate", -0.1),
@@ -301,6 +309,8 @@ def test_model_spec_rejects_out_of_range_hyperparams(kind, name, value):
     (ModelKind.KNN, {"k": np.int64(2)}),
     (ModelKind.MLP, {"epochs": 0, "hidden_width": 1}),
     (ModelKind.GBT, {"feature_ratio": 1}),
+    (ModelKind.MLP, {"hidden_width": MAX_HIDDEN_WIDTH}),
+    (ModelKind.RANDOM_FOREST, {"sampling_ratio": MAX_SAMPLING_RATIO}),
 ])
 def test_model_spec_accepts_edge_hyperparams(kind, hyperparams):
     assert ModelSpec(kind, hyperparams).hyperparams.items() \

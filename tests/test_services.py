@@ -75,12 +75,22 @@ def test_synth_shape_and_invariants():
 
 
 def test_synth_mock_configs_hold_only_marketplace_config_fields():
-    cfg = small_config()
-    services, _, _ = synth_marketplace(cfg)
     names = {f.name for f in dataclasses.fields(MarketplaceConfig)}
-    for service in services:
-        assert set(service.config) <= names
-        assert MarketplaceConfig(**service.config) == cfg
+    for cfg in (small_config(),
+                small_config(skill_range=(0.3, 0.6),
+                             difficulty_range=(0.5, 0.8),
+                             helpfulness_range=(0.2, 0.3))):
+        services, _, store = synth_marketplace(cfg)
+        for service in services:
+            assert set(service.config) <= names
+            assert MarketplaceConfig(**service.config) == cfg
+            # as perfest invoke reads it from services.json: ranges as lists
+            read = ServiceDescriptor(**json.loads(json.dumps(
+                dataclasses.asdict(service))))
+            for task, context in [("task00", "ctx00"), ("task01", "ctx01")]:
+                rec = store.get(service.service_id, task, context)[3]
+                assert invoke(read, rec.input_text, ContextSpec(context, ()),
+                              rec.sample_id, task) == rec
 
 
 @pytest.mark.parametrize("counts", [
@@ -109,8 +119,7 @@ def test_mock_invoke_matches_store():
         recs = store.get(service, task, context)
         for s in (0, m // 2, m - 1):
             got = invoke(by_id[service], recs[s].input_text,
-                         ContextSpec(context, ()), recs[s].sample_id, task,
-                         mock_config=cfg)
+                         ContextSpec(context, ()), recs[s].sample_id, task)
             assert got == recs[s]
 
 
@@ -119,9 +128,9 @@ def test_mock_invoke_generates_only_its_sample():
                             samples_per_task=200_000, contexts_per_task=1)
     tracemalloc.start()
     try:
-        rec = invoke(ServiceDescriptor("svc00", "mock"), "",
-                     ContextSpec("ctx00", ()), "s0003", "task00",
-                     mock_config=cfg)
+        rec = invoke(ServiceDescriptor("svc00", "mock",
+                                       config=dataclasses.asdict(cfg)),
+                     "", ContextSpec("ctx00", ()), "s0003", "task00")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -136,9 +145,7 @@ def test_mock_invoke_bad_ids_rejected():
     services, _, _ = synth_marketplace(cfg)
     ctx = ContextSpec("ctx00", ())
     with pytest.raises(ConfigurationError):
-        invoke(services[0], "q", ctx, "s9999", "task00", mock_config=cfg)
-    with pytest.raises(ConfigurationError):
-        invoke(services[0], "q", ctx, "s0000", "task00")
+        invoke(services[0], "q", ctx, "s9999", "task00")
 
 
 def test_full_fidelity_max_skill_is_correct_and_sharp():
