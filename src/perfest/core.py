@@ -10,14 +10,15 @@ read_records, write_records and RecordStore.get speak records. Inside
 the package one (service, task, context) setting is a SettingBatch, whose
 columns hold every sample's texts, token steps, candidates and input
 scores, with offsets for the ragged lengths. SettingBatch.from_records
-and SettingBatch.records are inverses, and RecordStore keeps one batch
-per setting. Files are parsed and written per setting run as columns
-(read_batches, write_batches), and SettingBatch.validate holds every
-record rule once.
+and SettingBatch.records are inverses; RecordStore takes batches only,
+through add, and joins a setting's batches on first use. Files are parsed
+and written per setting run as columns (read_batches, write_batches), and
+SettingBatch.validate holds every record rule once.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -270,28 +271,19 @@ class SettingBatch:
     @classmethod
     def concat(cls, batches):
         """One setting's batches joined in order: the batch that
-        from_records of all their records would give."""
+        from_records of all their records would give: offset columns are
+        shifted past the batches before them, the others concatenated."""
         batches = list(batches)
-
-        def cat(name):
-            return np.concatenate([getattr(b, name) for b in batches])
-
-        def offsets(name):
-            ends = [getattr(b, name) for b in batches]
-            shift = np.cumsum([0] + [o[-1] for o in ends[:-1]])
-            return np.concatenate([ends[0][:1]] + [o[1:] + s for o, s in
-                                                   zip(ends, shift)])
-
-        return cls(
-            key=batches[0].key, sample_ids=cat("sample_ids"),
-            input_texts=cat("input_texts"),
-            generated_texts=cat("generated_texts"),
-            references=cat("references"),
-            step_offsets=offsets("step_offsets"), tokens=cat("tokens"),
-            cand_offsets=offsets("cand_offsets"),
-            cand_tokens=cat("cand_tokens"), cand_probs=cat("cand_probs"),
-            score_offsets=offsets("score_offsets"), scores=cat("scores"),
-            has_scores=cat("has_scores"))
+        names = [f.name for f in dataclasses.fields(cls) if f.name != "key"]
+        columns = {"key": batches[0].key}
+        for name in names:
+            parts = [getattr(b, name) for b in batches]
+            if name.endswith("_offsets"):
+                shift = np.cumsum([0] + [o[-1] for o in parts[:-1]])
+                parts = [parts[0][:1]] + [o[1:] + s for o, s in
+                                          zip(parts, shift)]
+            columns[name] = np.concatenate(parts)
+        return cls(**columns)
 
     def take(self, rows):
         """The batch of samples `rows`, in the order given."""
@@ -308,13 +300,6 @@ class SettingBatch:
             cand_tokens=self.cand_tokens[cands],
             cand_probs=self.cand_probs[cands], score_offsets=score_offsets,
             scores=self.scores[scores], has_scores=self.has_scores[rows])
-
-
-def as_batch(setting) -> SettingBatch:
-    """A SettingBatch as is, or records of one setting as a batch."""
-    if isinstance(setting, SettingBatch):
-        return setting
-    return SettingBatch.from_records(setting)
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +533,9 @@ class RecordStore:
     samples in insertion order.
     """
 
-    def __init__(self, records=()):
+    def __init__(self):
         # each setting's batches in arrival order, joined on first use
         self._batches = {}
-        self.extend(records)
-
-    def extend(self, records):
-        """Append records. Each run of consecutive records of one setting
-        is validated and joins that setting's batch as the run ends."""
-        for batch in _record_batches(records):
-            self.add(batch)
 
     def add(self, batch: SettingBatch):
         """Append one setting's valid batch."""

@@ -468,16 +468,23 @@ def _train_mlp(X, y, hp, rng):
     # an epoch's products run in float32; the weights, their updates and
     # the loss stay float64
     X = X.astype(np.float32)
-    prev = math.inf
-    for _ in range(epochs):
-        loss, grads = mlp_loss_and_grads(params, X, y)
-        if prev - loss < 1e-8:
-            break
-        prev = loss
-        params["W1"] -= lr * grads["W1"]
-        params["b1"] -= lr * grads["b1"]
-        params["W2"] -= lr * grads["W2"]
-        params["b2"] -= lr * grads["b2"]
+    prev, loss = math.inf, 0.0
+    # a step too long overflows; the check below reports it, once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            loss, grads = mlp_loss_and_grads(params, X, y)
+            if not math.isfinite(loss) or prev - loss < 1e-8:
+                break
+            prev = loss
+            params["W1"] -= lr * grads["W1"]
+            params["b1"] -= lr * grads["b1"]
+            params["W2"] -= lr * grads["W2"]
+            params["b2"] -= lr * grads["b2"]
+    if not (math.isfinite(loss)
+            and all(np.isfinite(v).all() for v in params.values())):
+        raise ConfigurationError(
+            f"mlp training diverged at learning_rate {lr!r}: the loss or "
+            "the weights stopped being finite; lower the learning rate")
     return params
 
 
@@ -553,7 +560,8 @@ def _grower(X, hp, seed, salt, bootstrap):
 
 
 def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
-    """Fit the requested meta-model; deterministic given (spec, rows, seed)."""
+    """Fit the requested meta-model; deterministic given (spec, rows, seed).
+    ConfigurationError if an MLP's loss or weights stop being finite."""
     X, y, dims, kinds = _rows_to_matrix(rows)
     hp = spec.hyperparams
     if spec.kind in (ModelKind.KNN, ModelKind.MLP):
@@ -660,7 +668,8 @@ def grid_search(kind, grid, rows, folds: int, seed: int) -> ModelSpec:
 
     Folds are grouped by task, so no task is in both a fold's train and
     test rows. Ties break by grid enumeration order (itertools.product
-    over the grid's insertion order).
+    over the grid's insertion order). A combination whose training
+    diverges loses; ConfigurationError if every combination does.
     """
     from .evaluation import kfold_split  # local import avoids a cycle
 
@@ -679,15 +688,22 @@ def grid_search(kind, grid, rows, folds: int, seed: int) -> ModelSpec:
     for combo in itertools.product(*(grid[n] for n in names)):
         spec = ModelSpec(kind=kind, hyperparams=dict(zip(names, combo)))
         errors = []
-        for train_idx, test_idx in splits:
-            model = train(spec, [rows[i] for i in train_idx], seed)
-            preds = predict_many(model, [rows[i].profile for i in test_idx])
-            truth = np.array([rows[i].target for i in test_idx])
-            errors.append(float(np.mean(np.abs(preds - truth))))
+        try:
+            for train_idx, test_idx in splits:
+                model = train(spec, [rows[i] for i in train_idx], seed)
+                preds = predict_many(model,
+                                     [rows[i].profile for i in test_idx])
+                truth = np.array([rows[i].target for i in test_idx])
+                errors.append(float(np.mean(np.abs(preds - truth))))
+        except ConfigurationError:  # training diverged
+            continue
         cv_mae = float(np.mean(errors))
         if cv_mae < best_mae:
             best_mae = cv_mae
             best_spec = spec
+    if best_spec is None:
+        raise ConfigurationError(f"no {kind.value} grid combination has a "
+                                 "finite cross-validated MAE")
     return best_spec
 
 
@@ -721,15 +737,19 @@ def _field(obj, key, kind):
 
 def _float(obj, key):
     """``obj[key]``, a JSON number, as a float; ModelFormatError if it is
-    an integer past the float range."""
+    NaN, an infinity or an integer past the float range."""
     try:
-        return float(_field(obj, key, (int, float)))
+        value = float(_field(obj, key, (int, float)))
     except OverflowError as exc:
         raise ModelFormatError(f"model field {key!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ModelFormatError(f"model field {key!r} is {value}")
+    return value
 
 
 def _array(obj, key, shape, integer=False):
-    """``obj[key]`` as a float (or integer) array of ``shape``.
+    """``obj[key]`` as a float (or integer) array of ``shape``, every
+    entry finite.
 
     A None in ``shape`` matches any size along that axis.
     """
@@ -744,7 +764,11 @@ def _array(obj, key, shape, integer=False):
         raise ModelFormatError(
             f"model field {key!r} is not an array of "
             f"{'integers' if integer else 'numbers'} of shape {shape}")
-    return arr.astype(np.intp if integer else float)
+    arr = arr.astype(np.intp if integer else float)
+    if not np.isfinite(arr).all():
+        raise ModelFormatError(f"model field {key!r} holds "
+                               f"{arr[~np.isfinite(arr)][0]}")
+    return arr
 
 
 def _params_from_obj(kind, obj, width):
@@ -815,8 +839,11 @@ def load_model(path) -> TrainedMetaModel:
     if dims < 1 or not kinds:
         raise ModelFormatError("model needs dims >= 1 and a feature kind")
     width = dims * len(kinds)
+    std = _array(obj, "std", (width,))
+    if np.any(std <= 0.0):  # predict_many divides by it
+        raise ModelFormatError(f"model field 'std' holds {std.min()}, "
+                               "not a number > 0")
     return TrainedMetaModel(
         spec=spec, seed=_field(obj, "seed", int), dims=dims, kinds=kinds,
-        mean=_array(obj, "mean", (width,)),
-        std=_array(obj, "std", (width,)),
+        mean=_array(obj, "mean", (width,)), std=std,
         params=_params_from_obj(kind, _field(obj, "params", dict), width))

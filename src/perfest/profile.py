@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_batch
+from .core import SettingBatch
 from .errors import EmptyProfileError, ShapeError
 from .features import FeatureKind, extract_task_features
 
@@ -88,7 +88,8 @@ def build_profile(setting, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
     kinds = tuple(FeatureKind(k) for k in kinds)
     if not kinds:
         raise ValueError("kinds must be non-empty")
-    batch = as_batch(setting)
+    batch = (setting if isinstance(setting, SettingBatch)
+             else SettingBatch.from_records(setting))
     if table is None:
         table = extract_task_features(batch, kinds)
     vector = []

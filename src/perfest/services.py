@@ -402,11 +402,12 @@ class HttpClient:
     UTF-8 string), raises CapabilityError, and nothing is fabricated. Input
     scoring uses the echo-with-logprobs form when the service supports it
     and keeps the input text's tokens only, found by their `text_offset`.
-    Before any request, a descriptor without a string `endpoint`, or whose
-    `max_tokens` or `top_k_depth` is not an integer, raises
-    ConfigurationError, and input text UTF-8 cannot encode (a lone
-    surrogate, as from argv bytes that are not UTF-8) raises
-    ValidationError, since no record file could hold it.
+    Before any request, a descriptor without a string `endpoint`, whose
+    `max_tokens` or `top_k_depth` is not an integer, or whose
+    `input_scoring` is not a boolean, raises ConfigurationError, and
+    input text UTF-8 cannot encode (a lone surrogate, as from argv bytes
+    that are not UTF-8) raises ValidationError, since no record file
+    could hold it.
     """
 
     def __init__(self, descriptor: ServiceDescriptor, session=None):
@@ -421,6 +422,13 @@ class HttpClient:
                                  descriptor.capabilities.get("top_k_depth", 5))
         self.max_tokens = _config_int(descriptor, "max_tokens",
                                       cfg.get("max_tokens", 32))
+        # a string such as "false" would be true
+        self.input_scoring = descriptor.capabilities.get("input_scoring",
+                                                         False)
+        if not isinstance(self.input_scoring, bool):
+            raise ConfigurationError(
+                f"service {descriptor.service_id!r} config: input_scoring "
+                f"{self.input_scoring!r} is not a boolean")
         if session is None:
             import requests
             session = requests.Session()
@@ -542,7 +550,7 @@ class HttpClient:
         text = _text(choice.get("text", ""), "completion text")
 
         input_scores = None
-        if self.descriptor.capabilities.get("input_scoring", False):
+        if self.input_scoring:
             _, echo = self._first_choice(
                 self._post(self._completion_payload(prompt, echo=True)),
                 "echo scoring")

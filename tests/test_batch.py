@@ -389,8 +389,9 @@ def test_store_keeps_order_of_interleaved_records(tmp_path):
     settings_ = [frozen_generate_setting(config, truth, 0, 0, k)
                  for k in range(3)]
     interleaved = [rec for trio in zip(*settings_) for rec in trio]
-    store = RecordStore(interleaved[:10])
-    store.extend(interleaved[10:])
+    store = RecordStore()
+    for _, run in itertools.groupby(interleaved, key=lambda r: r.key):
+        store.add(SettingBatch.from_records(run))
     assert len(store) == 27
     for recs in settings_:
         assert store.get(*recs[0].key) == recs

@@ -1,9 +1,11 @@
-"""The benchmark's tracer finds every name it wraps.
+"""The benchmark's tracer finds every name it wraps, and its workloads
+run.
 
 perfbench/tracing.py replaces perfest functions under each module name
 that holds them. A name that a refactor removes makes every traced
 benchmark job fail, so this test checks the names without installing the
-tracer.
+tracer. perfbench/workloads.py calls perfest through its modules; each
+workload's set-up, job and check run here at the tiny shape.
 """
 
 import importlib.util
@@ -11,20 +13,33 @@ import pathlib
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
-    "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# sha256 of the job outputs at seeds 0, 1 and 2, tiny shape. meta-fit is
+# not pinned: its MLP and KNN go through BLAS matrix products, whose
+# rounding can differ from one CPU to another.
+DIGESTS = {
+    "cv-experiment": (
+        "cc83cab372cca70a0c3f2347eda8786b6bef69a491f63441d664f7329b7049cc",
+        "e3538964f9570ae0acbd43be8a835f8493aa768949b97a3f4fea249a17c3d493",
+        "b55d693e8976caac2ac4a20832d3b99d15b91c1118ac0d7585321da5d9e2a9cd"),
+    "cli-pipeline": (
+        "116178755fb75a435f591732837afe365b6af873fdaa45bfc5e66ba1e51e8b3e",
+        "745d26ef9f7e6e2f72647911111e6b4af39afd4f046c5ea61dbc3cca06be2054",
+        "37c152d833e158adf721e0a7e65a72c1c2582d0ac939c669ffd9a0dda79914e7"),
+}
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def hooks():
-    tracing = load_tracing()
+    tracing = load("tracing")
     for _, owners, attr, *_ in tracing.TRACED + tracing.COUNTED:
         for owner in owners:
             yield pytest.param(owner, attr,
@@ -46,3 +61,25 @@ def test_required_hooks_are_listed():
                  ("perfest.cli", "read_records"),
                  ("perfest.cli", "synth_marketplace")):
         assert name in names
+
+
+WORKLOADS = load("workloads")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_passes_its_check_at_the_tiny_shape(tmp_path, name, seed):
+    setup, job, check = WORKLOADS.WORKLOADS[name]
+    shape = WORKLOADS.SHAPES[name]["tiny"]
+    digests = []
+    for run in ("first", "second"):
+        workdir = tmp_path / run
+        workdir.mkdir()
+        inputs = setup(shape, seed, str(workdir))
+        out = job(shape, seed, inputs, str(workdir))
+        checks, _, digest = check(shape, seed, inputs, out, str(workdir))
+        assert all(checks.values()), checks
+        digests.append(digest)
+    assert digests[0] == digests[1]
+    if name in DIGESTS:
+        assert digests[0] == DIGESTS[name][seed]

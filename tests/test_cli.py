@@ -320,6 +320,7 @@ def test_train_json_flags_must_hold_an_object(capsys, tmp_path, flag, text):
      % math.nextafter(MAX_SAMPLING_RATIO, math.inf)),
     ("mlp", '{"hidden_width": 1%s}' % ("0" * 30)),
     ("mlp", '{"hidden_width": %d}' % (MAX_HIDDEN_WIDTH + 1)),
+    ("mlp", '{"epochs": 50, "learning_rate": 1e150}'),
     ("gbt", '{"feature_ratio": 1.5}'),
     ("gbt", '{"n_trees": 5}'),
     ("knn", '{"k": 0}')])
@@ -554,6 +555,47 @@ def test_model_file_past_json_limits_is_domain_error(capsys, tmp_path, field,
     assert err.startswith("error: corrupt model file: ")
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("mlp", "mean", math.nan), ("mlp", "mean", math.inf),
+    ("knn", "mean", -math.inf), ("knn", "std", 0.0), ("knn", "std", -1.0)])
+def test_non_finite_model_file_is_domain_error(capsys, tmp_path, kind, field,
+                                               value):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    model_path = tmp_path / "model.json"
+    assert run(capsys, "train", "--records", records, "--kind", kind,
+               "--d", "4", "--hyperparams", "{}" if kind == "knn" else
+               '{"epochs": 5}', "--out", str(model_path))[0] == 0
+    obj = json.loads(model_path.read_text())
+    obj[field][0] = value  # json writes NaN, Infinity and -Infinity
+    model_path.write_text(json.dumps(obj))
+    out = tmp_path / "estimates.json"
+    code, _, err = run(capsys, "estimate", "--model", str(model_path),
+                       "--records", records, "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"error: model field '{field}' holds ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rates,picked", [
+    ([0.01, 1e150], 0.01), ([1e150, 0.01], 0.01), ([1e150, 1e200], None)])
+def test_train_grid_passes_over_a_diverging_mlp(capsys, tmp_path, rates,
+                                                picked):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    model_path = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", "--records", records, "--kind", "mlp",
+                       "--folds", "2", "--grid",
+                       json.dumps({"learning_rate": rates, "epochs": [50]}),
+                       "--out", str(model_path))
+    if picked is None:
+        assert code == 1
+        assert err.startswith("error: no mlp grid combination has a finite")
+        assert not model_path.exists()
+    else:
+        assert code == 0
+        assert load_model(str(model_path)).spec.hyperparams[
+            "learning_rate"] == picked
+
+
 @pytest.mark.parametrize("text", [
     "not json", "[" * 5000 + "]" * 5000, '{"service_id": "svc00"}',
     '[{"kind": "mock"}]', '["svc00"]', '[{"service_id": 0, "kind": "mock"}]',
@@ -675,7 +717,11 @@ def test_invoke_http_malformed_response_is_domain_error(
     ("max_tokens", {"config": {**HTTP_SERVICE["config"],
                                "max_tokens": "lots"}}),
     ("top_k_depth", {"capabilities": {**HTTP_SERVICE["capabilities"],
-                                      "top_k_depth": "x"}})])
+                                      "top_k_depth": "x"}}),
+    ("input_scoring", {"capabilities": {**HTTP_SERVICE["capabilities"],
+                                        "input_scoring": "false"}}),
+    ("input_scoring", {"capabilities": {**HTTP_SERVICE["capabilities"],
+                                        "input_scoring": 1}})])
 def test_invoke_http_bad_service_config_is_domain_error(
         capsys, tmp_path, monkeypatch, field, change):
     code, err, out, session = invoke_http(

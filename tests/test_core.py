@@ -8,6 +8,7 @@ import pytest
 from perfest.core import (
     InvocationRecord,
     RecordStore,
+    SettingBatch,
     TokenStep,
     read_records,
     write_records,
@@ -184,7 +185,8 @@ def test_thousand_synthetic_records_round_trip(tmp_path):
 
 def test_store_groups_by_setting_and_preserves_order(tmp_path):
     recs = [make_record(sample_id="s%04d" % i) for i in range(5)]
-    store = RecordStore(recs)
+    store = RecordStore()
+    store.add(SettingBatch.from_records(recs))
     assert store.keys() == [("svc00", "task00", "ctx00")]
     got = store.get("svc00", "task00", "ctx00")
     assert [r.sample_id for r in got] == ["s%04d" % i for i in range(5)]

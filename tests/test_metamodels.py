@@ -328,6 +328,16 @@ def test_grid_search_rejects_degenerate_setups():
         grid_search(ModelKind.KNN, {"k": [1]}, rows, folds=1, seed=0)
 
 
+def test_diverging_mlp_is_a_configuration_error():
+    rows = random_rows(np.random.default_rng(66), 20)
+    spec = ModelSpec(ModelKind.MLP, {"learning_rate": 1e150, "epochs": 50})
+    with pytest.raises(ConfigurationError, match="diverged"):
+        train(spec, rows, 0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        grid_search(ModelKind.MLP, {"learning_rate": [1e150, 1e200],
+                                    "epochs": [50]}, rows, folds=4, seed=0)
+
+
 def test_grid_search_single_point():
     rng = np.random.default_rng(60)
     rows = random_rows(rng, 20)
@@ -753,6 +763,11 @@ TREE_CORRUPTIONS = {
         feature_raito=1.0),
     "sampling ratio past the float range": lambda o: o["hyperparams"]
     .update(sampling_ratio=10 ** 400),
+    "NaN tree values": lambda o: o["params"]["trees"][0].update(
+        value=[math.nan] * len(o["params"]["trees"][0]["value"])),
+    "infinite threshold": lambda o: o["params"]["trees"][0]["threshold"]
+    .__setitem__(0, math.inf),
+    "NaN mean": lambda o: o["mean"].__setitem__(0, math.nan),
 }
 
 
@@ -774,6 +789,18 @@ def test_malformed_tree_model_rejected(tmp_path, name):
     (ModelSpec(ModelKind.KNN), lambda o: o["params"]["X"][0].pop()),
     (ModelSpec(ModelKind.MLP, {"epochs": 5}),
      lambda o: o["params"].update(b1=[0.0])),
+    (ModelSpec(ModelKind.MLP, {"epochs": 5}),
+     lambda o: o["mean"].__setitem__(0, math.nan)),
+    (ModelSpec(ModelKind.MLP, {"epochs": 5}),
+     lambda o: o["params"].update(b2=math.inf)),
+    (ModelSpec(ModelKind.MLP, {"epochs": 5}),
+     lambda o: o["params"]["W1"][0].__setitem__(0, -math.inf)),
+    (ModelSpec(ModelKind.KNN), lambda o: o["std"].__setitem__(0, 0.0)),
+    (ModelSpec(ModelKind.KNN), lambda o: o["std"].__setitem__(0, -1.0)),
+    (ModelSpec(ModelKind.KNN), lambda o: o["params"]["y"]
+     .__setitem__(0, math.nan)),
+    (GBT_SPEC, lambda o: o["params"].update(base=math.nan)),
+    (GBT_SPEC, lambda o: o["params"]["scales"].__setitem__(0, math.inf)),
 ])
 def test_malformed_model_params_rejected(tmp_path, spec, corrupt):
     obj = saved_model_obj(tmp_path, spec)
