@@ -22,7 +22,7 @@ def main():
     print("setting                      F1     mean nll  mean ppl  "
           "mean gap  mean max_ent")
     for key in store.keys():
-        batch = store.batch(*key)
+        batch = store.get(*key)
         table = extract_task_features(batch, kinds)
         f1 = task_performance(batch)
         means = [float(np.mean(table[k])) for k in kinds]

@@ -23,7 +23,7 @@ def main():
     table = {k: [] for k in kinds}
     performance = []
     for key in store.keys():
-        batch = store.batch(*key)
+        batch = store.get(*key)
         features = extract_task_features(batch, kinds)
         for k in kinds:
             table[k].append(float(np.mean(features[k])))

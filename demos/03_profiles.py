@@ -29,7 +29,7 @@ def main():
     config = MarketplaceConfig(n_services=1, n_tasks=1, samples_per_task=400,
                                contexts_per_task=1, seed=2)
     _, _, store = synth_marketplace(config)
-    batch = store.batch("svc00", "task00", "ctx00")
+    batch = store.get("svc00", "task00", "ctx00")
 
     print("same 400-sample setting at different profile dimensions:")
     for d in (5, 10, 100):

@@ -26,8 +26,8 @@ def main():
                                contexts_per_task=4, feature_fidelity=0.9,
                                seed=3)
     _, _, store = synth_marketplace(config)
-    rows = [TrainingRow(profile=build_profile(store.batch(*key), d=40),
-                        target=task_performance(store.batch(*key)))
+    rows = [TrainingRow(profile=build_profile(store.get(*key), d=40),
+                        target=task_performance(store.get(*key)))
             for key in store.keys()]
     print(f"{len(rows)} labeled settings")
 

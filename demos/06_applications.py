@@ -43,7 +43,7 @@ def main():
     for key in store.keys():
         if key[1] == target_task:
             continue
-        batch = store.batch(*key)
+        batch = store.get(*key)
         rows.append(TrainingRow(profile=build_profile(batch, d=60),
                                 target=task_performance(batch)))
     spec = ModelSpec(ModelKind.RANDOM_FOREST, {"max_depth": 8, "n_trees": 50})
@@ -51,8 +51,8 @@ def main():
 
     # scenario 1: pick the best (service, context) for the target task
     cand_keys = [k for k in store.keys() if k[1] == target_task]
-    profiles = [build_profile(store.batch(*k), d=60) for k in cand_keys]
-    truths = {k: task_performance(store.batch(*k)) for k in cand_keys}
+    profiles = [build_profile(store.get(*k), d=60) for k in cand_keys]
+    truths = {k: task_performance(store.get(*k)) for k in cand_keys}
     candidates = candidates_from_model(model, profiles)
     best = select_setting(candidates)
     chosen = truths[(best.service_id, target_task, best.context_id)]

@@ -23,7 +23,8 @@ from . import metamodels as mm
 # perfbench/tracing.py wraps them under this module's names too
 from .core import (ContextSpec, RecordStore, append_records, read_records,
                    write_records, write_tasks)
-from .errors import ConfigurationError, PerfestError
+from .errors import (ConfigurationError, InsufficientDataError,
+                     PerfestError)
 from .feature_selection import rank_combinations
 from .features import FeatureKind, extract_task_features
 from .profile import DEFAULT_DIMS, DEFAULT_KINDS, build_profile
@@ -103,7 +104,7 @@ def _config_defaults(command, path):
 
 def _prepared(store, kinds, d, unlabeled_n=None, seed=0):
     """One evaluation.PreparedSetting per setting of the store."""
-    return [ev.prepare_setting(store.batch(*key), kinds, d,
+    return [ev.prepare_setting(store.get(*key), kinds, d,
                                unlabeled_n=unlabeled_n, seed=seed)
             for key in store.keys()]
 
@@ -168,14 +169,15 @@ def _cmd_invoke(args):
 def _cmd_extract(args):
     store = RecordStore.from_file(args.records)
     kinds = _parse_kinds(args.kinds)
+    lines = []
+    for key in store.keys():
+        table = extract_task_features(store.get(*key), kinds)
+        lines.append(json.dumps(
+            {"service_id": key[0], "task_id": key[1], "context_id": key[2],
+             "features": {k.value: v for k, v in table.items()}},
+            sort_keys=True) + "\n")
     with open(args.out, "w", encoding="utf-8") as f:
-        for key in store.keys():
-            table = extract_task_features(store.batch(*key), kinds)
-            obj = {"service_id": key[0], "task_id": key[1],
-                   "context_id": key[2],
-                   "features": {k.value: v for k, v in table.items()}}
-            f.write(json.dumps(obj, sort_keys=True))
-            f.write("\n")
+        f.writelines(lines)
     print(f"wrote features for {len(store.keys())} settings to {args.out}")
     return 0
 
@@ -186,7 +188,7 @@ def _cmd_select_features(args):
     table = {k: [] for k in kinds}
     perf = []
     for key in store.keys():
-        batch = store.batch(*key)
+        batch = store.get(*key)
         feats = extract_task_features(batch, kinds)
         for k in kinds:
             table[k].append(float(np.mean(feats[k])))
@@ -289,15 +291,25 @@ def _cmd_evaluate(args):
 
 def _cmd_select(args):
     cands, truths = _candidates(args)
-    best = apps.select_setting(cands)
-    print("service    context    estimate     true")
-    for c in sorted(cands, key=lambda c: -c.estimate):
-        truth = truths.get((c.service_id, c.profile.task_id, c.context_id))
-        mark = " *" if c is best else ""
-        t = f"{truth:.4f}" if truth is not None else "-"
-        print(f"{c.service_id:<10} {c.context_id:<10} "
-              f"{c.estimate:8.4f} {t:>8}{mark}")
-    print(f"\nselected: service={best.service_id} context={best.context_id}")
+    if not cands:
+        raise InsufficientDataError("no settings to select from")
+    by_task = {}
+    for c in sorted(cands, key=lambda c: (c.profile.task_id, -c.estimate)):
+        by_task.setdefault(c.profile.task_id, []).append(c)
+    best = {task: apps.select_setting(group)
+            for task, group in by_task.items()}
+    print("task       service    context    estimate     true")
+    for task, group in by_task.items():
+        for c in group:
+            truth = truths[(c.service_id, task, c.context_id)]
+            mark = " *" if c is best[task] else ""
+            t = f"{truth:.4f}" if truth is not None else "-"
+            print(f"{task:<10} {c.service_id:<10} {c.context_id:<10} "
+                  f"{c.estimate:8.4f} {t:>8}{mark}")
+    print()
+    for task, c in best.items():
+        print(f"selected: service={c.service_id} context={c.context_id} "
+              f"task={task}")
     return 0
 
 
@@ -419,10 +431,7 @@ def dispatch(argv) -> int:
             command.set_defaults(**_config_defaults(command, args.config))
             args = parser.parse_args(argv)
         return args.fn(args)
-    except PerfestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PerfestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,15 +5,16 @@ Probabilities are stored linear (not log); log transforms happen at
 feature-extraction time. The sequence length |x| used by downstream
 features is the number of token steps returned by the service.
 
-InvocationRecord is the per-record boundary type: the HTTP client,
-read_records, write_records and RecordStore.get speak records. Inside
-the package one (service, task, context) setting is a SettingBatch, whose
-columns hold every sample's texts, token steps, candidates and input
-scores, with offsets for the ragged lengths. SettingBatch.from_records
-and SettingBatch.records are inverses; RecordStore takes batches only,
-through add, and joins a setting's batches on first use. Files are parsed
-and written per setting run as columns (read_batches, write_batches), and
-SettingBatch.validate holds every record rule once.
+InvocationRecord is the per-record boundary type: the HTTP client, mock
+invoke, read_records, write_records and append_records speak records.
+Inside the package one (service, task, context) setting is a
+SettingBatch, whose columns hold every sample's texts, token steps,
+candidates and input scores, with offsets for the ragged lengths.
+SettingBatch.from_records and SettingBatch.records are inverses;
+RecordStore takes batches (add), hands them out (get), and joins a
+setting's batches on first use. Files are parsed and written per setting
+run as columns (read_batches, write_batches), and SettingBatch.validate
+holds every record rule once.
 """
 
 from __future__ import annotations
@@ -527,10 +528,9 @@ class RecordStore:
     """In-memory store indexed by (service_id, task_id, context_id).
 
     Each setting is held as the validated SettingBatches added for it,
-    joined into one when the setting is first asked for, so a file whose
-    settings interleave reads in linear time; InvocationRecords are built
-    only when get asks for them. Append-only; each setting keeps its
-    samples in insertion order.
+    joined into one when get first asks for the setting, so a file whose
+    settings interleave reads in linear time. Append-only; each setting
+    keeps its samples in insertion order.
     """
 
     def __init__(self):
@@ -541,7 +541,7 @@ class RecordStore:
         """Append one setting's valid batch."""
         self._batches.setdefault(batch.key, []).append(batch)
 
-    def batch(self, service_id, task_id, context_id):
+    def get(self, service_id, task_id, context_id):
         """The setting's SettingBatch, or None if the store has none."""
         pieces = self._batches.get((service_id, task_id, context_id))
         if pieces is None:
@@ -549,10 +549,6 @@ class RecordStore:
         if len(pieces) > 1:
             pieces[:] = [SettingBatch.concat(pieces)]
         return pieces[0]
-
-    def get(self, service_id, task_id, context_id):
-        batch = self.batch(service_id, task_id, context_id)
-        return [] if batch is None else batch.records()
 
     def keys(self):
         return sorted(self._batches.keys())
@@ -573,4 +569,4 @@ class RecordStore:
 
     def save(self, path):
         """Write every setting's batch, in key order, as JSON Lines."""
-        write_batches((self.batch(*key) for key in self.keys()), path)
+        write_batches((self.get(*key) for key in self.keys()), path)

@@ -60,34 +60,25 @@ def f1_score(prediction: str, reference: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def per_sample_f1(setting):
-    """Per-sample F1 against the reference, in sample order.
-
-    `setting` is a SettingBatch or a sequence of records; every sample
-    must be labeled. F1 is computed once per distinct (generated text,
-    reference) pair.
+def per_sample_f1(batch):
+    """Per-sample F1 of a SettingBatch against the reference, in sample
+    order; every sample must be labeled. F1 is computed once per distinct
+    (generated text, reference) pair.
     """
-    if isinstance(setting, SettingBatch):
-        ids = setting.sample_ids.tolist()
-        texts = setting.generated_texts.tolist()
-        refs = setting.references.tolist()
-    else:
-        records = list(setting)
-        ids = [r.sample_id for r in records]
-        texts = [r.generated_text for r in records]
-        refs = [r.reference for r in records]
+    texts = batch.generated_texts.tolist()
+    refs = batch.references.tolist()
     if None in refs:
         raise ValidationError(
-            f"record {ids[refs.index(None)]!r} has no reference; cannot "
-            "score", field="reference")
+            f"record {batch.sample_ids[refs.index(None)]!r} has no "
+            "reference; cannot score", field="reference")
     pairs = list(zip(texts, refs))
     table = {pair: f1_score(*pair) for pair in set(pairs)}
     return list(map(table.__getitem__, pairs))
 
 
-def task_performance(setting) -> float:
-    """Mean per-sample F1 for one (service, task, context) group."""
-    scores = per_sample_f1(setting)
+def task_performance(batch) -> float:
+    """Mean per-sample F1 of one setting's SettingBatch."""
+    scores = per_sample_f1(batch)
     if not scores:
         raise InsufficientDataError("no records to score")
     return sum(scores) / len(scores)
@@ -310,14 +301,14 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     settings = [(s, t, c) for s in plan.services for t in plan.tasks
                 for c in contexts[t]]
     for key in settings:
-        if store.batch(*key) is None:
+        if store.get(*key) is None:
             missing.append(key)
     if missing:
         raise CoverageError(
             f"record store is missing {len(missing)} required "
             f"(service, task, context) groups", missing=missing)
 
-    data = {key: prepare_setting(store.batch(*key), plan.feature_kinds,
+    data = {key: prepare_setting(store.get(*key), plan.feature_kinds,
                                  plan.d, plan.unlabeled_n, plan.seed)
             for key in settings}
     for key, setting in data.items():

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SettingBatch
 from .errors import EmptyProfileError, ShapeError
 from .features import FeatureKind, extract_task_features
 
@@ -77,10 +76,10 @@ class FeatureProfile:
         return self.vector[i * self.dims:(i + 1) * self.dims]
 
 
-def build_profile(setting, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
+def build_profile(batch, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
                   table=None) -> FeatureProfile:
-    """Extract per-sample features of a SettingBatch (or records of one
-    setting) and concatenate interpolated profiles in `kinds` order.
+    """Extract per-sample features of a SettingBatch and concatenate
+    interpolated profiles in `kinds` order.
 
     `table` is the setting's extract_task_features output, if the caller
     already has it.
@@ -88,8 +87,6 @@ def build_profile(setting, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
     kinds = tuple(FeatureKind(k) for k in kinds)
     if not kinds:
         raise ValueError("kinds must be non-empty")
-    batch = (setting if isinstance(setting, SettingBatch)
-             else SettingBatch.from_records(setting))
     if table is None:
         table = extract_task_features(batch, kinds)
     vector = []

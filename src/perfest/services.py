@@ -33,9 +33,10 @@ tasks better-performing services gain more. This grounds the
 fine-tune-target ranking scenario.
 
 The generator fills each setting's SettingBatch straight from the arrays
-it draws; no per-sample record is built. Records come from the batch when
-the store is asked for them (RecordStore.get, save) and are equal, field
-by field, to the ones a per-sample loop over the same draws would build.
+it draws; no per-sample record is built, and RecordStore.get hands out
+the batch. Records come from it only when asked for
+(SettingBatch.records), and are equal, field by field, to the ones a
+per-sample loop over the same draws would build.
 Mock invoke() and the HTTP client return InvocationRecords.
 """
 

@@ -294,10 +294,9 @@ def test_per_sample_f1_batch_equals_records(records):
     if not labeled:
         return
     want = [f1_score(r.generated_text, r.reference) for r in labeled]
-    assert bits(per_sample_f1(SettingBatch.from_records(labeled))) \
-        == bits(want)
-    assert bits(per_sample_f1(labeled)) == bits(want)
-    assert task_performance(labeled) == sum(want) / len(want)
+    batch = SettingBatch.from_records(labeled)
+    assert bits(per_sample_f1(batch)) == bits(want)
+    assert task_performance(batch) == sum(want) / len(want)
 
 
 def test_unlabeled_setting_has_no_truth():
@@ -329,7 +328,7 @@ def test_generator_equals_frozen_record_builder(services, tasks, samples,
             for k in range(contexts):
                 want = frozen_generate_setting(config, truth, i, j, k)
                 got = store.get(config.service_id(i), config.task_id(j),
-                                config.context_id(k))
+                                config.context_id(k)).records()
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     for field in InvocationRecord.__slots__:
@@ -362,24 +361,25 @@ def test_synthetic_settings_prepare_exactly(unlabeled_n):
     _, _, store = synth_marketplace(config)
     kinds = (FeatureKind.NLL, FeatureKind.PPL)
     for key in store.keys():
-        got = prepare_setting(store.batch(*key), kinds, 25,
+        got = prepare_setting(store.get(*key), kinds, 25,
                               unlabeled_n=unlabeled_n, seed=4)
         vector, truth, sampled_f1, conf = frozen_prepare(
-            store.get(*key), kinds, 25, unlabeled_n or 40, 4, "normalized")
+            store.get(*key).records(), kinds, 25, unlabeled_n or 40, 4,
+            "normalized")
         assert bits(got.profile.vector) == bits(vector)
         assert got.truth.hex() == truth.hex()
         assert bits(got.sampled_f1) == bits(sampled_f1)
         assert bits(got.confidences) == bits(conf)
         assert got.profile.vector == build_profile(
             store.get(*key) if unlabeled_n in (None, 40, 500)
-            else got.sampled.records(), kinds, 25).vector
-        table = extract_task_features(store.batch(*key), kinds)
+            else got.sampled, kinds, 25).vector
+        table = extract_task_features(store.get(*key), kinds)
         assert all(isinstance(v, float) for v in table[FeatureKind.NLL])
 
 
 def store_records(store):
     """Every record of a RecordStore, settings in key order."""
-    return [r for key in store.keys() for r in store.get(*key)]
+    return [r for key in store.keys() for r in store.get(*key).records()]
 
 
 def test_store_keeps_order_of_interleaved_records(tmp_path):
@@ -394,7 +394,7 @@ def test_store_keeps_order_of_interleaved_records(tmp_path):
         store.add(SettingBatch.from_records(run))
     assert len(store) == 27
     for recs in settings_:
-        assert store.get(*recs[0].key) == recs
+        assert store.get(*recs[0].key).records() == recs
     path = tmp_path / "store.jsonl"
     write_records(interleaved, str(path))
     again = RecordStore.from_file(str(path))
@@ -613,8 +613,8 @@ def test_interleaved_file_reads_to_the_grouped_files_batches(
     assert mixed.keys() == runs.keys() and len(mixed) == len(runs)
     for key in runs.keys():
         want = SettingBatch.from_records(r for r in records if r.key == key)
-        assert_same_batch(mixed.batch(*key), runs.batch(*key))
-        assert_same_batch(mixed.batch(*key), want)
+        assert_same_batch(mixed.get(*key), runs.get(*key))
+        assert_same_batch(mixed.get(*key), want)
 
 
 def test_round_robin_file_reads_in_linear_time(tmp_path):
@@ -630,11 +630,11 @@ def test_round_robin_file_reads_in_linear_time(tmp_path):
     start = time.perf_counter()
     store = RecordStore.from_file(str(tmp_path / "round_robin.jsonl"))
     for key in store.keys():
-        store.batch(*key)
+        store.get(*key)
     assert time.perf_counter() - start < 0.5
     runs = RecordStore.from_file(str(tmp_path / "grouped.jsonl"))
     for key in runs.keys():
-        assert_same_batch(store.batch(*key), runs.batch(*key))
+        assert_same_batch(store.get(*key), runs.get(*key))
 
 
 def good(**overrides):

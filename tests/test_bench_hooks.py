@@ -8,7 +8,9 @@ tracer. perfbench/workloads.py calls perfest through its modules; each
 workload's set-up, job and check run here at the tiny shape.
 """
 
+import hashlib
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -28,6 +30,13 @@ DIGESTS = {
         "745d26ef9f7e6e2f72647911111e6b4af39afd4f046c5ea61dbc3cca06be2054",
         "37c152d833e158adf721e0a7e65a72c1c2582d0ac939c669ffd9a0dda79914e7"),
 }
+# sha256 of meta-fit's set-up, each training and held-out row's profile
+# vector and target, at seeds 0, 1 and 2, tiny shape; building them makes
+# no BLAS call
+META_SETUP_DIGESTS = (
+    "8cbd23f4b1d436a1b24f7252eb3664114970c9ad45b2a26ad98c08e19302345f",
+    "c1f3a736b639a1673d4218d7f5b5627960163209d02afd8e2366d3ffe9eef5eb",
+    "b2e5ed89a6d2c0426a6ce41c910b5da6d4eda5d57fc91f8e506da4bc2d28f988")
 
 
 def load(name):
@@ -76,6 +85,11 @@ def test_workload_passes_its_check_at_the_tiny_shape(tmp_path, name, seed):
         workdir = tmp_path / run
         workdir.mkdir()
         inputs = setup(shape, seed, str(workdir))
+        if name == "meta-fit":
+            train, test = inputs
+            rows = [[r.profile.vector, r.target] for r in train + test]
+            assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() \
+                == META_SETUP_DIGESTS[seed]
         out = job(shape, seed, inputs, str(workdir))
         checks, _, digest = check(shape, seed, inputs, out, str(workdir))
         assert all(checks.values()), checks

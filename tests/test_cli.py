@@ -64,6 +64,24 @@ def test_missing_input_file_is_domain_error(capsys, tmp_path):
     assert "error" in err
 
 
+def test_extract_data_error_leaves_no_out_file(capsys, tmp_path):
+    store_dir = tmp_path / "store"
+    assert run(capsys, *synth_args(store_dir, services=1, tasks=2,
+                                   samples=5, contexts=2))[0] == 0
+    path = store_dir / "records.jsonl"
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    for obj in objs[5:10]:  # the second setting: ppl needs input scores
+        assert (obj["task_id"], obj["context_id"]) == ("task00", "ctx01")
+        del obj["input_scores"]
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    out = tmp_path / "features.jsonl"
+    code, _, err = run(capsys, "extract", "--records", str(path),
+                       "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def synth_args(out, seed=7, **kw):
     args = ["synth", "--seed", str(seed), "--out", str(out),
             "--services", str(kw.get("services", 2)),
@@ -268,6 +286,31 @@ def test_estimate_equals_select_candidates_bit_for_bit(capsys, tmp_path, kind):
         (c.service_id, c.profile.task_id, c.context_id): c.estimate.hex()
         for c in candidates}
     assert len(estimates) == 2 * 4 * 3
+
+
+def test_select_picks_one_setting_per_task(capsys, tmp_path):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    model_path = str(tmp_path / "model.json")
+    assert run(capsys, "train", "--records", records, "--kind", "mlp",
+               "--d", "4", "--out", model_path)[0] == 0
+    code, text, _ = run(capsys, "select", "--model", model_path,
+                        "--records", records)
+    assert code == 0
+    model = load_model(model_path)
+    settings = _prepared(RecordStore.from_file(records), model.kinds,
+                         model.dims)
+    by_task = {}
+    for c in candidates_from_model(model, [s.profile for s in settings]):
+        by_task.setdefault(c.profile.task_id, []).append(c)
+    assert sorted(by_task) == ["task00", "task01"]
+    want = []
+    for task, group in sorted(by_task.items()):
+        top = max(group, key=lambda c: c.estimate)
+        assert sum(c.estimate == top.estimate for c in group) == 1
+        want.append(f"selected: service={top.service_id} "
+                    f"context={top.context_id} task={task}")
+    assert [line for line in text.splitlines()
+            if line.startswith("selected:")] == want
 
 
 @pytest.mark.parametrize("command", ["extract", "train", "evaluate"])
@@ -690,7 +733,7 @@ def test_invoke_http_descriptor_sends_the_same_requests_however_made(
     assert [(p["echo"], p["logprobs"]) for p in read.payloads] == [
         (False, 5)]
     assert RecordStore.from_file(str(out)).get(
-        "svc-http", "task00", "ctx03") == [built]
+        "svc-http", "task00", "ctx03").records() == [built]
 
 
 @pytest.mark.parametrize("logprobs, text", [

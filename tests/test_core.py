@@ -173,7 +173,7 @@ def test_thousand_synthetic_records_round_trip(tmp_path):
     cfg = MarketplaceConfig(n_services=2, n_tasks=2, samples_per_task=125,
                             contexts_per_task=2, seed=11)
     _, _, store = synth_marketplace(cfg)
-    records = [r for key in store.keys() for r in store.get(*key)]
+    records = [r for key in store.keys() for r in store.get(*key).records()]
     assert len(records) >= 1000
     path = tmp_path / "big.jsonl"
     write_records(records, str(path))
@@ -188,13 +188,13 @@ def test_store_groups_by_setting_and_preserves_order(tmp_path):
     store = RecordStore()
     store.add(SettingBatch.from_records(recs))
     assert store.keys() == [("svc00", "task00", "ctx00")]
-    got = store.get("svc00", "task00", "ctx00")
+    got = store.get("svc00", "task00", "ctx00").records()
     assert [r.sample_id for r in got] == ["s%04d" % i for i in range(5)]
     path = tmp_path / "store.jsonl"
     store.save(str(path))
     again = RecordStore.from_file(str(path))
-    assert [again.get(*key) for key in again.keys()] == \
-        [store.get(*key) for key in store.keys()]
+    assert [again.get(*key).records() for key in again.keys()] == \
+        [store.get(*key).records() for key in store.keys()]
 
 
 def test_store_contexts_for_task():

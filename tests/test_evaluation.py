@@ -7,7 +7,7 @@ import pytest
 
 from perfest import baselines
 from perfest.baselines import atc_calibrate, atc_estimate
-from perfest.core import InvocationRecord, TokenStep
+from perfest.core import InvocationRecord, SettingBatch, TokenStep
 from perfest.errors import ConfigurationError, CoverageError, ValidationError
 from perfest.evaluation import (
     DEFAULT_BASELINES,
@@ -74,23 +74,25 @@ def make_record(i, text, ref):
 
 def test_task_performance_all_correct():
     recs = [make_record(i, "yes", "yes") for i in range(5)]
-    assert task_performance(recs) == 1.0
+    assert task_performance(SettingBatch.from_records(recs)) == 1.0
 
 
 def test_task_performance_mean_of_two():
     recs = [make_record(0, "the cat sat", "the cat"),
             make_record(1, "wrong", "right")]
-    assert task_performance(recs) == pytest.approx(0.4)
+    assert task_performance(SettingBatch.from_records(recs)) == \
+        pytest.approx(0.4)
 
 
 def test_task_performance_matches_one_line_oracle():
     cfg = MarketplaceConfig(n_services=1, n_tasks=1, samples_per_task=400,
                             contexts_per_task=1, seed=13)
     _, _, store = synth_marketplace(cfg)
-    recs = store.get("svc00", "task00", "ctx00")
+    batch = store.get("svc00", "task00", "ctx00")
+    recs = batch.records()
     oracle = sum(f1_score(r.generated_text, r.reference)
                  for r in recs) / len(recs)
-    assert task_performance(recs) == pytest.approx(oracle, abs=1e-12)
+    assert task_performance(batch) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_per_sample_f1_requires_references():
@@ -101,7 +103,7 @@ def test_per_sample_f1_requires_references():
         input_text="q", generated_text="a",
         output_steps=rec.output_steps, reference=None)
     with pytest.raises(ValidationError):
-        per_sample_f1([bare])
+        per_sample_f1(SettingBatch.from_records([bare]))
 
 
 def test_mae_exact_estimates():
@@ -282,7 +284,7 @@ def per_fold_atc_rows(plan, store):
                 for t in plan.tasks}
     settings = [(s, t, c) for s in plan.services for t in plan.tasks
                 for c in contexts[t]]
-    data = {k: prepare_setting(store.batch(*k), plan.feature_kinds, plan.d,
+    data = {k: prepare_setting(store.get(*k), plan.feature_kinds, plan.d,
                                plan.unlabeled_n, plan.seed)
             for k in settings}
     rows = []

@@ -116,7 +116,7 @@ def record_objects():
                               for s in rec.output_steps],
              "input_scores": list(rec.input_scores),
              "reference": rec.reference}
-            for key in store.keys() for rec in store.get(*key)]
+            for key in store.keys() for rec in store.get(*key).records()]
 
 
 RECORD_LINES = record_objects()
@@ -317,4 +317,4 @@ def test_http_client_raises_only_a_typed_error(tmp_path, data):
     path = tmp_path / "invoked.jsonl"
     path.unlink(missing_ok=True)
     append_records([rec], str(path))
-    assert RecordStore.from_file(str(path)).get(*rec.key) == [rec]
+    assert RecordStore.from_file(str(path)).get(*rec.key).records() == [rec]

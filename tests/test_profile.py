@@ -80,7 +80,8 @@ def make_record(i, p1):
 
 def test_build_profile_single_record_repeats_its_nll():
     rec = make_record(0, 0.5)
-    prof = build_profile([rec], kinds=(FeatureKind.NLL,), d=4)
+    prof = build_profile(SettingBatch.from_records([rec]),
+                         kinds=(FeatureKind.NLL,), d=4)
     want = float(nll(SettingBatch.from_records([rec]))[0])
     assert list(prof.vector) == pytest.approx([want] * 4, abs=1e-12)
     assert prof.service_id == "svc00"
@@ -91,7 +92,8 @@ def test_build_profile_two_kind_layout():
     rng = np.random.default_rng(31)
     recs = [make_record(i, float(p))
             for i, p in enumerate(rng.uniform(0.1, 0.99, size=400))]
-    prof = build_profile(recs, kinds=(FeatureKind.NLL, FeatureKind.PPL), d=100)
+    prof = build_profile(SettingBatch.from_records(recs),
+                         kinds=(FeatureKind.NLL, FeatureKind.PPL), d=100)
     assert len(prof.vector) == 200
     first = np.asarray(prof.segment(FeatureKind.NLL))
     second = np.asarray(prof.segment(FeatureKind.PPL))
@@ -105,8 +107,9 @@ def test_build_profile_kind_order_swaps_halves():
     rng = np.random.default_rng(32)
     recs = [make_record(i, float(p))
             for i, p in enumerate(rng.uniform(0.1, 0.99, size=50))]
-    a = build_profile(recs, kinds=(FeatureKind.NLL, FeatureKind.PPL), d=40)
-    b = build_profile(recs, kinds=(FeatureKind.PPL, FeatureKind.NLL), d=40)
+    batch = SettingBatch.from_records(recs)
+    a = build_profile(batch, kinds=(FeatureKind.NLL, FeatureKind.PPL), d=40)
+    b = build_profile(batch, kinds=(FeatureKind.PPL, FeatureKind.NLL), d=40)
     assert np.array_equal(a.vector[:40], b.vector[40:])
     assert np.array_equal(a.vector[40:], b.vector[:40])
 

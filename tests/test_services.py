@@ -61,8 +61,8 @@ def test_synth_shape_and_invariants():
     assert len(store.keys()) == (cfg.n_services * cfg.n_tasks
                                  * cfg.contexts_per_task)
     for key in store.keys():
-        store.batch(*key).validate()
-        recs = store.get(*key)
+        store.get(*key).validate()
+        recs = store.get(*key).records()
         assert len(recs) == cfg.samples_per_task
         for rec in recs:
             assert rec.output_steps
@@ -88,7 +88,7 @@ def test_synth_mock_configs_hold_only_marketplace_config_fields():
             read = ServiceDescriptor(**json.loads(json.dumps(
                 dataclasses.asdict(service))))
             for task, context in [("task00", "ctx00"), ("task01", "ctx01")]:
-                rec = store.get(service.service_id, task, context)[3]
+                rec = store.get(service.service_id, task, context).records()[3]
                 assert invoke(read, rec.input_text, ContextSpec(context, ()),
                               rec.sample_id, task) == rec
 
@@ -116,7 +116,7 @@ def test_mock_invoke_matches_store():
     by_id = {s.service_id: s for s in services}
     m = cfg.samples_per_task
     for service, task, context in store.keys():
-        recs = store.get(service, task, context)
+        recs = store.get(service, task, context).records()
         for s in (0, m // 2, m - 1):
             got = invoke(by_id[service], recs[s].input_text,
                          ContextSpec(context, ()), recs[s].sample_id, task)
@@ -154,7 +154,7 @@ def test_full_fidelity_max_skill_is_correct_and_sharp():
                        feature_fidelity=1.0, seed=3)
     _, _, store = synth_marketplace(cfg)
     for key in store.keys():
-        for rec in store.get(*key):
+        for rec in store.get(*key).records():
             assert f1_score(rec.generated_text, rec.reference) == 1.0
             for step in rec.output_steps:
                 assert step.top_probs[0][1] >= 0.9
@@ -185,7 +185,7 @@ def test_zero_fidelity_features_uninformative():
     assert len(keys) >= 50
     nll_means, perfs = [], []
     for key in keys:
-        batch = store.batch(*key)
+        batch = store.get(*key)
         table = extract_task_features(batch, (FeatureKind.NLL,))
         nll_means.append(float(np.mean(table[FeatureKind.NLL])))
         perfs.append(task_performance(batch))
@@ -199,7 +199,7 @@ def test_full_fidelity_feature_signs():
     _, _, store = synth_marketplace(cfg)
     nll_means, gap_means, perfs = [], [], []
     for key in store.keys():
-        batch = store.batch(*key)
+        batch = store.get(*key)
         table = extract_task_features(batch,
                                       (FeatureKind.NLL, FeatureKind.GAP))
         nll_means.append(float(np.mean(table[FeatureKind.NLL])))
