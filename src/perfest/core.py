@@ -14,14 +14,21 @@ SettingBatch.from_records and SettingBatch.records are inverses;
 RecordStore takes batches (add), hands them out (get), and joins a
 setting's batches on first use. Files are parsed and written per setting
 run as columns (read_batches, write_batches), and SettingBatch.validate
-holds every record rule once.
+holds every record rule once. RecordStore.save also writes the record
+columns file, path + ".cols", a derived file of the saved batches as .npy
+arrays that RecordStore.from_file loads, without decoding JSON, only
+while it holds the sha256 of the record file's bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
@@ -207,14 +214,14 @@ class SettingBatch:
                  for tok, a, b in zip(self.tokens.tolist(), co, co[1:])]
         so = self.step_offsets.tolist()
         scores = self.scores.tolist()
-        io = self.score_offsets.tolist()
+        sc = self.score_offsets.tolist()
         return [InvocationRecord(*self.key, sid, text, gen,
                                  tuple(steps[a:b]),
                                  tuple(scores[i:j]) if has else None, ref)
                 for sid, text, gen, ref, has, a, b, i, j in zip(
                     self.sample_ids.tolist(), self.input_texts.tolist(),
                     self.generated_texts.tolist(), self.references.tolist(),
-                    self.has_scores.tolist(), so, so[1:], io, io[1:])]
+                    self.has_scores.tolist(), so, so[1:], sc, sc[1:])]
 
     def validate(self, lines=None):
         """Check every sample against the record rules in one pass.
@@ -460,12 +467,12 @@ def _lines(batch: SettingBatch) -> str:
     head = ('{"service_id": %s, "task_id": %s, "context_id": %s, '
             '"sample_id": ' % tuple(map(_encode, batch.key)))
     so = batch.step_offsets.tolist()
-    io = batch.score_offsets.tolist()
+    sc = batch.score_offsets.tolist()
     lines = []
     for sid, text, gen, ref, has, a, b, i, j in zip(
             batch.sample_ids.tolist(), batch.input_texts.tolist(),
             batch.generated_texts.tolist(), batch.references.tolist(),
-            batch.has_scores.tolist(), so, so[1:], io, io[1:]):
+            batch.has_scores.tolist(), so, so[1:], sc, sc[1:]):
         line = (f'{head}{_encode(sid)}, "input_text": {_encode(text)}, '
                 f'"generated_text": {_encode(gen)}, '
                 f'"output_steps": [{", ".join(steps[a:b])}]')
@@ -508,7 +515,9 @@ def write_records(records: Iterable[InvocationRecord], path) -> None:
 
 def append_records(records: Sequence[InvocationRecord], path) -> None:
     """Validate records and append them to an existing (or new) JSON Lines
-    file."""
+    file, first removing its columns file, which would no longer match."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(_columns_path(path))
     write_batches(_record_batches(records), path, mode="a")
 
 
@@ -522,6 +531,128 @@ def write_tasks(tasks: Sequence[TaskDataset], path) -> None:
                     obj["reference"] = ref
                 f.write(json.dumps(obj, ensure_ascii=False))
                 f.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# Record columns: RecordStore.save writes next to a record file a derived
+# file of its batches as .npy arrays, which RecordStore.from_file loads in
+# place of the JSON while it holds the digest of the record file's bytes.
+
+_COLUMNS_MAGIC = b"perfest-columns/1\n"
+_DIGEST = 32  # bytes of a sha256 digest
+# the stored dtype of each column; a text column is stored as codes into
+# its batch's vocabulary, -1 for None
+_COLUMNS = {"sample_ids": np.int32, "input_texts": np.int32,
+            "generated_texts": np.int32, "references": np.int32,
+            "step_offsets": np.int64, "tokens": np.int32,
+            "cand_offsets": np.int64, "cand_tokens": np.int32,
+            "cand_probs": np.float64, "score_offsets": np.int64,
+            "scores": np.float64, "has_scores": np.bool_}
+
+
+def _columns_path(path):
+    return os.fsdecode(path) + ".cols"
+
+
+def _file_digest(path):
+    with open(path, "rb") as f:
+        return hashlib.file_digest(f, "sha256").digest()
+
+
+def _column_bytes(batch: SettingBatch) -> bytes:
+    """One batch as .npy arrays: its vocabulary as UTF-8 bytes and
+    character offsets, its key's codes, then each column in field order.
+    Strings are never stored as numpy "U" arrays, which drop trailing
+    NULs."""
+    vocab = {}
+
+    def codes(values):
+        return np.array([-1 if s is None else vocab.setdefault(s, len(vocab))
+                         for s in values], dtype=np.int32)
+
+    key = codes(batch.key)
+    columns = [codes(getattr(batch, name).tolist()) if dtype is np.int32
+               else np.asarray(getattr(batch, name), dtype=dtype)
+               for name, dtype in _COLUMNS.items()]
+    text = np.frombuffer("".join(vocab).encode("utf-8"), dtype=np.uint8)
+    out = io.BytesIO()
+    for array in (text, _offsets(list(map(len, vocab))), key, *columns):
+        np.lib.format.write_array(out, array, allow_pickle=False)
+    return out.getvalue()
+
+
+def _load_batch(f) -> SettingBatch:
+    """The next batch of a columns file; ValueError or IndexError when its
+    arrays are not the ones _column_bytes writes."""
+    def load(dtype):
+        # the .npy reader alone, never np.load's pickle or zip branches
+        array = np.lib.format.read_array(f, allow_pickle=False)
+        if array.dtype != dtype or array.ndim != 1:
+            raise ValueError("not a record column")
+        return array
+
+    text = load(np.uint8).tobytes().decode("utf-8")
+    bounds = load(np.int64).tolist()
+    # one shared str per distinct string, as read_batches shares tokens
+    words = [sys.intern(text[a:b]) for a, b in zip(bounds, bounds[1:])]
+    vocab = _objects(words + [None])
+
+    def strings(nullable=False):
+        codes = load(np.int32)
+        # code -1 is None, which only a reference may be
+        if codes.size and not (-nullable <= codes.min()
+                               and codes.max() < len(words)):
+            raise ValueError("not a code of the vocabulary")
+        return vocab[codes]
+
+    key = tuple(strings().tolist())
+    batch = SettingBatch(key=key, **{
+        name: strings(name == "references") if dtype is np.int32
+        else load(dtype) for name, dtype in _COLUMNS.items()})
+    n, steps = len(batch), len(batch.tokens)
+    if not (len(key) == 3 and all(
+            len(column) == n for column in (
+                batch.input_texts, batch.generated_texts, batch.references,
+                batch.has_scores))
+            and len(batch.cand_tokens) == len(batch.cand_probs)
+            and all(len(o) == rows + 1 and o[0] == 0 and o[-1] == size
+                    and (np.diff(o) >= 0).all()
+                    for o, rows, size in (
+                        (batch.step_offsets, n, steps),
+                        (batch.cand_offsets, steps, len(batch.cand_probs)),
+                        (batch.score_offsets, n, len(batch.scores))))
+            # a sample without input scores writes none
+            and not np.diff(batch.score_offsets)[~batch.has_scores].any()):
+        raise ValueError("malformed record columns")
+    return batch
+
+
+def _saved_batches(path):
+    """The batches of path's columns file, or None unless it holds the
+    sha256 of path's bytes and of its own payload, every array loads
+    without pickle, and every batch is well formed and valid."""
+    try:
+        with open(_columns_path(path), "rb") as f:
+            data = f.read()
+        end = len(data) - 2 * _DIGEST
+        if not (data.startswith(_COLUMNS_MAGIC) and end >= len(_COLUMNS_MAGIC)
+                and hashlib.sha256(memoryview(data)[:end]).digest()
+                == data[end + _DIGEST:]
+                and _file_digest(path) == data[end:end + _DIGEST]):
+            return None
+        f = io.BytesIO(data)
+        f.seek(len(_COLUMNS_MAGIC))
+        batches = []
+        while f.tell() < end:
+            batches.append(_load_batch(f))
+        if f.tell() != end:
+            return None
+        for batch in batches:
+            batch.validate()
+    # MemoryError: an array header declaring more than memory holds
+    except (OSError, ValueError, IndexError, MemoryError, ValidationError):
+        return None
+    return batches
 
 
 class RecordStore:
@@ -562,11 +693,33 @@ class RecordStore:
 
     @classmethod
     def from_file(cls, path):
+        """The store of a JSON Lines record file (see read_batches).
+
+        When path + ".cols", the columns file save writes, holds the
+        sha256 of path's bytes and of its own payload, and its batches load
+        and validate, those batches are taken without decoding any JSON;
+        otherwise (missing, stale, truncated or foreign) the file is read
+        with read_batches, so results and errors are the same either way.
+        """
         store = cls()
-        for batch in read_batches(path):
+        for batch in _saved_batches(path) or read_batches(path):
             store.add(batch)
         return store
 
     def save(self, path):
-        """Write every setting's batch, in key order, as JSON Lines."""
-        write_batches((self.get(*key) for key in self.keys()), path)
+        """Write every setting's batch, in key order, as JSON Lines, then
+        the columns file path + ".cols": a magic line, each batch's
+        vocabulary, key and other 12 columns as .npy arrays, then the
+        sha256 of path's bytes and of everything before it. It is derived
+        and safe to delete."""
+        batches = [self.get(*key) for key in self.keys()]
+        write_batches(batches, path)
+        # an empty batch writes no line, so read_batches gives none for it
+        parts = itertools.chain([_COLUMNS_MAGIC], map(
+            _column_bytes, (batch for batch in batches if len(batch))))
+        payload = hashlib.sha256()
+        with open(_columns_path(path), "wb") as f:
+            for part in parts:
+                payload.update(part)
+                f.write(part)
+            f.write(_file_digest(path) + payload.digest())

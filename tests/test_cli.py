@@ -98,8 +98,8 @@ def test_synth_deterministic(capsys, tmp_path):
     assert run(capsys, *synth_args(a))[0] == 0
     assert run(capsys, *synth_args(b))[0] == 0
     assert read_tree(a) == read_tree(b)
-    assert set(read_tree(a)) == {"records.jsonl", "tasks.jsonl",
-                                 "services.json"}
+    assert set(read_tree(a)) == {"records.jsonl", "records.jsonl.cols",
+                                 "tasks.jsonl", "services.json"}
 
 
 def test_synth_seed_changes_output(capsys, tmp_path):

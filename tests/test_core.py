@@ -1,15 +1,19 @@
 """Record model, JSON Lines IO, and the in-memory store."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from perfest import core
 from perfest.core import (
     InvocationRecord,
     RecordStore,
     SettingBatch,
     TokenStep,
+    append_records,
+    read_batches,
     read_records,
     write_records,
 )
@@ -215,3 +219,66 @@ def test_record_lines_are_stripped_of_unicode_whitespace(tmp_path):
     with pytest.raises(ValidationError) as exc:
         read_records(str(path))
     assert exc.value.line == 3
+
+
+def edge_records():
+    """Records of two settings that exercise every column's edge cases."""
+    def rec(sample_id, text, steps, scores, reference, task_id="task00"):
+        return InvocationRecord("svc00", task_id, "ctx00", sample_id, text,
+                                text + "\x00", tuple(steps), scores, reference)
+
+    one = TokenStep("\x00", (("\x00", 1.0),))  # k = 1
+    two = TokenStep("\U0001f600", (("\U0001f600", 0.5), ("", 0.25)))
+    return [rec("s0", "café\x00", [one, two], (0.5,), None),
+            rec("", "", [], None, ""),  # zero steps, no input scores
+            rec("sé", "\U0001f600", [two], (), "r\x00"),
+            rec("s0", "x", [one], None, None, task_id="task01")]
+
+
+def assert_same_batches(store, batches):
+    """store holds exactly `batches`, equal column for column in dtype,
+    shape and values."""
+    assert store.keys() == sorted(b.key for b in batches)
+    for want in batches:
+        got = store.get(*want.key)
+        for field in dataclasses.fields(SettingBatch):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "key":
+                assert a == b
+                continue
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tolist() == b.tolist(), field.name
+
+
+def test_saved_store_reads_back_from_its_columns_file(tmp_path, monkeypatch):
+    records = edge_records()
+    store = RecordStore()
+    for key in dict.fromkeys(r.key for r in records):
+        store.add(SettingBatch.from_records(r for r in records
+                                            if r.key == key))
+    # an empty batch writes no line, so its setting reads back as absent
+    store.add(SettingBatch.from_records(
+        [dataclasses.replace(records[-1], context_id="ctx01")]).take([]))
+    path = str(tmp_path / "records.jsonl")
+    store.save(path)
+    assert os.path.exists(path + ".cols")
+    want = list(read_batches(path))
+
+    def no_json(path):
+        raise AssertionError("read_batches called")
+
+    monkeypatch.setattr(core, "read_batches", no_json)
+    assert_same_batches(RecordStore.from_file(path), want)
+    assert_same_batches(RecordStore.from_file(os.fsencode(path)), want)
+
+
+def test_append_records_removes_the_columns_file(tmp_path):
+    records = edge_records()
+    store = RecordStore()
+    store.add(SettingBatch.from_records(records[:1]))
+    path = str(tmp_path / "records.jsonl")
+    store.save(path)
+    append_records(records[1:2], path)
+    assert not os.path.exists(path + ".cols")
+    back = RecordStore.from_file(path)
+    assert back.get(*records[0].key).records() == records[:2]

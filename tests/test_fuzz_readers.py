@@ -1,6 +1,7 @@
 """Mutation fuzzing of the three file readers and the HTTP client: record
 files, model files, service configs and completion responses each end in
-one typed error, never a traceback.
+one typed error, never a traceback. A damaged, stale or foreign record
+columns file changes nothing a record file reads as.
 
 Each case takes a valid file or response body, mutates one value of its
 JSON (drops it, retypes it, nests it, or swaps in a huge integer, a NaN
@@ -9,8 +10,14 @@ truncation).
 """
 
 import copy
+import dataclasses
+import hashlib
+import io
 import json
+import pickle
+import tempfile
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +26,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from perfest.cli import build_parser
-from perfest.core import ContextSpec, RecordStore, append_records
+from perfest.core import (ContextSpec, RecordStore, SettingBatch,
+                          append_records, read_batches)
 from perfest.errors import (CapabilityError, ConfigurationError,
                             ModelFormatError, TransportError,
                             ValidationError)
@@ -149,6 +157,173 @@ def test_record_reader_raises_only_a_validation_error_naming_a_line(
         assert 1 <= exc.line <= data.count(b"\n") + 1
     else:
         store.save(str(tmp_path / "saved.jsonl"))
+
+
+# ---------------------------------------------------------------------------
+# Record columns files: RecordStore.from_file holds what read_batches
+# reads, or raises the same ValidationError, and never unpickles
+
+def saved_stores():
+    """(records.jsonl bytes, records.jsonl.cols bytes) of two saved
+    stores."""
+    out = []
+    with tempfile.TemporaryDirectory() as root:
+        for seed in (5, 6):
+            _, _, store = synth_marketplace(MarketplaceConfig(
+                n_services=1, n_tasks=2, samples_per_task=3,
+                contexts_per_task=1, seed=seed))
+            path = Path(root) / f"{seed}.jsonl"
+            store.save(str(path))
+            out.append((path.read_bytes(),
+                        Path(f"{path}.cols").read_bytes()))
+    return out
+
+
+(RECORDS, COLUMNS), (_, OTHER_COLUMNS) = saved_stores()
+
+
+def store_columns(store):
+    """Every setting's columns: the key, then each column's dtype, shape
+    and values."""
+    return [[(f.name, value) if f.name == "key" else
+             (f.name, value.dtype, value.shape, value.tolist())
+             for f in dataclasses.fields(SettingBatch)
+             for value in [getattr(store.get(*key), f.name)]]
+            for key in store.keys()]
+
+
+@pytest.fixture
+def no_unpickling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record columns file was unpickled")
+
+    monkeypatch.setattr(pickle, "load", refuse)
+    monkeypatch.setattr(pickle, "loads", refuse)
+
+
+def assert_reads_as_json_lines(tmp_path, records, columns):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(records)
+    Path(f"{path}.cols").write_bytes(columns)
+    want = RecordStore()
+    try:
+        for batch in read_batches(str(path)):
+            want.add(batch)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            RecordStore.from_file(str(path))
+        assert (got.value.field, got.value.line, str(got.value)) == (
+            exc.field, exc.line, str(exc))
+    else:
+        assert store_columns(RecordStore.from_file(str(path))) == \
+            store_columns(want)
+
+
+def flipped(data, at):
+    return data[:at] + bytes([data[at] ^ 0x20]) + data[at + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda c: c[:0], lambda c: c[:7], lambda c: c[:len(c) // 2],
+    lambda c: c[:-64], lambda c: c[:-1], lambda c: flipped(c, 3),
+    lambda c: flipped(c, len(c) // 2), lambda c: flipped(c, len(c) - 50),
+    lambda c: flipped(c, len(c) - 1)], ids=[
+    "cut-empty", "cut-header", "cut-payload", "cut-trailer", "cut-last-byte",
+    "flip-header", "flip-payload", "flip-records-digest",
+    "flip-payload-digest"])
+def test_damaged_columns_file_reads_as_json_lines(tmp_path, no_unpickling,
+                                                  damage):
+    assert_reads_as_json_lines(tmp_path, RECORDS, damage(COLUMNS))
+
+
+@FUZZ
+@given(at=st.integers(0, len(COLUMNS) - 1), cut=st.booleans())
+def test_columns_file_cut_or_flipped_anywhere_reads_as_json_lines(
+        tmp_path, no_unpickling, at, cut):
+    assert_reads_as_json_lines(
+        tmp_path, RECORDS, COLUMNS[:at] if cut else flipped(COLUMNS, at))
+
+
+@FUZZ
+@given(at=st.integers(0, len(RECORDS) - 1),
+       byte=st.sampled_from(b'09x{}[]",.\n\\ '))
+def test_records_edited_by_one_byte_read_as_json_lines(
+        tmp_path, no_unpickling, at, byte):
+    edited = RECORDS[:at] + bytes([byte]) + RECORDS[at + 1:]
+    assert_reads_as_json_lines(tmp_path, edited, COLUMNS)
+
+
+@pytest.mark.parametrize("old, new", [
+    (b'"s0001"', b'"s0009"'),  # still valid: a stale columns file
+    (b'[["', b'[[9'),  # a candidate without a token: malformed step
+    (b'0.', b'9.')],  # a probability above 1
+    ids=["valid", "malformed", "out-of-range"])
+def test_records_edited_at_a_line_read_as_json_lines(tmp_path, no_unpickling,
+                                                     old, new):
+    at = RECORDS.index(old, RECORDS.index(b"\n") + 1)  # on line 2
+    edited = RECORDS[:at] + new + RECORDS[at + len(old):]
+    assert_reads_as_json_lines(tmp_path, edited, COLUMNS)
+
+
+def test_columns_file_of_another_store_reads_as_json_lines(tmp_path,
+                                                         no_unpickling):
+    assert OTHER_COLUMNS != COLUMNS
+    assert_reads_as_json_lines(tmp_path, RECORDS, OTHER_COLUMNS)
+
+
+def reforged(change):
+    """COLUMNS with the arrays of its payload passed through change, and
+    both digests made to hold again."""
+    end = len(COLUMNS) - 64
+    f, out = io.BytesIO(COLUMNS[:end]), io.BytesIO()
+    out.write(f.readline())
+    arrays = []
+    while f.tell() < end:
+        arrays.append(np.lib.format.read_array(f))
+    change(arrays)
+    for array in arrays:
+        if isinstance(array, bytes):  # a bare .npy header
+            out.write(array)
+        else:
+            np.lib.format.write_array(out, array, allow_pickle=True)
+    payload = out.getvalue()
+    return (payload + hashlib.sha256(RECORDS).digest()
+            + hashlib.sha256(payload).digest())
+
+
+def _set(arrays, i, value):
+    arrays[i] = value
+
+
+def huge_header():
+    """The header of a .npy float column of 2**40 values, with no data."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {
+        "descr": "<f8", "fortran_order": False, "shape": (2**40,)})
+    return out.getvalue()
+
+
+# the first batch's arrays: 0 vocabulary bytes, 1 their offsets, 2 key,
+# 3 sample_ids, ..., 8 tokens, 9 cand_offsets, 10 cand_tokens,
+# 11 cand_probs, 12 score_offsets, 13 scores, 14 has_scores
+@pytest.mark.parametrize("change", [
+    lambda a: _set(a, 3, np.array(["s0000", None], dtype=object)),
+    lambda a: _set(a, 11, a[11].astype(np.float32)),
+    lambda a: _set(a, 11, a[11][:, None]),
+    lambda a: _set(a, 8, a[8][:-1]),
+    lambda a: _set(a, 9, a[9] + 1),
+    lambda a: _set(a, 11, np.where(np.arange(len(a[11])) == 0, 1.5, a[11])),
+    lambda a: _set(a, 3, np.full_like(a[3], -1)),
+    lambda a: _set(a, 8, np.full_like(a[8], len(a[1]) - 1)),
+    lambda a: _set(a, 14, np.zeros_like(a[14])),
+    lambda a: _set(a, 11, huge_header())],
+    ids=["pickled", "float32", "two-dimensional", "short-column",
+         "shifted-offsets", "probability-above-1", "none-sample-id",
+         "code-past-vocabulary", "scores-without-has-scores", "huge-shape"])
+def test_forged_columns_file_with_valid_digests_reads_as_json_lines(
+        tmp_path, no_unpickling, change):
+    assert reforged(lambda arrays: None) == COLUMNS
+    assert_reads_as_json_lines(tmp_path, RECORDS, reforged(change))
 
 
 # ---------------------------------------------------------------------------
