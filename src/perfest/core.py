@@ -14,10 +14,11 @@ SettingBatch.from_records and SettingBatch.records are inverses;
 RecordStore takes batches (add), hands them out (get), and joins a
 setting's batches on first use. Files are parsed and written per setting
 run as columns (read_batches, write_batches), and SettingBatch.validate
-holds every record rule once. RecordStore.save also writes the record
-columns file, path + ".cols", a derived file of the saved batches as .npy
-arrays that RecordStore.from_file loads, without decoding JSON, only
-while it holds the sha256 of the record file's bytes.
+holds every record rule once. RecordStore.save, and RecordStore.from_file
+after it reads a record file, write the record columns file, path +
+".cols", a derived file of the store's batches as .npy arrays that
+RecordStore.from_file loads, without decoding JSON, only while it holds
+the sha256 of the record file's bytes.
 """
 
 from __future__ import annotations
@@ -555,8 +556,12 @@ def _columns_path(path):
 
 
 def _file_digest(path):
+    """The sha256 of path's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
     with open(path, "rb") as f:
-        return hashlib.file_digest(f, "sha256").digest()
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.digest()
 
 
 def _column_bytes(batch: SettingBatch) -> bytes:
@@ -592,7 +597,11 @@ def _load_batch(f) -> SettingBatch:
         return array
 
     text = load(np.uint8).tobytes().decode("utf-8")
-    bounds = load(np.int64).tolist()
+    bounds = load(np.int64)
+    if not (bounds[0] == 0 and bounds[-1] == len(text)
+            and (np.diff(bounds) >= 0).all()):
+        raise ValueError("malformed vocabulary offsets")
+    bounds = bounds.tolist()
     # one shared str per distinct string, as read_batches shares tokens
     words = [sys.intern(text[a:b]) for a, b in zip(bounds, bounds[1:])]
     vocab = _objects(words + [None])
@@ -695,31 +704,50 @@ class RecordStore:
     def from_file(cls, path):
         """The store of a JSON Lines record file (see read_batches).
 
-        When path + ".cols", the columns file save writes, holds the
-        sha256 of path's bytes and of its own payload, and its batches load
-        and validate, those batches are taken without decoding any JSON;
-        otherwise (missing, stale, truncated or foreign) the file is read
-        with read_batches, so results and errors are the same either way.
+        When path + ".cols", the columns file, holds the sha256 of path's
+        bytes and of its own payload, and its batches load, are well
+        formed and validate, those batches are taken without decoding any
+        JSON. Otherwise (missing, stale, truncated or foreign) the file is
+        read with read_batches, so a damaged or stale columns file never
+        changes a result or an error; after such a read of a regular file
+        that did not change meanwhile, the columns file is written afresh
+        (if the folder takes it), so the next read takes the columns. The
+        digests catch damage and staleness, not forgery: a columns file
+        crafted with both digests right is taken as it stands.
         """
         store = cls()
-        for batch in _saved_batches(path) or read_batches(path):
+        batches = _saved_batches(path)
+        if batches is not None:
+            for batch in batches:
+                store.add(batch)
+            return store
+        # a pipe cannot be read twice, so only a regular file is hashed
+        digest = _file_digest(path) if os.path.isfile(path) else None
+        for batch in read_batches(path):
             store.add(batch)
+        with contextlib.suppress(OSError):
+            if digest is not None and digest == _file_digest(path):
+                store._write_columns(path, digest)
         return store
 
     def save(self, path):
         """Write every setting's batch, in key order, as JSON Lines, then
-        the columns file path + ".cols": a magic line, each batch's
-        vocabulary, key and other 12 columns as .npy arrays, then the
-        sha256 of path's bytes and of everything before it. It is derived
+        its columns file (see _write_columns)."""
+        write_batches((self.get(*key) for key in self.keys()), path)
+        self._write_columns(path, _file_digest(path))
+
+    def _write_columns(self, path, digest):
+        """Write path + ".cols", the columns file of record file path
+        whose bytes have sha256 digest: a magic line, each setting's
+        vocabulary, key and other 12 columns as .npy arrays, in key order,
+        then digest and the sha256 of everything before it. It is derived
         and safe to delete."""
-        batches = [self.get(*key) for key in self.keys()]
-        write_batches(batches, path)
         # an empty batch writes no line, so read_batches gives none for it
-        parts = itertools.chain([_COLUMNS_MAGIC], map(
-            _column_bytes, (batch for batch in batches if len(batch))))
+        batches = filter(len, (self.get(*key) for key in self.keys()))
         payload = hashlib.sha256()
         with open(_columns_path(path), "wb") as f:
-            for part in parts:
+            for part in itertools.chain([_COLUMNS_MAGIC],
+                                        map(_column_bytes, batches)):
                 payload.update(part)
                 f.write(part)
-            f.write(_file_digest(path) + payload.digest())
+            f.write(digest + payload.digest())

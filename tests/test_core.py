@@ -1,6 +1,7 @@
 """Record model, JSON Lines IO, and the in-memory store."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -250,6 +251,16 @@ def assert_same_batches(store, batches):
             assert a.tolist() == b.tolist(), field.name
 
 
+def no_json(path):
+    raise AssertionError("read_batches called")
+
+
+def write_and(records, path):
+    """Write records to path; return path."""
+    write_records(records, path)
+    return path
+
+
 def test_saved_store_reads_back_from_its_columns_file(tmp_path, monkeypatch):
     records = edge_records()
     store = RecordStore()
@@ -263,16 +274,61 @@ def test_saved_store_reads_back_from_its_columns_file(tmp_path, monkeypatch):
     store.save(path)
     assert os.path.exists(path + ".cols")
     want = list(read_batches(path))
-
-    def no_json(path):
-        raise AssertionError("read_batches called")
-
     monkeypatch.setattr(core, "read_batches", no_json)
     assert_same_batches(RecordStore.from_file(path), want)
     assert_same_batches(RecordStore.from_file(os.fsencode(path)), want)
 
 
-def test_append_records_removes_the_columns_file(tmp_path):
+def test_columns_file_needs_no_file_digest(tmp_path, monkeypatch):
+    # hashlib.file_digest is new in Python 3.11
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    records = edge_records()
+    path = str(tmp_path / "records.jsonl")
+    RecordStore.from_file(write_and(records, path)).save(path)
+    want = list(read_batches(path))
+    monkeypatch.setattr(core, "read_batches", no_json)
+    assert_same_batches(RecordStore.from_file(path), want)
+
+
+def test_first_read_writes_the_columns_file_the_next_read_takes(
+        tmp_path, monkeypatch):
+    path = write_and(edge_records(), str(tmp_path / "records.jsonl"))
+    want = list(read_batches(path))
+    assert not os.path.exists(path + ".cols")
+    assert_same_batches(RecordStore.from_file(path), want)
+    columns = (tmp_path / "records.jsonl.cols").read_bytes()
+    # the same columns file save writes for the same record file
+    saved = str(tmp_path / "saved.jsonl")
+    RecordStore.from_file(path).save(saved)
+    assert (tmp_path / "saved.jsonl").read_bytes() == \
+        (tmp_path / "records.jsonl").read_bytes()
+    assert (tmp_path / "saved.jsonl.cols").read_bytes() == columns
+    monkeypatch.setattr(core, "read_batches", no_json)
+    assert_same_batches(RecordStore.from_file(path), want)
+
+
+def test_record_file_changed_while_read_gets_no_columns_file(tmp_path,
+                                                             monkeypatch):
+    records = edge_records()
+    path = write_and(records[:1], str(tmp_path / "records.jsonl"))
+    read = core.read_batches
+
+    def read_then_append(path):
+        yield from read(path)
+        append_records(records[1:2], path)
+
+    monkeypatch.setattr(core, "read_batches", read_then_append)
+    assert len(RecordStore.from_file(path)) == 1
+    assert not os.path.exists(path + ".cols")
+
+
+def test_record_file_whose_columns_cannot_be_written_reads(tmp_path):
+    path = write_and(edge_records(), str(tmp_path / "records.jsonl"))
+    os.mkdir(path + ".cols")
+    assert_same_batches(RecordStore.from_file(path), list(read_batches(path)))
+
+
+def test_append_records_removes_the_columns_file(tmp_path, monkeypatch):
     records = edge_records()
     store = RecordStore()
     store.add(SettingBatch.from_records(records[:1]))
@@ -280,5 +336,9 @@ def test_append_records_removes_the_columns_file(tmp_path):
     store.save(path)
     append_records(records[1:2], path)
     assert not os.path.exists(path + ".cols")
+    back = RecordStore.from_file(path)
+    assert back.get(*records[0].key).records() == records[:2]
+    # that read wrote the appended file's columns, which the next one takes
+    monkeypatch.setattr(core, "read_batches", no_json)
     back = RecordStore.from_file(path)
     assert back.get(*records[0].key).records() == records[:2]

@@ -234,6 +234,8 @@ def flipped(data, at):
 def test_damaged_columns_file_reads_as_json_lines(tmp_path, no_unpickling,
                                                   damage):
     assert_reads_as_json_lines(tmp_path, RECORDS, damage(COLUMNS))
+    # and the read wrote the columns file afresh
+    assert (tmp_path / "records.jsonl.cols").read_bytes() == COLUMNS
 
 
 @FUZZ
@@ -316,10 +318,15 @@ def huge_header():
     lambda a: _set(a, 3, np.full_like(a[3], -1)),
     lambda a: _set(a, 8, np.full_like(a[8], len(a[1]) - 1)),
     lambda a: _set(a, 14, np.zeros_like(a[14])),
-    lambda a: _set(a, 11, huge_header())],
+    lambda a: _set(a, 11, huge_header()),
+    lambda a: _set(a, 1, a[1] + 1),
+    lambda a: _set(a, 1, a[1][[0, 2, 1, *range(3, len(a[1]))]]),
+    lambda a: _set(a, 1, np.append(a[1][:-1], a[1][-1] - 1))],
     ids=["pickled", "float32", "two-dimensional", "short-column",
          "shifted-offsets", "probability-above-1", "none-sample-id",
-         "code-past-vocabulary", "scores-without-has-scores", "huge-shape"])
+         "code-past-vocabulary", "scores-without-has-scores", "huge-shape",
+         "vocabulary-offsets-shifted", "vocabulary-offsets-descending",
+         "vocabulary-offsets-short"])
 def test_forged_columns_file_with_valid_digests_reads_as_json_lines(
         tmp_path, no_unpickling, change):
     assert reforged(lambda arrays: None) == COLUMNS
