@@ -10,7 +10,8 @@ invoke, read_records, write_records and append_records speak records.
 Inside the package one (service, task, context) setting is a
 SettingBatch, whose columns hold every sample's texts, token steps,
 candidates and input scores, with offsets for the ragged lengths.
-SettingBatch.from_records and SettingBatch.records are inverses;
+SettingBatch.from_records and SettingBatch.records are inverses, and
+from_records builds its columns with the record file reader's builder;
 RecordStore takes batches (add), hands them out (get), and joins a
 setting's batches on first use. Files are parsed and written per setting
 run as columns (read_batches, write_batches), and SettingBatch.validate
@@ -186,25 +187,13 @@ class SettingBatch:
             raise GroupingError(
                 f"mixed groups: {other} vs {key}; group records per "
                 "(service, task, context)")
-        steps = [step for r in records for step in r.output_steps]
-        pairs = [pair for step in steps for pair in step.top_probs]
-        return cls(
-            key=key,
-            sample_ids=_objects([r.sample_id for r in records]),
-            input_texts=_objects([r.input_text for r in records]),
-            generated_texts=_objects([r.generated_text for r in records]),
-            references=_objects([r.reference for r in records]),
-            step_offsets=_offsets([len(r.output_steps) for r in records]),
-            tokens=_objects([step.token for step in steps]),
-            cand_offsets=_offsets([len(step.top_probs) for step in steps]),
-            cand_tokens=_objects([t for t, _ in pairs]),
-            cand_probs=np.array([p for _, p in pairs], dtype=float),
-            score_offsets=_offsets([len(r.input_scores or ())
-                                    for r in records]),
-            scores=np.array([s for r in records for s in r.input_scores or ()],
-                            dtype=float),
-            has_scores=np.array([r.input_scores is not None
-                                 for r in records], dtype=bool))
+        return _build_batch(key, [
+            (r.key, (r.sample_id, r.input_text, r.generated_text),
+             r.reference, [step.token for step in r.output_steps],
+             [len(step.top_probs) for step in r.output_steps],
+             [t for step in r.output_steps for t, _ in step.top_probs],
+             [p for step in r.output_steps for _, p in step.top_probs],
+             r.input_scores) for r in records])
 
     def records(self) -> list:
         """The batch as InvocationRecords; from_records(...).records()
@@ -389,13 +378,14 @@ def _check_utf8(fields, line):
                                   line=line) from None
 
 
-def _batch(key, lines, parsed) -> SettingBatch:
-    """Parsed lines of one setting as one validated SettingBatch."""
+def _build_batch(key, parsed) -> SettingBatch:
+    """The unvalidated SettingBatch of setting key's records, each given
+    as the fields _parse returns."""
     (_, texts, references, tokens, cand_counts, cand_tokens, cand_probs,
      scores) = zip(*parsed)
     sample_ids, input_texts, generated_texts = zip(*texts)
     chain = itertools.chain.from_iterable
-    batch = SettingBatch(
+    return SettingBatch(
         key=key, sample_ids=_objects(sample_ids),
         input_texts=_objects(input_texts),
         generated_texts=_objects(generated_texts),
@@ -408,6 +398,11 @@ def _batch(key, lines, parsed) -> SettingBatch:
         score_offsets=_offsets([len(s or ()) for s in scores]),
         scores=np.array(list(chain(s or () for s in scores)), dtype=float),
         has_scores=np.array([s is not None for s in scores], dtype=bool))
+
+
+def _batch(key, lines, parsed) -> SettingBatch:
+    """Parsed lines of one setting as one validated SettingBatch."""
+    batch = _build_batch(key, parsed)
     batch.validate(lines=lines)
     return batch
 
@@ -485,12 +480,17 @@ def _lines(batch: SettingBatch) -> str:
     return "".join(lines)
 
 
-def write_batches(batches: Iterable[SettingBatch], path, mode="w") -> None:
+def write_batches(batches: Iterable[SettingBatch], path, mode="w") -> bytes:
     """Write (mode "w") or append (mode "a") batches as JSON Lines, one
-    line per sample in batch order."""
-    with open(path, mode, encoding="utf-8") as f:
+    line per sample in batch order; return the sha256 of the bytes
+    written."""
+    digest = hashlib.sha256()
+    with open(path, mode + "b") as f:
         for batch in batches:
-            f.write(_lines(batch))
+            data = _lines(batch).encode("utf-8")
+            digest.update(data)
+            f.write(data)
+    return digest.digest()
 
 
 def _record_batches(records):
@@ -516,9 +516,18 @@ def write_records(records: Iterable[InvocationRecord], path) -> None:
 
 def append_records(records: Sequence[InvocationRecord], path) -> None:
     """Validate records and append them to an existing (or new) JSON Lines
-    file, first removing its columns file, which would no longer match."""
+    file, first removing its columns file, which would no longer match,
+    and ending its last line where it lacks a newline."""
     with contextlib.suppress(FileNotFoundError):
         os.remove(_columns_path(path))
+    # only a regular file is read back: a pipe we opened and closed could
+    # end its reader's input before the records are written
+    if os.path.isfile(path):
+        with open(path, "rb+") as f:
+            if f.seek(0, os.SEEK_END):
+                f.seek(-1, os.SEEK_END)
+                if f.read(1) != b"\n":
+                    f.write(b"\n")
     write_batches(_record_batches(records), path, mode="a")
 
 
@@ -732,9 +741,10 @@ class RecordStore:
 
     def save(self, path):
         """Write every setting's batch, in key order, as JSON Lines, then
-        its columns file (see _write_columns)."""
-        write_batches((self.get(*key) for key in self.keys()), path)
-        self._write_columns(path, _file_digest(path))
+        its columns file (see _write_columns), bound to the sha256 of the
+        bytes as they were written."""
+        digest = write_batches((self.get(*key) for key in self.keys()), path)
+        self._write_columns(path, digest)
 
     def _write_columns(self, path, digest):
         """Write path + ".cols", the columns file of record file path

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -176,9 +176,7 @@ class ExperimentReport:
 
     def to_obj(self):
         return {
-            "rows": [[r.service_id, r.task_id, r.context_id, r.estimator,
-                      r.estimate, r.true_performance, r.absolute_error]
-                     for r in self.rows],
+            "rows": [list(astuple(r)) for r in self.rows],
             "aggregates": {k: list(v) for k, v in
                            sorted(self.aggregates.items())},
         }

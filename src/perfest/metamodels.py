@@ -47,9 +47,9 @@ back to profile positions. Both default to a third of the columns: a
 profile's columns are two strongly correlated quantile curves, and on
 the synthetic marketplace a third estimates as well as all of them.
 ``feature_ratio=1.0`` is the paper's forest and boosting, which search
-every column. A random forest or GBT model stacks its trees' node arrays
-into one ``TreeStack`` when it is trained or loaded, and one vectorized
-walk moves every tree's node for every row at once.
+every column. A random forest or GBT model keeps its trees alone; a
+prediction stacks their node arrays into one ``TreeStack``, and one
+vectorized walk moves every tree's node for every row at once.
 """
 
 from __future__ import annotations
@@ -258,10 +258,7 @@ class RegressionTree:
         return self
 
     def to_obj(self):
-        return {"feature": self.feature.tolist(),
-                "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(), "right": self.right.tolist(),
-                "value": self.value.tolist()}
+        return {name: getattr(self, name).tolist() for name in self.__slots__}
 
     @classmethod
     def from_obj(cls, obj, width):
@@ -272,14 +269,12 @@ class RegressionTree:
         an internal node's children lie after it, so traversal ends.
         """
         tree = cls()
-        tree.feature = _array(obj, "feature", (None,), integer=True)
-        tree.threshold = _array(obj, "threshold", (None,))
-        tree.left = _array(obj, "left", (None,), integer=True)
-        tree.right = _array(obj, "right", (None,), integer=True)
-        tree.value = _array(obj, "value", (None,))
+        for name in cls.__slots__:
+            setattr(tree, name, _array(obj, name, (None,), integer=name in (
+                "feature", "left", "right")))
         size = tree.feature.shape[0]
-        if size == 0 or any(a.shape[0] != size for a in (
-                tree.threshold, tree.left, tree.right, tree.value)):
+        if size == 0 or any(getattr(tree, name).shape[0] != size
+                            for name in cls.__slots__):
             raise ModelFormatError("tree node arrays are empty or differ "
                                    "in length")
         if np.any((tree.feature < -1) | (tree.feature >= width)):
@@ -580,7 +575,7 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
     elif spec.kind is ModelKind.RANDOM_FOREST:
         grow = _grower(X, hp, seed, 2, bootstrap=True)
         trees = [grow(t, y) for t in range(int(hp["n_trees"]))]
-        params = {"trees": trees, "stack": TreeStack(trees)}
+        params = {"trees": trees}
     elif spec.kind is ModelKind.GBT:
         lr = float(hp["learning_rate"])
         base = float(np.mean(y))
@@ -602,8 +597,7 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
             pred = pred + scale * h
             trees.append(tree)
             scales.append(scale)
-        params = {"base": base, "trees": trees, "scales": scales,
-                  "stack": TreeStack(trees)}
+        params = {"base": base, "trees": trees, "scales": scales}
     else:  # pragma: no cover
         raise ConfigurationError(f"unknown model kind {spec.kind!r}")
 
@@ -637,7 +631,7 @@ def predict_many(model: TrainedMetaModel, profiles) -> np.ndarray:
     elif kind is ModelKind.MLP:
         out, _ = mlp_forward(model.params, Xs)
     elif kind is ModelKind.RANDOM_FOREST:
-        out = np.mean(model.params["stack"].values(X), axis=0)
+        out = np.mean(TreeStack(model.params["trees"]).values(X), axis=0)
     else:  # GBT
         out = _boost(model.params, X)[-1]
     return np.clip(out, 0.0, 1.0)
@@ -646,7 +640,8 @@ def predict_many(model: TrainedMetaModel, profiles) -> np.ndarray:
 def _boost(params, X):
     """GBT predictions on X after each round, the base score first."""
     out = [np.full(X.shape[0], params["base"])]
-    for h, scale in zip(params["stack"].values(X), params["scales"]):
+    for h, scale in zip(TreeStack(params["trees"]).values(X),
+                        params["scales"]):
         out.append(out[-1] + scale * h)
     return out
 
@@ -711,17 +706,11 @@ def grid_search(kind, grid, rows, folds: int, seed: int) -> ModelSpec:
 # Serialization
 
 def _params_to_obj(model: TrainedMetaModel):
-    kind = model.spec.kind
-    p = model.params
-    if kind is ModelKind.KNN:
-        return {"X": p["X"].tolist(), "y": p["y"].tolist(), "k": p["k"]}
-    if kind is ModelKind.MLP:
-        return {"W1": p["W1"].tolist(), "b1": p["b1"].tolist(),
-                "W2": p["W2"].tolist(), "b2": p["b2"]}
-    if kind is ModelKind.RANDOM_FOREST:
-        return {"trees": [t.to_obj() for t in p["trees"]]}
-    return {"base": p["base"], "scales": list(p["scales"]),
-            "trees": [t.to_obj() for t in p["trees"]]}
+    """``model.params`` as JSON values: each tree as its node arrays, each
+    array as nested lists, and every other value as it is."""
+    return {name: [t.to_obj() for t in value] if name == "trees"
+            else value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in model.params.items()}
 
 
 def _field(obj, key, kind):
@@ -788,10 +777,14 @@ def _params_from_obj(kind, obj, width):
     trees = [RegressionTree.from_obj(t, width)
              for t in _field(obj, "trees", list)]
     if kind is ModelKind.RANDOM_FOREST:
-        return {"trees": trees, "stack": TreeStack(trees)}
+        # a forest averages its trees, so it needs one; a GBT model whose
+        # every round fit nothing predicts its base
+        if not trees:
+            raise ModelFormatError("random forest model has no tree")
+        return {"trees": trees}
     return {"base": _float(obj, "base"),
             "scales": _array(obj, "scales", (len(trees),)).tolist(),
-            "trees": trees, "stack": TreeStack(trees)}
+            "trees": trees}
 
 
 def save_model(model: TrainedMetaModel, path) -> None:

@@ -619,6 +619,23 @@ def test_non_finite_model_file_is_domain_error(capsys, tmp_path, kind, field,
     assert not out.exists()
 
 
+def test_forest_file_without_trees_is_domain_error(capsys, tmp_path):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    model_path = tmp_path / "model.json"
+    assert run(capsys, "train", "--records", records, "--d", "4",
+               "--hyperparams", '{"n_trees": 2}',
+               "--out", str(model_path))[0] == 0
+    obj = json.loads(model_path.read_text())
+    obj["params"]["trees"] = []
+    model_path.write_text(json.dumps(obj))
+    out = tmp_path / "estimates.json"
+    code, _, err = run(capsys, "estimate", "--model", str(model_path),
+                       "--records", records, "--out", str(out))
+    assert code == 1
+    assert "no tree" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rates,picked", [
     ([0.01, 1e150], 0.01), ([1e150, 0.01], 0.01), ([1e150, 1e200], None)])
 def test_train_grid_passes_over_a_diverging_mlp(capsys, tmp_path, rates,

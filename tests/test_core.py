@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 
 import pytest
 
@@ -326,6 +327,55 @@ def test_record_file_whose_columns_cannot_be_written_reads(tmp_path):
     path = write_and(edge_records(), str(tmp_path / "records.jsonl"))
     os.mkdir(path + ".cols")
     assert_same_batches(RecordStore.from_file(path), list(read_batches(path)))
+
+
+def test_save_hashes_the_bytes_it_writes(tmp_path, monkeypatch):
+    records = edge_records()
+    path = str(tmp_path / "records.jsonl")
+    store = RecordStore.from_file(write_and(records, path))
+    want = list(read_batches(path))
+
+    def no_digest(path):
+        raise AssertionError("_file_digest called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_file_digest", no_digest)
+        store.save(path)
+    monkeypatch.setattr(core, "read_batches", no_json)
+    assert_same_batches(RecordStore.from_file(path), want)
+
+
+def test_append_onto_a_file_without_a_final_newline(tmp_path):
+    record = make_record()
+    path = tmp_path / "records.jsonl"
+    write_records([record], str(path))
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    append_records([record], str(path))
+    assert read_records(str(path)) == [record, record]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_append_records_to_a_pipe_sends_the_records_alone(tmp_path):
+    record = make_record()
+    write_records([record], str(tmp_path / "want.jsonl"))
+    path = str(tmp_path / "pipe")
+    os.mkfifo(path)
+    got = []
+
+    def read():
+        with open(path, "rb") as f:
+            got.append(f.read())
+
+    # a writer whose pipe lost its reader would block for good
+    threads = [threading.Thread(target=read, daemon=True),
+               threading.Thread(target=append_records, args=([record], path),
+                                daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert got == [(tmp_path / "want.jsonl").read_bytes()]
 
 
 def test_append_records_removes_the_columns_file(tmp_path, monkeypatch):

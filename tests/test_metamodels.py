@@ -801,6 +801,8 @@ def test_malformed_tree_model_rejected(tmp_path, name):
      .__setitem__(0, math.nan)),
     (GBT_SPEC, lambda o: o["params"].update(base=math.nan)),
     (GBT_SPEC, lambda o: o["params"]["scales"].__setitem__(0, math.inf)),
+    # a forest averages its trees, so a file without one predicts nothing
+    (RF_SPEC, lambda o: o["params"].update(trees=[])),
 ])
 def test_malformed_model_params_rejected(tmp_path, spec, corrupt):
     obj = saved_model_obj(tmp_path, spec)
@@ -809,6 +811,34 @@ def test_malformed_model_params_rejected(tmp_path, spec, corrupt):
     path.write_text(json.dumps(obj))
     with pytest.raises(ModelFormatError):
         load_model(str(path))
+
+
+def test_gbt_file_without_trees_predicts_its_base(tmp_path):
+    obj = saved_model_obj(tmp_path, GBT_SPEC)
+    obj["params"].update(trees=[], scales=[])
+    path = tmp_path / "no_rounds.json"
+    path.write_text(json.dumps(obj))
+    profiles = [r.profile for r in random_rows(np.random.default_rng(3), 5)]
+    assert predict_many(load_model(str(path)), profiles).tolist() == \
+        [obj["params"]["base"]] * 5
+
+
+# the learned state each kind's file holds, and the node arrays of a tree
+SAVED_PARAMS = {ModelKind.KNN: {"X", "y", "k"},
+                ModelKind.MLP: {"W1", "b1", "W2", "b2"},
+                ModelKind.RANDOM_FOREST: {"trees"},
+                ModelKind.GBT: {"base", "scales", "trees"}}
+TREE_ARRAYS = {"feature", "threshold", "left", "right", "value"}
+
+
+def test_model_file_params_hold_each_kinds_fields_alone(tmp_path):
+    for spec in all_specs():
+        params = saved_model_obj(tmp_path, spec)["params"]
+        assert set(params) == SAVED_PARAMS[spec.kind], spec.kind
+        for tree in params.get("trees", []):
+            assert set(tree) == TREE_ARRAYS
+        assert params.get("trees", [None]), spec.kind
+    assert set(RegressionTree.__slots__) == TREE_ARRAYS
 
 
 def test_saved_model_file_is_unchanged_by_a_load(tmp_path):
@@ -844,6 +874,13 @@ FROZEN_FULL_WIDTH_FILES = {
     (ModelKind.GBT, 2):
         "3e4bbb952488e5091724e086fe7b0602531073b6e4931f3b38f1e1bd5cf8f2f7",
 }
+# KNN files: training makes no BLAS call, so the bytes do not depend on
+# the BLAS build (an MLP file's would)
+FROZEN_KNN_FILES = {
+    0: "5a4dc4bfbcc3bb15a3228431f503c51c2b33d8453b508dfa7594b26126c7c95a",
+    1: "26946093f06ab5ff4c07b48949d8bd7fb84a18b516107f1e00d8e46cc985877a",
+    2: "464a9c8909d7102f11a8ace2902b4dbc25a6732d4cc61e9907e538d53ac03cfa",
+}
 FROZEN_FULL_WIDTH_GBT_PARAMS = {
     0: "55fd257c9147e0f310c8c2f778436441985ef95e3ea3fc38cdc9e6b550d58659",
     1: "13a2c690d4e2f6d8ba778322fa72c4e75ff328b9626fcd439d15e2781307030b",
@@ -871,6 +908,15 @@ def test_full_width_model_files_equal_frozen_bytes(tmp_path, kind, seed):
                             sort_keys=True)
         assert (hashlib.sha256(params.encode()).hexdigest()
                 == FROZEN_FULL_WIDTH_GBT_PARAMS[seed])
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_KNN_FILES))
+def test_knn_model_files_equal_frozen_bytes(tmp_path, seed):
+    path = tmp_path / "model.json"
+    save_model(train(ModelSpec(ModelKind.KNN), tied_rows(seed, 60), seed),
+               str(path))
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == FROZEN_KNN_FILES[seed])
 
 
 def test_forest_file_without_feature_ratio_loads_as_full_width(tmp_path):
