@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, is_int
 from .seeding import derive_rng
 
 
@@ -28,8 +28,8 @@ def sample_n_estimate(f1s, n: int, seed: int) -> float:
     samples are the first n of derive_rng(seed, "samplen", *key)'s
     permutation of its samples.
     """
-    if n < 1:
-        raise InsufficientDataError(f"n must be >= 1, got {n}")
+    if not is_int(n, 1):
+        raise InsufficientDataError(f"n must be an integer >= 1, got {n!r}")
     if not f1s:
         raise InsufficientDataError("no contexts given")
     means = []

@@ -21,8 +21,9 @@ from . import evaluation as ev
 from . import metamodels as mm
 # read_records, write_records and build_profile are not called here, but
 # perfbench/tracing.py wraps them under this module's names too
-from .core import (ContextSpec, RecordStore, append_records, read_records,
-                   write_records, write_tasks)
+from .core import (ContextSpec, RecordStore, append_records, parse_json,
+                   read_json, read_records, write_json, write_records,
+                   write_tasks)
 from .errors import (ConfigurationError, InsufficientDataError,
                      PerfestError)
 from .feature_selection import rank_combinations
@@ -52,25 +53,11 @@ def _parse_kinds(text):
 
 def _json_object(flag, text):
     """The JSON object given as the text of ``flag``."""
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: bad JSON, or an integer past int's digit limit;
-        # RecursionError: nesting deeper than the decoder's stack
-        raise ConfigurationError(f"{flag} is not JSON: {exc}") from exc
+    obj = parse_json(text, ConfigurationError, f"{flag} is not JSON")
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{flag} must be a JSON object, got "
                                  f"{text!r}")
     return obj
-
-
-def _json_file(what, path):
-    """The JSON value in file ``path``, described as ``what`` in errors."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (ValueError, RecursionError) as exc:  # as in _json_object
-            raise ConfigurationError(f"{what} {path}: {exc}") from exc
 
 
 def _config_defaults(command, path):
@@ -81,7 +68,7 @@ def _config_defaults(command, path):
     flag's text, any other value as its JSON text, and goes through the
     flag's ``type``; JSON null keeps a flag whose default is None unset.
     """
-    obj = _json_file("config file", path)
+    obj = read_json(path, ConfigurationError, f"config file {path}")
     if not isinstance(obj, dict):
         raise ConfigurationError("config file must hold a JSON object")
     config = {key.replace("-", "_"): value for key, value in obj.items()}
@@ -121,10 +108,8 @@ def _cmd_synth(args):
     os.makedirs(args.out, exist_ok=True)
     store.save(os.path.join(args.out, "records.jsonl"))
     write_tasks(tasks, os.path.join(args.out, "tasks.jsonl"))
-    with open(os.path.join(args.out, "services.json"), "w",
-              encoding="utf-8") as f:
-        json.dump([dataclasses.asdict(s) for s in services], f,
-                  sort_keys=True, indent=2)
+    write_json(os.path.join(args.out, "services.json"),
+               [dataclasses.asdict(s) for s in services], indent=2)
     print(f"wrote {len(store)} records for {len(services)} services x "
           f"{config.n_tasks} tasks x {config.contexts_per_task} contexts "
           f"to {args.out}")
@@ -133,7 +118,7 @@ def _cmd_synth(args):
 
 def _service_descriptors(path):
     """The ServiceDescriptors listed in JSON file ``path``."""
-    entries = _json_file("service config", path)
+    entries = read_json(path, ConfigurationError, f"service config {path}")
     if not isinstance(entries, list):
         raise ConfigurationError("service config must hold a JSON list")
     descriptors = []
@@ -204,14 +189,13 @@ def _cmd_select_features(args):
         names = "+".join(sorted(k.value for k in subset))
         print(f"  {score:8.4f}  {names}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump({
-                "labels": list(corr.labels),
-                "matrix": [list(r) for r in corr.values],
-                "ranking": [["+".join(sorted(k.value for k in s)), sc]
-                            for s, sc in scored],
-                "best": sorted(k.value for k in scored[0][0]),
-            }, f, sort_keys=True, indent=2)
+        write_json(args.out, {
+            "labels": list(corr.labels),
+            "matrix": [list(r) for r in corr.values],
+            "ranking": [["+".join(sorted(k.value for k in s)), sc]
+                        for s, sc in scored],
+            "best": sorted(k.value for k in scored[0][0]),
+        }, indent=2)
     return 0
 
 
@@ -265,8 +249,7 @@ def _cmd_estimate(args):
             line += f"  true={truth:.4f}"
         print(line)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(results, f, sort_keys=True, indent=2)
+        write_json(args.out, results, indent=2)
     return 0
 
 

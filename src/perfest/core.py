@@ -1,4 +1,5 @@
-"""Domain types, JSON Lines persistence, and the columnar setting batch.
+"""Domain types, JSON Lines persistence, the columnar setting batch, and
+the package's one reader and writer of JSON documents.
 
 A record file is UTF-8 JSON Lines, one self-contained object per line.
 Probabilities are stored linear (not log); log transforms happen at
@@ -509,15 +510,17 @@ def read_records(path) -> list:
 
 
 def write_records(records: Iterable[InvocationRecord], path) -> None:
-    """Validate records and write them as JSON Lines. read_records
-    round-trips field-for-field."""
-    write_batches(_record_batches(records), path)
+    """Validate records, then write them as JSON Lines; an invalid record
+    writes nothing. read_records round-trips field-for-field."""
+    write_batches(list(_record_batches(records)), path)
 
 
 def append_records(records: Sequence[InvocationRecord], path) -> None:
-    """Validate records and append them to an existing (or new) JSON Lines
-    file, first removing its columns file, which would no longer match,
-    and ending its last line where it lacks a newline."""
+    """Validate records, then append them to an existing (or new) JSON
+    Lines file, first removing its columns file, which would no longer
+    match, and ending its last line where it lacks a newline. An invalid
+    record leaves both files as they were."""
+    batches = list(_record_batches(records))
     with contextlib.suppress(FileNotFoundError):
         os.remove(_columns_path(path))
     # only a regular file is read back: a pipe we opened and closed could
@@ -528,7 +531,38 @@ def append_records(records: Sequence[InvocationRecord], path) -> None:
                 f.seek(-1, os.SEEK_END)
                 if f.read(1) != b"\n":
                     f.write(b"\n")
-    write_batches(_record_batches(records), path, mode="a")
+    write_batches(batches, path, mode="a")
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: service configs, config files, model files and reports
+# are read and written here alone.
+
+def parse_json(text, error, what):
+    """The JSON value of ``text``, a str or a text file to read; raises
+    ``error(f"{what}: {reason}")`` when it holds none."""
+    try:
+        return json.loads(text if isinstance(text, str) else text.read())
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer
+        # past int's digit limit; RecursionError: nesting deeper than the
+        # decoder's stack
+        raise error(f"{what}: {exc}") from exc
+
+
+def read_json(path, error, what):
+    """The JSON value in UTF-8 file ``path`` (see parse_json); OSError
+    when it cannot be read."""
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_json(f, error, what)
+
+
+def write_json(path, obj, indent=None, end=""):
+    """Write ``obj`` to ``path`` as json.dump writes it with sorted keys,
+    then ``end``."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, sort_keys=True, indent=indent)
+        f.write(end)
 
 
 def write_tasks(tasks: Sequence[TaskDataset], path) -> None:

@@ -1,4 +1,24 @@
-"""Exception hierarchy shared by all perfest modules."""
+"""Exception hierarchy shared by all perfest modules, and the one test of
+a legal number at the package boundary."""
+
+import math
+import numbers
+
+
+def is_int(value, low=-math.inf, high=math.inf):
+    """``value`` is an integer, not a bool, in [low, high]."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and low <= value <= high)
+
+
+def is_real(value, low=-math.inf, high=math.inf):
+    """``value`` is a finite real number, not a bool, in [low, high]."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) and low <= value <= high
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 class PerfestError(Exception):

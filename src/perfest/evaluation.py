@@ -7,7 +7,6 @@ by 100 for readability.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import astuple, dataclass, field
@@ -21,9 +20,9 @@ from . import baselines as bl
 # perfbench/tracing.py wraps it
 from . import features as ft
 from . import metamodels as mm
-from .core import RecordStore, SettingBatch
+from .core import RecordStore, SettingBatch, write_json
 from .errors import (ConfigurationError, CoverageError,
-                     InsufficientDataError, ValidationError)
+                     InsufficientDataError, ValidationError, is_int)
 from .features import FeatureKind, sequence_confidence
 from .profile import (DEFAULT_DIMS, DEFAULT_KINDS, FeatureProfile,
                       build_profile)
@@ -101,8 +100,9 @@ def kfold_split(groups, folds: int, seed: int):
     most one, so no group straddles a fold boundary. Returns a list of
     (train_indices, test_indices) tuples.
     """
-    if folds < 2:
-        raise ConfigurationError(f"folds must be >= 2, got {folds}")
+    if not is_int(folds, 2):
+        raise ConfigurationError(f"folds must be an integer >= 2, got "
+                                 f"{folds!r}")
     uniq = sorted(set(groups))
     if len(uniq) < folds:
         raise ConfigurationError(
@@ -144,13 +144,15 @@ class ExperimentPlan:
                            tuple(FeatureKind(k) for k in self.feature_kinds))
         object.__setattr__(self, "model_specs", tuple(self.model_specs))
         object.__setattr__(self, "baselines", tuple(self.baselines))
-        for name, v in (("services", len(self.services)),
-                        ("tasks", len(self.tasks)),
-                        ("contexts_per_task", self.contexts_per_task),
-                        ("unlabeled_n", self.unlabeled_n), ("d", self.d),
-                        ("folds", self.folds)):
-            if v < 1:
-                raise ConfigurationError(f"plan field {name} must be >= 1")
+        # kfold_split needs two folds
+        for name, v, low in (("services", len(self.services), 1),
+                             ("tasks", len(self.tasks), 1),
+                             ("contexts_per_task", self.contexts_per_task, 1),
+                             ("unlabeled_n", self.unlabeled_n, 1),
+                             ("d", self.d, 1), ("folds", self.folds, 2)):
+            if not is_int(v, low):
+                raise ConfigurationError(
+                    f"plan field {name} must count at least {low}, got {v!r}")
         for name in self.baselines:
             if not _BASELINE.fullmatch(name):
                 raise ConfigurationError(
@@ -182,9 +184,7 @@ class ExperimentReport:
         }
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_obj(), f, sort_keys=True)
-            f.write("\n")
+        write_json(path, self.to_obj(), end="\n")
 
 
 def render_table(report: ExperimentReport, services) -> str:
@@ -252,9 +252,9 @@ def prepare_setting(batch: SettingBatch, kinds, d, unlabeled_n=None,
     profile's NLL values when NLL is among the kinds.
     """
     n = len(batch)
-    if unlabeled_n is not None and unlabeled_n < 1:
-        raise ConfigurationError(
-            f"unlabeled sample count must be >= 1, got {unlabeled_n}")
+    if not (unlabeled_n is None or is_int(unlabeled_n, 1)):
+        raise ConfigurationError(f"unlabeled sample count must be an "
+                                 f"integer >= 1, got {unlabeled_n!r}")
     if unlabeled_n is not None and unlabeled_n < n:
         rng = derive_rng(seed, "unlabeled", *batch.key)
         index = np.sort(rng.choice(n, size=unlabeled_n, replace=False))

@@ -55,17 +55,16 @@ vectorized walk moves every tree's node for every row at once.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import numbers
-import os
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .core import read_json, write_json
 from .errors import (ConfigurationError, InsufficientDataError,
-                     ModelFormatError, ShapeError, ValidationError)
+                     ModelFormatError, ShapeError, ValidationError, is_int,
+                     is_real)
 from .features import FeatureKind
 from .profile import FeatureProfile
 
@@ -91,20 +90,6 @@ DEFAULT_HYPERPARAMS = {
 }
 
 
-def _count(low, high=math.inf):
-    return lambda v: (isinstance(v, numbers.Integral)
-                      and not isinstance(v, bool) and low <= v <= high)
-
-
-def _real(v):
-    if not isinstance(v, numbers.Real) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer past the float range
-        return False
-
-
 # the widest MLP: 16 times the default 64. The first layer holds
 # profile columns x width floats, 134 MB at 4 kinds x MAX_DIMS columns.
 MAX_HIDDEN_WIDTH = 1024
@@ -115,18 +100,19 @@ MAX_SAMPLING_RATIO = 10.0
 
 # the legal values of each hyperparameter, as (description, test)
 HYPERPARAM_RANGES = {
-    "n_trees": ("an integer >= 1", _count(1)),
-    "k": ("an integer >= 1", _count(1)),
+    "n_trees": ("an integer >= 1", lambda v: is_int(v, 1)),
+    "k": ("an integer >= 1", lambda v: is_int(v, 1)),
     "hidden_width": (f"an integer in [1, {MAX_HIDDEN_WIDTH}]",
-                     _count(1, MAX_HIDDEN_WIDTH)),
-    "max_depth": ("an integer >= 0", _count(0)),
-    "epochs": ("an integer >= 0", _count(0)),
-    "n_rounds": ("an integer >= 0", _count(0)),
-    "learning_rate": ("a finite number > 0", lambda v: _real(v) and v > 0),
+                     lambda v: is_int(v, 1, MAX_HIDDEN_WIDTH)),
+    "max_depth": ("an integer >= 0", lambda v: is_int(v, 0)),
+    "epochs": ("an integer >= 0", lambda v: is_int(v, 0)),
+    "n_rounds": ("an integer >= 0", lambda v: is_int(v, 0)),
+    "learning_rate": ("a finite number > 0",
+                      lambda v: is_real(v, 0) and v > 0),
     "sampling_ratio": (f"a number in (0, {MAX_SAMPLING_RATIO:g}]",
-                       lambda v: _real(v) and 0 < v <= MAX_SAMPLING_RATIO),
+                       lambda v: is_real(v, 0, MAX_SAMPLING_RATIO) and v > 0),
     "feature_ratio": ("a number in (0, 1]",
-                      lambda v: _real(v) and 0 < v <= 1),
+                      lambda v: is_real(v, 0, 1) and v > 0),
 }
 
 
@@ -789,9 +775,7 @@ def _params_from_obj(kind, obj, width):
 
 def save_model(model: TrainedMetaModel, path) -> None:
     """Write a versioned, self-describing JSON model file."""
-    if not path:
-        raise OSError("empty model path")
-    obj = {
+    write_json(path, {
         "format": MODEL_FORMAT,
         "kind": model.spec.kind.value,
         "hyperparams": model.spec.hyperparams,
@@ -801,18 +785,12 @@ def save_model(model: TrainedMetaModel, path) -> None:
         "mean": model.mean.tolist(),
         "std": model.std.tolist(),
         "params": _params_to_obj(model),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True)
+    })
 
 
 def load_model(path) -> TrainedMetaModel:
     """Read a ``save_model`` file; ModelFormatError if it is malformed."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except (ValueError, RecursionError) as exc:  # as in cli._json_object
-            raise ModelFormatError(f"corrupt model file: {exc}") from exc
+    obj = read_json(path, ModelFormatError, "corrupt model file")
     if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
         raise ModelFormatError(
             f"incompatible model format {obj.get('format') if isinstance(obj, dict) else obj!r}; "

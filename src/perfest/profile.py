@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyProfileError, ShapeError
+from .errors import EmptyProfileError, ShapeError, is_int
 from .features import FeatureKind, extract_task_features
 
 DEFAULT_KINDS = (FeatureKind.NLL, FeatureKind.PPL)
@@ -30,12 +30,12 @@ def interpolate_profile(values, d: int):
 
     Returns a python list of length d, non-decreasing, bounded by
     min(values) and max(values). Exact at integral positions, so
-    d == len(values) reproduces the sorted input. ShapeError for d
-    outside [1, MAX_DIMS], before any array is made.
+    d == len(values) reproduces the sorted input. ShapeError unless d is
+    an integer in [1, MAX_DIMS], before any array is made.
     """
-    if not 1 <= d <= MAX_DIMS:
-        raise ShapeError(
-            f"profile dimension must be in [1, {MAX_DIMS}], got {d}")
+    if not is_int(d, 1, MAX_DIMS):
+        raise ShapeError(f"profile dimension must be an integer in "
+                         f"[1, {MAX_DIMS}], got {d!r}")
     v = np.sort(np.asarray(list(values), dtype=float))
     m = v.shape[0]
     if m == 0:

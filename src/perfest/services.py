@@ -43,7 +43,6 @@ Mock invoke() and the HTTP client return InvocationRecords.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 
@@ -52,7 +51,7 @@ import numpy as np
 from .core import (ContextSpec, InvocationRecord, RecordStore, SettingBatch,
                    TaskDataset, TokenStep)
 from .errors import (CapabilityError, ConfigurationError, TransportError,
-                     ValidationError)
+                     ValidationError, is_int, is_real)
 from .seeding import derive_rng
 
 OUTPUT_STEPS = 4
@@ -86,11 +85,6 @@ class ServiceDescriptor:
     config: dict = field(default_factory=dict)
 
 
-def _is(value, kind):
-    """``value`` is a ``kind`` (a ``numbers`` class) and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class MarketplaceConfig:
     n_services: int = 5
@@ -115,18 +109,14 @@ class MarketplaceConfig:
                 lo, hi = getattr(self, name)
             except (TypeError, ValueError):
                 lo = hi = None
-            if not (_is(lo, numbers.Real) and _is(hi, numbers.Real)
-                    and 0.0 <= lo <= hi <= 1.0):
+            if not (is_real(lo, 0.0, 1.0) and is_real(hi, lo, 1.0)):
                 raise ConfigurationError(f"{name} must be within [0, 1]")
-        if not (_is(self.feature_fidelity, numbers.Real)
-                and 0.0 <= self.feature_fidelity <= 1.0):
+        if not is_real(self.feature_fidelity, 0.0, 1.0):
             raise ConfigurationError("feature_fidelity must be in [0, 1]")
         counts = ("n_services", "n_tasks", "contexts_per_task",
                   "samples_per_task")
         for name in counts:
-            value = getattr(self, name)
-            if not (_is(value, numbers.Integral)
-                    and 1 <= value <= MAX_RECORDS):
+            if not is_int(getattr(self, name), 1, MAX_RECORDS):
                 raise ConfigurationError(
                     f"{name} must be an integer in [1, {MAX_RECORDS}]")
         records = math.prod(int(getattr(self, name)) for name in counts)
@@ -134,7 +124,7 @@ class MarketplaceConfig:
             raise ConfigurationError(
                 f"{' * '.join(counts)} is {records} records, more than "
                 f"{MAX_RECORDS}")
-        if not _is(self.seed, numbers.Integral):
+        if not is_int(self.seed):
             raise ConfigurationError("seed must be an integer")
 
     def service_id(self, i):
@@ -370,24 +360,10 @@ def _text(value, what) -> str:
     raise CapabilityError(f"{what} {value!r} is not a UTF-8 string")
 
 
-def _config_int(descriptor, name, value) -> int:
-    """``value`` of the descriptor's field ``name`` as ``int`` reads it;
-    ConfigurationError naming the field if it cannot."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(
-            f"service {descriptor.service_id!r} config: {name} {value!r} is "
-            "not an integer") from exc
-
-
 def _prob(logprob) -> float:
-    """exp of a response's logprob, a number <= 0 in float range."""
-    try:
-        if _is(logprob, numbers.Real) and float(logprob) <= 0.0:
-            return float(np.exp(float(logprob)))
-    except OverflowError:  # an integer past the float range
-        pass
+    """exp of a response's logprob, a finite number <= 0 or -inf."""
+    if is_real(logprob, high=0.0) or logprob == -math.inf:
+        return float(np.exp(float(logprob)))
     raise CapabilityError(f"logprob {logprob!r} is not a number <= 0")
 
 
@@ -404,7 +380,8 @@ class HttpClient:
     scoring uses the echo-with-logprobs form when the service supports it
     and keeps the input text's tokens only, found by their `text_offset`.
     Before any request, a descriptor without a string `endpoint`, whose
-    `max_tokens` or `top_k_depth` is not an integer, or whose
+    `max_tokens` or `top_k_depth` is not an integer >= 1 (a float, a
+    boolean or a string is none), or whose
     `input_scoring` is not a boolean, raises ConfigurationError, and
     input text UTF-8 cannot encode (a lone surrogate, as from argv bytes
     that are not UTF-8) raises ValidationError, since no record file
@@ -419,10 +396,14 @@ class HttpClient:
             raise ConfigurationError(
                 f"service {descriptor.service_id!r} config: endpoint "
                 f"{self.endpoint!r} is not a URL string")
-        self.top_k = _config_int(descriptor, "top_k_depth",
-                                 descriptor.capabilities.get("top_k_depth", 5))
-        self.max_tokens = _config_int(descriptor, "max_tokens",
-                                      cfg.get("max_tokens", 32))
+        self.top_k = descriptor.capabilities.get("top_k_depth", 5)
+        self.max_tokens = cfg.get("max_tokens", 32)
+        for name, value in (("top_k_depth", self.top_k),
+                            ("max_tokens", self.max_tokens)):
+            if not is_int(value, 1):
+                raise ConfigurationError(
+                    f"service {descriptor.service_id!r} config: {name} "
+                    f"{value!r} is not an integer >= 1")
         # a string such as "false" would be true
         self.input_scoring = descriptor.capabilities.get("input_scoring",
                                                          False)
@@ -526,7 +507,7 @@ class HttpClient:
         if not isinstance(values, list):
             raise CapabilityError("echo scoring returned no token logprobs")
         if not (isinstance(offsets, list) and len(offsets) == len(values)
-                and all(_is(at, numbers.Integral) for at in offsets)):
+                and all(map(is_int, offsets))):
             raise CapabilityError(
                 "echo scoring returned no integer text_offset for each "
                 "token, so the input text's tokens cannot be told apart")

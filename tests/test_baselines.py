@@ -90,6 +90,8 @@ def test_sample_n_insufficient_labels_raises():
     with pytest.raises(InsufficientDataError):
         sample_n_estimate({KEY: [0.5]}, 0, seed=0)
     with pytest.raises(InsufficientDataError):
+        sample_n_estimate({KEY: [0.5, 0.7]}, 1.5, seed=0)
+    with pytest.raises(InsufficientDataError):
         sample_n_estimate({}, 1, seed=0)
 
 

@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, determinism, pipeline smoke."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -230,6 +231,43 @@ def test_full_pipeline_smoke(capsys, tmp_path):
                         "--model", str(model_path), "--records", records)
     assert code == 0
     assert text.splitlines()[0].startswith("rank")
+
+
+# sha256 of the JSON documents a seeded pipeline writes, frozen while each
+# command still opened and dumped its own document. Random forests make no
+# BLAS call, so the bytes do not depend on the BLAS build.
+FROZEN_JSON_OUTPUTS = {
+    "features.jsonl":
+        "53b532ef103f3f036e2f96156838d86d5cce3433c461d45e30e8b907850e4c32",
+    "selection.json":
+        "45f75705b7f59bb9cdb714a94a7c86826aa66f8ba360a0269dfd6432e686b3ee",
+    "estimates.json":
+        "9b1b1845a27e3144505ddcfcf54839625b9e9bbe8901cbfdedffae5be3c74cbc",
+    "report.json":
+        "b761df5da15d48845a31b7d105c5ccbc9cbefb7feea78770491f979f8cc2b739",
+}
+
+
+def test_json_outputs_equal_frozen_bytes(capsys, tmp_path):
+    store = tmp_path / "store"
+    assert run(capsys, *synth_args(store, seed=3, services=2, tasks=2,
+                                   samples=40, contexts=2))[0] == 0
+    records = str(store / "records.jsonl")
+    model = str(tmp_path / "model.json")
+    out = {name: tmp_path / name for name in FROZEN_JSON_OUTPUTS}
+    for argv in (
+            ["extract", "--records", records, "--out", out["features.jsonl"]],
+            ["select-features", "--records", records,
+             "--out", out["selection.json"]],
+            ["train", "--records", records, "--d", "10", "--hyperparams",
+             '{"max_depth": 4, "n_trees": 8}', "--out", model],
+            ["estimate", "--model", model, "--records", records, "--n", "20",
+             "--out", out["estimates.json"]],
+            ["evaluate", "--records", records, "--contexts", "2", "--n", "30",
+             "--d", "10", "--folds", "2", "--out", out["report.json"]]):
+        assert run(capsys, *map(str, argv))[0] == 0
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in out.items()} == FROZEN_JSON_OUTPUTS
 
 
 def test_invoke_mock_appends_record(capsys, tmp_path):
@@ -781,7 +819,13 @@ def test_invoke_http_malformed_response_is_domain_error(
     ("input_scoring", {"capabilities": {**HTTP_SERVICE["capabilities"],
                                         "input_scoring": "false"}}),
     ("input_scoring", {"capabilities": {**HTTP_SERVICE["capabilities"],
-                                        "input_scoring": 1}})])
+                                        "input_scoring": 1}})] + [
+    # counts are integers >= 1, and a bool or a numeric string is none
+    ("top_k_depth", {"capabilities": {**HTTP_SERVICE["capabilities"],
+                                      "top_k_depth": value}})
+    for value in (2.5, True, "7", 0, -1)] + [
+    ("max_tokens", {"config": {**HTTP_SERVICE["config"], "max_tokens": value}})
+    for value in (2.5, True, "7", 0, -1)])
 def test_invoke_http_bad_service_config_is_domain_error(
         capsys, tmp_path, monkeypatch, field, change):
     code, err, out, session = invoke_http(

@@ -392,3 +392,35 @@ def test_append_records_removes_the_columns_file(tmp_path, monkeypatch):
     monkeypatch.setattr(core, "read_batches", no_json)
     back = RecordStore.from_file(path)
     assert back.get(*records[0].key).records() == records[:2]
+
+
+def good_then_bad():
+    """A valid record, then one of another setting with a probability of
+    1.5: a writer that validates setting by setting as it writes would
+    have written the first before it meets the second."""
+    return [make_record(),
+            dataclasses.replace(make_record(p1=1.5), task_id="task01")]
+
+
+def test_write_records_with_an_invalid_record_writes_no_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    with pytest.raises(ValidationError):
+        write_records(good_then_bad(), str(path))
+    assert not path.exists()
+
+
+def test_rejected_append_leaves_both_files_as_they_were(tmp_path):
+    new = tmp_path / "new.jsonl"
+    with pytest.raises(ValidationError):
+        append_records(good_then_bad(), str(new))
+    assert not new.exists()
+    store = RecordStore()
+    store.add(SettingBatch.from_records([make_record()]))
+    path = tmp_path / "records.jsonl"
+    store.save(str(path))
+    # a last line without its newline, which the append would end
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    files = {p: p.read_bytes() for p in (path, tmp_path / "records.jsonl.cols")}
+    with pytest.raises(ValidationError):
+        append_records(good_then_bad(), str(path))
+    assert {p: p.read_bytes() for p in files} == files

@@ -154,6 +154,20 @@ def test_kfold_grouped_keeps_groups_whole():
     assert covered == set(range(len(groups)))
 
 
+@pytest.mark.parametrize("folds", [2.5, True, "2", 1])
+def test_kfold_needs_an_integer_count_of_at_least_two(folds):
+    with pytest.raises(ConfigurationError):
+        kfold_split(["g0", "g1", "g2"], folds, seed=0)
+
+
+@pytest.mark.parametrize("unlabeled_n", [5.5, True, "5", 0])
+def test_prepare_setting_needs_an_integer_sample_count(unlabeled_n):
+    batch = SettingBatch.from_records(
+        [make_record(i, "a b", "a b") for i in range(8)])
+    with pytest.raises(ConfigurationError):
+        prepare_setting(batch, (FeatureKind.NLL,), 4, unlabeled_n=unlabeled_n)
+
+
 def marketplace_plan(cfg, specs, **overrides):
     services = ["svc%02d" % i for i in range(cfg.n_services)]
     tasks = ["task%02d" % j for j in range(cfg.n_tasks)]
@@ -240,6 +254,14 @@ def test_plan_validation():
     with pytest.raises(ConfigurationError):
         ExperimentPlan(services=("svc00",), tasks=("task00",),
                        contexts_per_task=0)
+    # each count is an integer, built or not: kfold_split needs two folds
+    bad = [(name, value) for name in ("contexts_per_task", "unlabeled_n", "d",
+                                      "folds")
+           for value in (True, 2.5, "3")] + [("folds", 1)]
+    for name, value in bad:
+        with pytest.raises(ConfigurationError):
+            ExperimentPlan(**{"services": ("svc00",), "tasks": ("task00",),
+                              "contexts_per_task": 1, name: value})
 
 
 @pytest.mark.parametrize("name", ["foo", "sample_x", "sample_0",

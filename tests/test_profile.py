@@ -41,6 +41,9 @@ def test_empty_values_rejected():
 def test_bad_dimension_rejected():
     with pytest.raises((ValueError, ShapeError)):
         interpolate_profile([1.0], 0)
+    for d in (2.5, True, "3"):
+        with pytest.raises(ShapeError):
+            interpolate_profile([1.0], d)
 
 
 def test_permutation_invariance():
