@@ -18,9 +18,9 @@ setting's batches on first use. Files are parsed and written per setting
 run as columns (read_batches, write_batches), and SettingBatch.validate
 holds every record rule once. RecordStore.save, and RecordStore.from_file
 after it reads a record file, write the record columns file, path +
-".cols", a derived file of the store's batches as .npy arrays that
-RecordStore.from_file loads, without decoding JSON, only while it holds
-the sha256 of the record file's bytes.
+".cols", a derived file of each batch's JSON header line and raw column
+bytes that RecordStore.from_file loads, without decoding a record line,
+only while it holds the sha256 of the record file's bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GroupingError, ValidationError
+from .errors import GroupingError, ValidationError, is_int
 
 _PROB_SUM_TOL = 1e-9
 
@@ -579,19 +579,18 @@ def write_tasks(tasks: Sequence[TaskDataset], path) -> None:
 
 # ---------------------------------------------------------------------------
 # Record columns: RecordStore.save writes next to a record file a derived
-# file of its batches as .npy arrays, which RecordStore.from_file loads in
-# place of the JSON while it holds the digest of the record file's bytes.
+# file of its batches as raw column bytes, which RecordStore.from_file loads
+# in place of the JSON while it holds the digest of the record file's bytes.
 
-_COLUMNS_MAGIC = b"perfest-columns/1\n"
+_COLUMNS_MAGIC = b"perfest-columns/2\n"
 _DIGEST = 32  # bytes of a sha256 digest
-# the stored dtype of each column; a text column is stored as codes into
-# its batch's vocabulary, -1 for None
-_COLUMNS = {"sample_ids": np.int32, "input_texts": np.int32,
-            "generated_texts": np.int32, "references": np.int32,
-            "step_offsets": np.int64, "tokens": np.int32,
-            "cand_offsets": np.int64, "cand_tokens": np.int32,
-            "cand_probs": np.float64, "score_offsets": np.int64,
-            "scores": np.float64, "has_scores": np.bool_}
+# the stored dtype of each column, little-endian; a text column is stored
+# as codes into its batch's vocabulary, -1 for None
+_COLUMNS = {"sample_ids": "<i4", "input_texts": "<i4",
+            "generated_texts": "<i4", "references": "<i4",
+            "step_offsets": "<i8", "tokens": "<i4", "cand_offsets": "<i8",
+            "cand_tokens": "<i4", "cand_probs": "<f8", "score_offsets": "<i8",
+            "scores": "<f8", "has_scores": "?"}
 
 
 def _columns_path(path):
@@ -608,81 +607,69 @@ def _file_digest(path):
 
 
 def _column_bytes(batch: SettingBatch) -> bytes:
-    """One batch as .npy arrays: its vocabulary as UTF-8 bytes and
-    character offsets, its key's codes, then each column in field order.
-    Strings are never stored as numpy "U" arrays, which drop trailing
-    NULs."""
+    """One batch: the JSON line [key, vocabulary, column lengths], then
+    the bytes of each column in _COLUMNS order and dtype."""
     vocab = {}
 
     def codes(values):
         return np.array([-1 if s is None else vocab.setdefault(s, len(vocab))
-                         for s in values], dtype=np.int32)
+                         for s in values], dtype="<i4")
 
-    key = codes(batch.key)
-    columns = [codes(getattr(batch, name).tolist()) if dtype is np.int32
+    columns = [codes(getattr(batch, name).tolist()) if dtype == "<i4"
                else np.asarray(getattr(batch, name), dtype=dtype)
                for name, dtype in _COLUMNS.items()]
-    text = np.frombuffer("".join(vocab).encode("utf-8"), dtype=np.uint8)
-    out = io.BytesIO()
-    for array in (text, _offsets(list(map(len, vocab))), key, *columns):
-        np.lib.format.write_array(out, array, allow_pickle=False)
-    return out.getvalue()
+    head = json.dumps([batch.key, list(vocab), list(map(len, columns))])
+    return b"".join([head.encode(), b"\n", *map(np.ndarray.tobytes, columns)])
 
 
 def _load_batch(f) -> SettingBatch:
-    """The next batch of a columns file; ValueError or IndexError when its
-    arrays are not the ones _column_bytes writes."""
-    def load(dtype):
-        # the .npy reader alone, never np.load's pickle or zip branches
-        array = np.lib.format.read_array(f, allow_pickle=False)
-        if array.dtype != dtype or array.ndim != 1:
-            raise ValueError("not a record column")
-        return array
-
-    text = load(np.uint8).tobytes().decode("utf-8")
-    bounds = load(np.int64)
-    if not (bounds[0] == 0 and bounds[-1] == len(text)
-            and (np.diff(bounds) >= 0).all()):
-        raise ValueError("malformed vocabulary offsets")
-    bounds = bounds.tolist()
+    """The next batch of a columns file, as _column_bytes writes one and
+    valid; else ValueError, RecursionError or ValidationError."""
+    header = json.loads(f.readline())
+    if not (isinstance(header, list) and len(header) == 3
+            and all(isinstance(part, list) for part in header)
+            and len(header[0]) == 3 and len(header[2]) == len(_COLUMNS)
+            and all(isinstance(s, str) for s in header[0] + header[1])
+            and all(is_int(n, 0, 2**40) for n in header[2])):
+        raise ValueError("malformed batch header")
+    key, words, lengths = header
+    # the 12 lengths follow from 4: samples, steps, candidates and scores
+    n, steps, cands, scores = (lengths[i] for i in (0, 5, 7, 10))
+    if lengths != [n, n, n, n, n + 1, steps, steps + 1, cands, cands, n + 1,
+                   scores, n]:
+        raise ValueError("malformed column lengths")
+    # UnicodeEncodeError, a ValueError, for a \ud800-style escape
+    "".join(key + words).encode("utf-8")
     # one shared str per distinct string, as read_batches shares tokens
-    words = [sys.intern(text[a:b]) for a, b in zip(bounds, bounds[1:])]
-    vocab = _objects(words + [None])
-
-    def strings(nullable=False):
-        codes = load(np.int32)
-        # code -1 is None, which only a reference may be
-        if codes.size and not (-nullable <= codes.min()
-                               and codes.max() < len(words)):
-            raise ValueError("not a code of the vocabulary")
-        return vocab[codes]
-
-    key = tuple(strings().tolist())
-    batch = SettingBatch(key=key, **{
-        name: strings(name == "references") if dtype is np.int32
-        else load(dtype) for name, dtype in _COLUMNS.items()})
-    n, steps = len(batch), len(batch.tokens)
-    if not (len(key) == 3 and all(
-            len(column) == n for column in (
-                batch.input_texts, batch.generated_texts, batch.references,
-                batch.has_scores))
-            and len(batch.cand_tokens) == len(batch.cand_probs)
-            and all(len(o) == rows + 1 and o[0] == 0 and o[-1] == size
-                    and (np.diff(o) >= 0).all()
-                    for o, rows, size in (
-                        (batch.step_offsets, n, steps),
-                        (batch.cand_offsets, steps, len(batch.cand_probs)),
-                        (batch.score_offsets, n, len(batch.scores))))
+    vocab = _objects(list(map(sys.intern, words)) + [None])
+    columns = {}
+    for (name, dtype), size in zip(_COLUMNS.items(), lengths):
+        # a copy: the batch owns writable columns, as read_batches gives
+        column = np.frombuffer(f.read(size * np.dtype(dtype).itemsize),
+                               dtype, count=size).copy()
+        if dtype == "<i4":
+            # code -1 is None, which only a reference may be
+            if size and not (-(name == "references") <= column.min()
+                             and column.max() < len(words)):
+                raise ValueError("not a code of the vocabulary")
+            column = vocab[column]
+        columns[name] = column
+    batch = SettingBatch(key=tuple(key), **columns)
+    if not (all(o[0] == 0 and o[-1] == size and (np.diff(o) >= 0).all()
+                for o, size in ((batch.step_offsets, steps),
+                                (batch.cand_offsets, cands),
+                                (batch.score_offsets, scores)))
             # a sample without input scores writes none
             and not np.diff(batch.score_offsets)[~batch.has_scores].any()):
         raise ValueError("malformed record columns")
+    batch.validate()
     return batch
 
 
 def _saved_batches(path):
     """The batches of path's columns file, or None unless it holds the
-    sha256 of path's bytes and of its own payload, every array loads
-    without pickle, and every batch is well formed and valid."""
+    sha256 of path's bytes and of its own payload, and its batches fill
+    the payload exactly and are well formed and valid."""
     try:
         with open(_columns_path(path), "rb") as f:
             data = f.read()
@@ -699,10 +686,8 @@ def _saved_batches(path):
             batches.append(_load_batch(f))
         if f.tell() != end:
             return None
-        for batch in batches:
-            batch.validate()
-    # MemoryError: an array header declaring more than memory holds
-    except (OSError, ValueError, IndexError, MemoryError, ValidationError):
+    # RecursionError: a header nested deeper than the JSON decoder's stack
+    except (OSError, ValueError, RecursionError, ValidationError):
         return None
     return batches
 
@@ -750,13 +735,14 @@ class RecordStore:
         When path + ".cols", the columns file, holds the sha256 of path's
         bytes and of its own payload, and its batches load, are well
         formed and validate, those batches are taken without decoding any
-        JSON. Otherwise (missing, stale, truncated or foreign) the file is
-        read with read_batches, so a damaged or stale columns file never
-        changes a result or an error; after such a read of a regular file
-        that did not change meanwhile, the columns file is written afresh
-        (if the folder takes it), so the next read takes the columns. The
-        digests catch damage and staleness, not forgery: a columns file
-        crafted with both digests right is taken as it stands.
+        record line. Otherwise (missing, stale, truncated, foreign or of
+        another layout) the file is read with read_batches, so a damaged
+        or stale columns file never changes a result or an error; after
+        such a read of a regular file that did not change meanwhile, the
+        columns file is written afresh (if the folder takes it), so the
+        next read takes the columns. The digests catch damage and
+        staleness, not forgery: a columns file crafted with both digests
+        right is taken as it stands.
         """
         store = cls()
         batches = _saved_batches(path)
@@ -782,10 +768,10 @@ class RecordStore:
 
     def _write_columns(self, path, digest):
         """Write path + ".cols", the columns file of record file path
-        whose bytes have sha256 digest: a magic line, each setting's
-        vocabulary, key and other 12 columns as .npy arrays, in key order,
-        then digest and the sha256 of everything before it. It is derived
-        and safe to delete."""
+        whose bytes have sha256 digest: a magic line, then each
+        setting's batch in key order (see _column_bytes), then digest and
+        the sha256 of everything before it. It is derived and safe to
+        delete."""
         # an empty batch writes no line, so read_batches gives none for it
         batches = filter(len, (self.get(*key) for key in self.keys()))
         payload = hashlib.sha256()

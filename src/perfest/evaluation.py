@@ -153,6 +153,8 @@ class ExperimentPlan:
             if not is_int(v, low):
                 raise ConfigurationError(
                     f"plan field {name} must count at least {low}, got {v!r}")
+        if not (self.model_specs or self.baselines):
+            raise ConfigurationError("plan names no meta-model or baseline")
         for name in self.baselines:
             if not _BASELINE.fullmatch(name):
                 raise ConfigurationError(

@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, determinism, pipeline smoke."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from perfest.applications import candidates_from_model
 from perfest.cli import _config_defaults, _prepared, build_parser, dispatch
-from perfest.core import ContextSpec, RecordStore
+from perfest.core import (ContextSpec, RecordStore, read_records,
+                          write_records)
 from perfest.errors import ConfigurationError
 from perfest.metamodels import (MAX_HIDDEN_WIDTH, MAX_SAMPLING_RATIO,
                                 load_model)
@@ -221,6 +223,14 @@ def test_full_pipeline_smoke(capsys, tmp_path):
     body = json.loads(report.read_text())
     assert "avg_train" in body["aggregates"]
     assert any(k.startswith("knn") for k in body["aggregates"])
+    # a kind named twice is told apart by its place in --models
+    code, text, _ = run(capsys, "evaluate", "--records", records,
+                        "--models", "knn,knn", "--contexts", "2",
+                        "--n", "30", "--d", "12", "--folds", "2",
+                        "--out", str(report))
+    assert code == 0
+    assert {"knn#0", "knn#1"} <= set(json.loads(report.read_text())[
+        "aggregates"])
 
     code, text, _ = run(capsys, "select", "--model", str(model_path),
                         "--records", records)
@@ -454,6 +464,19 @@ def test_train_bad_profile_dimension_is_domain_error(capsys, tmp_path, d):
                        "--out", str(tmp_path / "model.json"))
     assert code == 1
     assert "profile dimension" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_train_on_records_without_references_is_domain_error(capsys,
+                                                             tmp_path):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    unlabeled = str(tmp_path / "unlabeled.jsonl")
+    write_records([dataclasses.replace(r, reference=None)
+                   for r in read_records(records)], unlabeled)
+    code, _, err = run(capsys, "train", "--records", unlabeled,
+                       "--out", str(tmp_path / "model.json"))
+    assert code == 1
+    assert "lacks references" in err
     assert not (tmp_path / "model.json").exists()
 
 
@@ -697,10 +720,11 @@ def test_train_grid_passes_over_a_diverging_mlp(capsys, tmp_path, rates,
 @pytest.mark.parametrize("text", [
     "not json", "[" * 5000 + "]" * 5000, '{"service_id": "svc00"}',
     '[{"kind": "mock"}]', '["svc00"]', '[{"service_id": 0, "kind": "mock"}]',
-    '[{"service_id": "svc00", "kind": "mock", "config": [1]}]'],
+    '[{"service_id": "svc00", "kind": "mock", "config": [1]}]',
+    '[{"service_id": "svc00", "kind": "grpc"}]'],
     ids=["not-json", "nested-5000-deep", "object-not-list",
          "no-service-id", "entry-not-object", "service-id-not-string",
-         "config-not-object"])
+         "config-not-object", "unknown-kind"])
 def test_invoke_malformed_service_config_file_is_domain_error(
         capsys, tmp_path, text):
     store_dir = small_store(capsys, tmp_path)
@@ -712,7 +736,8 @@ def test_invoke_malformed_service_config_file_is_domain_error(
                        "--context", "ctx00", "--sample", "s0003",
                        "--out", str(out))
     assert code == 1
-    assert err.startswith("error: service config")
+    assert err.startswith("error: unknown service kind 'grpc'"
+                          if "grpc" in text else "error: service config")
     assert not out.exists()
 
 

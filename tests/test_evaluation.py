@@ -246,6 +246,13 @@ def test_run_experiment_missing_setting_is_coverage_error():
     with pytest.raises(CoverageError) as exc:
         run_experiment(plan, store)
     assert any("svc99" in str(m) for m in exc.value.missing)
+    # a task with fewer contexts than the plan asks for
+    plan = marketplace_plan(cfg, (ModelSpec(ModelKind.KNN, {"k": 1}),),
+                            contexts_per_task=2)
+    with pytest.raises(CoverageError) as exc:
+        run_experiment(plan, store)
+    assert exc.value.missing == [("*", "task00", "<2 contexts>"),
+                                 ("*", "task01", "<2 contexts>")]
 
 
 def test_plan_validation():
@@ -262,6 +269,10 @@ def test_plan_validation():
         with pytest.raises(ConfigurationError):
             ExperimentPlan(**{"services": ("svc00",), "tasks": ("task00",),
                               "contexts_per_task": 1, name: value})
+    # a plan with no estimator would report nothing
+    with pytest.raises(ConfigurationError, match="no meta-model or baseline"):
+        ExperimentPlan(services=("svc00",), tasks=("task00",),
+                       contexts_per_task=1, model_specs=(), baselines=())
 
 
 @pytest.mark.parametrize("name", ["foo", "sample_x", "sample_0",

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from perfest import core
 from perfest.cli import build_parser
 from perfest.core import (ContextSpec, RecordStore, SettingBatch,
                           append_records, read_batches)
@@ -274,63 +275,110 @@ def test_columns_file_of_another_store_reads_as_json_lines(tmp_path,
 
 
 def reforged(change):
-    """COLUMNS with the arrays of its payload passed through change, and
-    both digests made to hold again."""
+    """COLUMNS with the batches of its payload, each [header, columns],
+    passed through change, and both digests made to hold again. A header
+    is written as JSON, a column as its bytes; either may be given as
+    raw bytes instead."""
     end = len(COLUMNS) - 64
-    f, out = io.BytesIO(COLUMNS[:end]), io.BytesIO()
-    out.write(f.readline())
-    arrays = []
+    f = io.BytesIO(COLUMNS[:end])
+    magic = f.readline()
+    batches = []
     while f.tell() < end:
-        arrays.append(np.lib.format.read_array(f))
-    change(arrays)
-    for array in arrays:
-        if isinstance(array, bytes):  # a bare .npy header
-            out.write(array)
-        else:
-            np.lib.format.write_array(out, array, allow_pickle=True)
-    payload = out.getvalue()
+        header = json.loads(f.readline())
+        batches.append([header, [
+            np.frombuffer(f.read(n * np.dtype(dtype).itemsize), dtype)
+            for n, dtype in zip(header[2], core._COLUMNS.values())]])
+    change(batches)
+    out = [magic]
+    for header, columns in batches:
+        out.append(header if isinstance(header, bytes)
+                   else json.dumps(header).encode() + b"\n")
+        out.extend(c if isinstance(c, bytes) else c.tobytes()
+                   for c in columns)
+    payload = b"".join(out)
     return (payload + hashlib.sha256(RECORDS).digest()
             + hashlib.sha256(payload).digest())
 
 
-def _set(arrays, i, value):
-    arrays[i] = value
+def column(batch, name, value):
+    """Set column name of batch, and its length in the header, to value."""
+    i = list(core._COLUMNS).index(name)
+    batch[1][i] = value
+    batch[0][2][i] = len(value)
 
 
-def huge_header():
-    """The header of a .npy float column of 2**40 values, with no data."""
-    out = io.BytesIO()
-    np.lib.format.write_array_header_1_0(out, {
-        "descr": "<f8", "fortran_order": False, "shape": (2**40,)})
-    return out.getvalue()
+def length(batch, name, value):
+    """Declare value as the length of column name of batch."""
+    batch[0][2][list(core._COLUMNS).index(name)] = value
 
 
-# the first batch's arrays: 0 vocabulary bytes, 1 their offsets, 2 key,
-# 3 sample_ids, ..., 8 tokens, 9 cand_offsets, 10 cand_tokens,
-# 11 cand_probs, 12 score_offsets, 13 scores, 14 has_scores
+def into_trailer(batches):
+    """The last batch without input scores, and one byte of its
+    has_scores column left out of the payload: its columns end inside the
+    digest trailer."""
+    last = batches[-1]
+    n = last[0][2][0]
+    column(last, "score_offsets", np.zeros(n + 1, dtype="<i8"))
+    column(last, "scores", np.zeros(0))
+    column(last, "has_scores", np.zeros(n, dtype=bool))
+    last[1][-1] = last[1][-1].tobytes()[:-1]
+
+
+def cand_probs_short_by_a_byte(batches):
+    i = list(core._COLUMNS).index("cand_probs")
+    batches[0][1][i] = batches[0][1][i].tobytes()[:-1]
+
+
+# b[0] is the first batch, [header, columns]; its header is [key, words,
+# lengths], its columns 0 sample_ids, 5 tokens, 6 cand_offsets,
+# 8 cand_probs, 11 has_scores, ... in core._COLUMNS order
 @pytest.mark.parametrize("change", [
-    lambda a: _set(a, 3, np.array(["s0000", None], dtype=object)),
-    lambda a: _set(a, 11, a[11].astype(np.float32)),
-    lambda a: _set(a, 11, a[11][:, None]),
-    lambda a: _set(a, 8, a[8][:-1]),
-    lambda a: _set(a, 9, a[9] + 1),
-    lambda a: _set(a, 11, np.where(np.arange(len(a[11])) == 0, 1.5, a[11])),
-    lambda a: _set(a, 3, np.full_like(a[3], -1)),
-    lambda a: _set(a, 8, np.full_like(a[8], len(a[1]) - 1)),
-    lambda a: _set(a, 14, np.zeros_like(a[14])),
-    lambda a: _set(a, 11, huge_header()),
-    lambda a: _set(a, 1, a[1] + 1),
-    lambda a: _set(a, 1, a[1][[0, 2, 1, *range(3, len(a[1]))]]),
-    lambda a: _set(a, 1, np.append(a[1][:-1], a[1][-1] - 1))],
-    ids=["pickled", "float32", "two-dimensional", "short-column",
-         "shifted-offsets", "probability-above-1", "none-sample-id",
-         "code-past-vocabulary", "scores-without-has-scores", "huge-shape",
-         "vocabulary-offsets-shifted", "vocabulary-offsets-descending",
-         "vocabulary-offsets-short"])
+    lambda b: column(b[0], "sample_ids", np.full_like(b[0][1][0], -1)),
+    lambda b: column(b[0], "tokens", np.full_like(b[0][1][5],
+                                                  len(b[0][0][1]))),
+    lambda b: column(b[0], "cand_offsets", b[0][1][6] + 1),
+    lambda b: column(b[0], "cand_probs", np.where(
+        np.arange(len(b[0][1][8])) == 0, 1.5, b[0][1][8])),
+    lambda b: column(b[0], "has_scores", np.zeros_like(b[0][1][11])),
+    lambda b: column(b[0], "tokens", b[0][1][5][:-1]),
+    lambda b: b[0].__setitem__(0, b"not json\n"),
+    lambda b: b[0].__setitem__(0, dict(zip("kwl", b[0][0]))),
+    lambda b: b[0].__setitem__(0, b"[" * 100000 + b"]" * 100000 + b"\n"),
+    lambda b: b[0][0][0].pop(),
+    lambda b: b[0][0][0].__setitem__(2, 7),
+    lambda b: b[0][0][1].__setitem__(0, 7),
+    lambda b: b[0][0][1].__setitem__(0, "\ud800"),
+    lambda b: b[0][0][2].pop(),
+    lambda b: b[0][0][2].append(0),
+    lambda b: length(b[0], "scores", -1),
+    lambda b: length(b[0], "scores", True),
+    lambda b: length(b[0], "scores", 1.5),
+    lambda b: length(b[0], "scores", 2**40),
+    lambda b: length(b[0], "scores", 10**30),
+    cand_probs_short_by_a_byte, into_trailer],
+    ids=["none-sample-id", "code-past-vocabulary", "shifted-offsets",
+         "probability-above-1", "scores-without-has-scores", "short-column",
+         "header-not-json", "header-not-a-list", "header-nested-100000-deep",
+         "key-of-2-strings", "key-with-a-number", "word-not-a-string",
+         "word-lone-surrogate", "11-lengths", "13-lengths", "length-minus-1",
+         "length-true", "length-1.5", "huge-shape", "length-10**30",
+         "column-bytes-not-a-multiple-of-itemsize",
+         "columns-run-into-trailer"])
 def test_forged_columns_file_with_valid_digests_reads_as_json_lines(
         tmp_path, no_unpickling, change):
-    assert reforged(lambda arrays: None) == COLUMNS
+    assert reforged(lambda batches: None) == COLUMNS
     assert_reads_as_json_lines(tmp_path, RECORDS, reforged(change))
+
+
+def test_columns_file_of_the_first_layout_reads_as_json_lines(
+        tmp_path, no_unpickling):
+    payload = (b"perfest-columns/1\n"
+               + COLUMNS[len(core._COLUMNS_MAGIC):-64])
+    assert_reads_as_json_lines(
+        tmp_path, RECORDS, payload + hashlib.sha256(RECORDS).digest()
+        + hashlib.sha256(payload).digest())
+    # and the read wrote the columns file afresh, in the current layout
+    assert (tmp_path / "records.jsonl.cols").read_bytes() == COLUMNS
 
 
 # ---------------------------------------------------------------------------

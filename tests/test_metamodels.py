@@ -1,6 +1,7 @@
 """Profile-to-performance regressors: KNN, MLP, random forest, GBT."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from perfest import metamodels
 from perfest.errors import (ConfigurationError, ModelFormatError,
-                            ValidationError)
+                            ShapeError, ValidationError)
 from perfest.features import FeatureKind
 from perfest.metamodels import (
     MAX_HIDDEN_WIDTH,
@@ -623,6 +624,21 @@ def test_nan_in_a_training_profile_is_a_validation_error(spec):
         assert info.value.field == "profile"
 
 
+def test_profiles_of_another_shape_are_a_shape_error():
+    rows = random_rows(np.random.default_rng(67), 12)
+    model = train(ModelSpec(ModelKind.KNN, {"k": 3}), rows, seed=0)
+    other_dims = profile_from_vector(np.arange(DIMS + 1.0))
+    other_kinds = dataclasses.replace(rows[0].profile,
+                                      kinds=(FeatureKind.PPL,))
+    for profile in (other_dims, other_kinds):
+        with pytest.raises(ShapeError):
+            predict_many(model, [rows[0].profile, profile])
+    mixed = rows[:5] + [TrainingRow(other_dims, 0.5)] + rows[5:]
+    for spec in all_specs():
+        with pytest.raises(ShapeError, match="inconsistent profiles"):
+            train(spec, mixed, seed=0)
+
+
 def per_tree_loop(model, profiles):
     """Predictions by walking each tree for each row, one at a time."""
     X = np.array([pr.vector for pr in profiles], dtype=float)
@@ -768,6 +784,7 @@ TREE_CORRUPTIONS = {
     "infinite threshold": lambda o: o["params"]["trees"][0]["threshold"]
     .__setitem__(0, math.inf),
     "NaN mean": lambda o: o["mean"].__setitem__(0, math.nan),
+    "zero dims": lambda o: o.update(dims=0),
 }
 
 
@@ -786,6 +803,7 @@ def test_malformed_tree_model_rejected(tmp_path, name):
     (GBT_SPEC, lambda o: o["params"]["scales"].pop()),
     (GBT_SPEC, lambda o: o["params"].pop("base")),
     (ModelSpec(ModelKind.KNN), lambda o: o["params"].pop("k")),
+    (ModelSpec(ModelKind.KNN), lambda o: o["params"].update(k=0)),
     (ModelSpec(ModelKind.KNN), lambda o: o["params"]["X"][0].pop()),
     (ModelSpec(ModelKind.MLP, {"epochs": 5}),
      lambda o: o["params"].update(b1=[0.0])),
