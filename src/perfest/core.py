@@ -28,7 +28,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -622,10 +621,13 @@ def _column_bytes(batch: SettingBatch) -> bytes:
     return b"".join([head.encode(), b"\n", *map(np.ndarray.tobytes, columns)])
 
 
-def _load_batch(f) -> SettingBatch:
-    """The next batch of a columns file, as _column_bytes writes one and
-    valid; else ValueError, RecursionError or ValidationError."""
-    header = json.loads(f.readline())
+def _load_batch(f, end, payload) -> SettingBatch:
+    """The next batch of a columns file whose payload ends at offset end,
+    as _column_bytes writes one and valid, each byte read added to sha256
+    payload; else ValueError, RecursionError or ValidationError."""
+    line = f.readline(end - f.tell())
+    payload.update(line)
+    header = json.loads(line)
     if not (isinstance(header, list) and len(header) == 3
             and all(isinstance(part, list) for part in header)
             and len(header[0]) == 3 and len(header[2]) == len(_COLUMNS)
@@ -644,9 +646,14 @@ def _load_batch(f) -> SettingBatch:
     vocab = _objects(list(map(sys.intern, words)) + [None])
     columns = {}
     for (name, dtype), size in zip(_COLUMNS.items(), lengths):
-        # a copy: the batch owns writable columns, as read_batches gives
-        column = np.frombuffer(f.read(size * np.dtype(dtype).itemsize),
-                               dtype, count=size).copy()
+        # checked before the column is made, so a forged length
+        # allocates nothing
+        if size * np.dtype(dtype).itemsize > end - f.tell():
+            raise ValueError("column runs past the payload")
+        column = np.empty(size, dtype)
+        if f.readinto(column) != column.nbytes:
+            raise ValueError("the file shrank while it was read")
+        payload.update(column)
         if dtype == "<i4":
             # code -1 is None, which only a reference may be
             if size and not (-(name == "references") <= column.min()
@@ -669,22 +676,24 @@ def _load_batch(f) -> SettingBatch:
 def _saved_batches(path):
     """The batches of path's columns file, or None unless it holds the
     sha256 of path's bytes and of its own payload, and its batches fill
-    the payload exactly and are well formed and valid."""
+    the payload exactly and are well formed and valid. The file is read
+    one column at a time; a stale one is refused before its payload is
+    parsed."""
     try:
         with open(_columns_path(path), "rb") as f:
-            data = f.read()
-        end = len(data) - 2 * _DIGEST
-        if not (data.startswith(_COLUMNS_MAGIC) and end >= len(_COLUMNS_MAGIC)
-                and hashlib.sha256(memoryview(data)[:end]).digest()
-                == data[end + _DIGEST:]
-                and _file_digest(path) == data[end:end + _DIGEST]):
-            return None
-        f = io.BytesIO(data)
-        f.seek(len(_COLUMNS_MAGIC))
-        batches = []
-        while f.tell() < end:
-            batches.append(_load_batch(f))
-        if f.tell() != end:
+            magic = f.read(len(_COLUMNS_MAGIC))
+            # OSError for a file shorter than its trailer
+            end = f.seek(-2 * _DIGEST, os.SEEK_END)
+            trailer = f.read()
+            if not (magic == _COLUMNS_MAGIC and end >= len(magic)
+                    and _file_digest(path) == trailer[:_DIGEST]):
+                return None
+            f.seek(len(magic))
+            payload = hashlib.sha256(magic)
+            batches = []
+            while f.tell() < end:
+                batches.append(_load_batch(f, end, payload))
+        if payload.digest() != trailer[_DIGEST:]:
             return None
     # RecursionError: a header nested deeper than the JSON decoder's stack
     except (OSError, ValueError, RecursionError, ValidationError):

@@ -288,20 +288,20 @@ def _partition(order, ranks, keep):
 
 def dense_ranks(X):
     """(p, n) dense ranks of each column of ``X`` (n, p), from one stable
-    float argsort.
+    float argsort per column.
 
     Equal values share a rank and ranks rise with the value, so a stable
     argsort of any rows' ranks is the stable argsort of their values. The
     dtype is the smallest unsigned one that holds n.
     """
-    XT = np.ascontiguousarray(X.T)
-    order = np.argsort(XT, axis=1, kind="stable")
-    xs = np.take_along_axis(XT, order, axis=1)
-    dense = np.zeros(XT.shape, dtype=np.min_scalar_type(XT.shape[1]))
-    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, dtype=dense.dtype,
-              out=dense[:, 1:])
-    ranks = np.empty_like(dense)
-    np.put_along_axis(ranks, order, dense, axis=1)
+    n, p = X.shape
+    ranks = np.empty((p, n), dtype=np.min_scalar_type(n))
+    dense = np.zeros(n, dtype=ranks.dtype)
+    for j in range(p):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        np.cumsum(xs[1:] != xs[:-1], dtype=dense.dtype, out=dense[1:])
+        ranks[j, order] = dense
     return ranks
 
 
@@ -549,10 +549,10 @@ def train(spec: ModelSpec, rows, seed: int) -> TrainedMetaModel:
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         std = np.where(std == 0.0, 1.0, std)
+        Xs = (X - mean) / std
     else:
         mean = np.zeros(X.shape[1])
         std = np.ones(X.shape[1])
-    Xs = (X - mean) / std
 
     if spec.kind is ModelKind.KNN:
         params = {"X": Xs, "y": y, "k": int(hp["k"])}

@@ -238,7 +238,8 @@ def _generate_settings(config: MarketplaceConfig, truth: MarketplaceTruth,
     ends = np.cumsum(cand_offsets[:, -1]).tolist()
     cand_tokens = candidates[keep]
     cand_probs = np.stack([p1, p2, p3], axis=3)[keep]
-    tokens = candidates[..., 0].reshape(n, -1)
+    # a copy: a view would keep every batch's candidate table alive
+    tokens = candidates[..., 0].reshape(n, -1).copy()
     generated = _PRED_ARRAY[f_grid]
     scores = scores.reshape(n, -1)
     columns = _task_columns(config, j, samples)

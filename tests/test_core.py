@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import threading
+import tracemalloc
 
 import pytest
 
@@ -343,6 +344,45 @@ def test_save_hashes_the_bytes_it_writes(tmp_path, monkeypatch):
         store.save(path)
     monkeypatch.setattr(core, "read_batches", no_json)
     assert_same_batches(RecordStore.from_file(path), want)
+
+
+def test_stale_columns_file_is_refused_before_its_payload_is_parsed(
+        tmp_path, monkeypatch):
+    path = str(tmp_path / "records.jsonl")
+    RecordStore.from_file(write_and(edge_records(), path)).save(path)
+    text = (tmp_path / "records.jsonl").read_text()
+    # still valid, so only the digest tells the columns file is stale
+    (tmp_path / "records.jsonl").write_text(text.replace('"s0"', '"s9"'))
+    want = list(read_batches(path))
+
+    def no_parse(*args):
+        raise AssertionError("_load_batch called")
+
+    monkeypatch.setattr(core, "_load_batch", no_parse)
+    assert_same_batches(RecordStore.from_file(path), want)
+
+
+def test_columns_file_is_read_without_holding_it_whole(tmp_path,
+                                                       monkeypatch):
+    # cli-pipeline's quick shape: a columns file of 5.3 MB
+    _, _, store = synth_marketplace(MarketplaceConfig(
+        n_services=2, n_tasks=6, contexts_per_task=5, samples_per_task=300,
+        seed=100))
+    path = str(tmp_path / "records.jsonl")
+    store.save(path)
+    del store
+    size = os.path.getsize(path + ".cols")
+    monkeypatch.setattr(core, "read_batches", no_json)
+    tracemalloc.start()
+    try:
+        store = RecordStore.from_file(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store) == 2 * 6 * 5 * 300
+    # reading the whole file, then copying each column out, peaked 5.6 MB
+    # above the store
+    assert peak - held < size / 2
 
 
 def test_append_onto_a_file_without_a_final_newline(tmp_path):

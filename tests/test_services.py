@@ -140,6 +140,25 @@ def test_mock_invoke_generates_only_its_sample():
     assert peak < 50e6
 
 
+def test_synthesized_store_holds_only_the_bytes_it_exposes():
+    _, _, store = synth_marketplace(small_config(n_services=2, n_tasks=3,
+                                                 seed=1))
+    batches = [store.get(*key) for key in store.keys()]
+    columns = {id(c): c for batch in batches
+               for c in (getattr(batch, f.name)
+                         for f in dataclasses.fields(batch))
+               if isinstance(c, np.ndarray)}
+    roots = {}
+    for column in columns.values():
+        while isinstance(column.base, np.ndarray):
+            column = column.base
+        roots[id(column)] = column
+    # a column that is a view keeps its whole root alive: a token column
+    # viewed out of its task's candidate table kept three times its bytes
+    assert sum(r.nbytes for r in roots.values()) == \
+        sum(c.nbytes for c in columns.values())
+
+
 def test_mock_invoke_bad_ids_rejected():
     cfg = small_config()
     services, _, _ = synth_marketplace(cfg)
