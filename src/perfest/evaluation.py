@@ -7,8 +7,11 @@ by 100 for readability.
 
 from __future__ import annotations
 
+import os
 import re
+import signal
 import string
+import threading
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -20,7 +23,7 @@ from . import baselines as bl
 # perfbench/tracing.py wraps it
 from . import features as ft
 from . import metamodels as mm
-from .core import RecordStore, SettingBatch, write_json
+from .core import RecordStore, SettingBatch, parse_json, write_json
 from .errors import (ConfigurationError, CoverageError,
                      InsufficientDataError, ValidationError, is_int)
 from .features import FeatureKind, sequence_confidence
@@ -283,6 +286,44 @@ def _estimator_name(spec, index, specs):
     return spec.kind.value
 
 
+def _fold_rows(run_fold, splits):
+    """[run_fold(*split) for split in splits]. Where os.fork exists, no
+    other thread runs and two CPUs are usable, a forked child runs the
+    last half of the folds and sends their rows back as JSON; a fold it
+    did not send (it raised, or died) runs here, so an error is the
+    serial loop's. The child is reaped before this returns or raises."""
+    own = len(splits) - len(splits) // 2
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1
+            and len(os.sched_getaffinity(0)) >= 2):
+        return [run_fold(*split) for split in splits]
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        sent = []
+        try:
+            try:
+                for split in splits[own:]:
+                    sent.append([astuple(row) for row in run_fold(*split)])
+            finally:
+                write_json(w, sent)
+        finally:  # never return into the caller's code
+            os._exit(0)
+    os.close(w)
+    with open(r, encoding="utf-8") as reader:
+        try:
+            done = [run_fold(*split) for split in splits[:own]]
+            try:
+                sent = parse_json(reader, ValueError, "fold rows")
+            except ValueError:  # the child died while it wrote
+                sent = []
+        finally:
+            os.kill(pid, signal.SIGKILL)  # a no-op once it has exited
+            os.waitpid(pid, 0)
+    done += [[ReportRow(*row) for row in fold] for fold in sent]
+    return done + [run_fold(*split) for split in splits[len(done):]]
+
+
 def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport:
     """Grouped cross-validated comparison of meta-models and baselines.
 
@@ -290,6 +331,10 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     applied to the test-task settings; baselines are computed from the
     train-fold labels (Sample^n uses the target task's own labeled
     samples, as defined). Fully deterministic under plan.seed.
+
+    Where it can (see _fold_rows), a forked child runs the last half of
+    the folds. The report is the same, but tracers and spies in this
+    process see only the folds run here.
     """
     contexts = {}
     missing = []
@@ -334,8 +379,8 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     splits = kfold_split([t for (_, t, _) in settings], plan.folds,
                          plan.seed)
 
-    report = ExperimentReport()
-    for train_idx, test_idx in splits:
+    def run_fold(train_idx, test_idx):
+        """The report rows of one fold."""
         train_keys = [settings[i] for i in train_idx]
         test_keys = [settings[i] for i in test_idx]
         train_rows = [mm.TrainingRow(profile=data[k].profile,
@@ -368,15 +413,20 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
             estimates[f"sample_{n}"] = {
                 k: sample_est[(n, k[0], k[1])] for k in test_keys}
 
+        rows = []
         for name in sorted(estimates):
             for key in test_keys:
                 est = float(estimates[name][key])
                 truth = data[key].truth
-                report.rows.append(ReportRow(
+                rows.append(ReportRow(
                     service_id=key[0], task_id=key[1], context_id=key[2],
                     estimator=name, estimate=est, true_performance=truth,
                     absolute_error=abs(est - truth)))
+        return rows
 
+    report = ExperimentReport()
+    for rows in _fold_rows(run_fold, splits):
+        report.rows.extend(rows)
     for name in sorted({r.estimator for r in report.rows}):
         pairs = [(r.estimate, r.true_performance) for r in report.rows
                  if r.estimator == name]

@@ -280,6 +280,24 @@ def test_json_outputs_equal_frozen_bytes(capsys, tmp_path):
             for name, path in out.items()} == FROZEN_JSON_OUTPUTS
 
 
+def test_evaluate_writes_one_report_on_one_cpu_or_two(capsys, tmp_path,
+                                                      monkeypatch):
+    store = tmp_path / "store"
+    assert run(capsys, *synth_args(store, seed=3, services=2, tasks=4,
+                                   samples=40, contexts=2))[0] == 0
+    reports = []
+    for cpus in ({0}, {0, 1}):
+        # with two, run_experiment forks a child for the last folds
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"report{len(cpus)}.json"
+        assert run(capsys, "evaluate", "--records",
+                   str(store / "records.jsonl"), "--models",
+                   "random_forest,knn", "--contexts", "2", "--n", "30",
+                   "--d", "10", "--folds", "3", "--out", str(out))[0] == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_invoke_mock_appends_record(capsys, tmp_path):
     store_dir = tmp_path / "store"
     run(capsys, *synth_args(store_dir, seed=5, services=1, tasks=1,

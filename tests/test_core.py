@@ -362,6 +362,53 @@ def test_stale_columns_file_is_refused_before_its_payload_is_parsed(
     assert_same_batches(RecordStore.from_file(path), want)
 
 
+def test_stale_columns_read_hashes_the_record_file_twice(tmp_path,
+                                                         monkeypatch):
+    path = str(tmp_path / "records.jsonl")
+    RecordStore.from_file(write_and(edge_records(), path)).save(path)
+    text = (tmp_path / "records.jsonl").read_text()
+    (tmp_path / "records.jsonl").write_text(text.replace('"s0"', '"s9"'))
+    want = list(read_batches(path))
+    digest = core._file_digest
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return digest(path)
+
+    monkeypatch.setattr(core, "_file_digest", counted)
+    assert_same_batches(RecordStore.from_file(path), want)
+    # once before the read and once after it, to catch a change meanwhile
+    assert calls == [path, path]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_beside_a_stale_columns_file_reads_its_records(tmp_path):
+    records = edge_records()
+    stale = str(tmp_path / "stale.jsonl")
+    RecordStore.from_file(write_and(records[:1], stale)).save(stale)
+    path = str(tmp_path / "pipe")
+    os.mkfifo(path)
+    # hashing the pipe to find this file stale would drain the pipe
+    (tmp_path / "pipe.cols").write_bytes(
+        (tmp_path / "stale.jsonl.cols").read_bytes())
+    got = []
+    threads = [threading.Thread(target=write_records, args=(records, path),
+                                daemon=True),
+               threading.Thread(target=lambda: got.append(
+                   RecordStore.from_file(path)), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    stuck = threads[1].is_alive()
+    if stuck:  # release the reader, which waits for a second writer
+        open(path, "wb").close()
+    assert not stuck
+    want = write_and(records, str(tmp_path / "want.jsonl"))
+    assert_same_batches(got[0], list(read_batches(want)))
+
+
 def test_columns_file_is_read_without_holding_it_whole(tmp_path,
                                                        monkeypatch):
     # cli-pipeline's quick shape: a columns file of 5.3 MB

@@ -1,11 +1,16 @@
 """Scoring, error metrics, CV splitting, and the experiment runner."""
 
 import json
+import os
+import pickle
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from perfest import baselines
+from perfest import baselines, metamodels
 from perfest.baselines import atc_calibrate, atc_estimate
 from perfest.core import InvocationRecord, SettingBatch, TokenStep
 from perfest.errors import ConfigurationError, CoverageError, ValidationError
@@ -354,3 +359,157 @@ def test_atc_calibrates_each_setting_once(monkeypatch):
     settings = cfg.n_services * cfg.n_tasks * cfg.contexts_per_task
     assert len(calls) == settings
     assert [r for r in report.to_obj()["rows"] if r[3] == "atc"] == expected
+
+
+# run_experiment forks a child for the last half of the folds when the
+# process may use two CPUs; these tests set that number either way
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def counted_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fold_plan(seed=0, folds=5):
+    cfg = MarketplaceConfig(n_services=2, n_tasks=5, samples_per_task=40,
+                            contexts_per_task=2, seed=43 + seed)
+    _, _, store = synth_marketplace(cfg)
+    specs = (ModelSpec(ModelKind.RANDOM_FOREST,
+                       {"max_depth": 4, "n_trees": 5}),
+             ModelSpec(ModelKind.KNN, {"k": 2}))
+    plan = marketplace_plan(cfg, specs, folds=folds, seed=seed,
+                            baselines=DEFAULT_BASELINES)
+    return plan, store
+
+
+def last_fold_task(plan):
+    """A task that only the last fold tests."""
+    groups = [t for _ in plan.services for t in plan.tasks
+              for _ in range(plan.contexts_per_task)]
+    _, test = kfold_split(groups, plan.folds, plan.seed)[-1]
+    return groups[test[0]]
+
+
+@pytest.mark.parametrize("folds", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_report_is_the_same_on_one_cpu_and_two(monkeypatch, seed, folds):
+    plan, store = fold_plan(seed, folds)
+    forks = counted_forks(monkeypatch)
+    cpus(monkeypatch, 1)
+    serial = run_experiment(plan, store).to_obj()
+    assert forks == []
+    cpus(monkeypatch, 2)
+    assert run_experiment(plan, store).to_obj() == serial
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_error_in_a_child_fold_is_the_serial_error(monkeypatch):
+    plan, store = fold_plan()
+    task = last_fold_task(plan)
+    trained = []  # the training tasks of each fold trained in this process
+    train = metamodels.train
+
+    def failing(spec, rows, seed):
+        tasks = frozenset(r.profile.task_id for r in rows)
+        trained.append(tasks)
+        if task not in tasks:
+            raise ValueError(f"no {task} to train on")
+        return train(spec, rows, seed)
+
+    monkeypatch.setattr(metamodels, "train", failing)
+    errors = []
+    for n in (1, 2):
+        cpus(monkeypatch, n)
+        trained.clear()
+        with pytest.raises(ValueError) as exc:
+            run_experiment(plan, store)
+        errors.append((type(exc.value), str(exc.value)))
+        assert_no_child()
+    assert errors[0] == errors[1] == (ValueError, f"no {task} to train on")
+    # folds 0-2 and the failing fold 4 trained here; the child sent fold 3
+    assert len(set(trained)) == 4
+
+
+def test_folds_run_in_this_process_while_another_thread_runs(monkeypatch):
+    plan, store = fold_plan(folds=2)
+    cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        report = run_experiment(plan, store)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert report.to_obj() == run_experiment(plan, store).to_obj()
+    assert len(forks) == 1
+
+
+def test_folds_of_a_killed_child_run_here(monkeypatch):
+    plan, store = fold_plan()
+    cpus(monkeypatch, 1)
+    want = run_experiment(plan, store).to_obj()
+    cpus(monkeypatch, 2)
+    here = os.getpid()
+    train = metamodels.train
+
+    def killed(spec, rows, seed):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return train(spec, rows, seed)
+
+    monkeypatch.setattr(metamodels, "train", killed)
+    assert run_experiment(plan, store).to_obj() == want
+    assert_no_child()
+
+
+def test_no_child_outlives_an_interrupted_experiment(monkeypatch):
+    plan, store = fold_plan()
+    cpus(monkeypatch, 2)
+    here = os.getpid()
+    train = metamodels.train
+
+    def interrupted(spec, rows, seed):
+        if os.getpid() == here:
+            raise KeyboardInterrupt
+        time.sleep(30)  # a slow child is stopped, not waited for
+        return train(spec, rows, seed)
+
+    monkeypatch.setattr(metamodels, "train", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(plan, store)
+    assert time.monotonic() - start < 20
+    assert_no_child()
+
+
+def test_folds_come_back_without_unpickling(monkeypatch):
+    plan, store = fold_plan(folds=3)
+    cpus(monkeypatch, 2)
+    want = run_experiment(plan, store).to_obj()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fold rows were unpickled")
+
+    monkeypatch.setattr(pickle, "load", refuse)
+    monkeypatch.setattr(pickle, "loads", refuse)
+    assert run_experiment(plan, store).to_obj() == want
