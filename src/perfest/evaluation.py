@@ -286,14 +286,18 @@ def _estimator_name(spec, index, specs):
     return spec.kind.value
 
 
-def _fold_rows(run_fold, splits):
-    """[run_fold(*split) for split in splits]. Where os.fork exists, no
-    other thread runs and two CPUs are usable, a forked child runs the
-    last half of the folds and sends their rows back as JSON; a fold it
-    did not send (it raised, or died) runs here, so an error is the
-    serial loop's. The child is reaped before this returns or raises."""
+def _fold_rows(run_fold, splits, fork):
+    """[run_fold(*split) for split in splits]. When fork is true, os.fork
+    exists, no other thread runs and two CPUs are usable, a forked child
+    runs the last half of the folds and sends their rows back as JSON; a
+    fold it did not send (it raised, or died) runs here, so an error is
+    the serial loop's. The child is reaped before this returns or raises.
+    run_experiment forks only folds that train a meta-model and no MLP:
+    an MLP's two BLAS threads in each process oversubscribe two CPUs (at
+    5x13x5x100 on 2 vCPUs an MLP-only experiment took 6.5 and 26.3 s
+    forked against 2.9 and 3.4 s serial)."""
     own = len(splits) - len(splits) // 2
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not (fork and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1
             and len(os.sched_getaffinity(0)) >= 2):
         return [run_fold(*split) for split in splits]
@@ -330,11 +334,14 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     For each fold, meta-models are trained on the train-task settings and
     applied to the test-task settings; baselines are computed from the
     train-fold labels (Sample^n uses the target task's own labeled
-    samples, as defined). Fully deterministic under plan.seed.
+    samples, as defined). Fully deterministic under plan.seed. Every
+    per-setting quantity is a list in the order of the settings, and a
+    fold works on their positions.
 
-    Where it can (see _fold_rows), a forked child runs the last half of
-    the folds. The report is the same, but tracers and spies in this
-    process see only the folds run here.
+    When the plan trains a meta-model and none is an MLP, a forked child
+    runs the last half of the folds where it can (see _fold_rows). The
+    report is the same, but tracers and spies in this process see only
+    the folds run here.
     """
     contexts = {}
     missing = []
@@ -353,82 +360,65 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
             f"record store is missing {len(missing)} required "
             f"(service, task, context) groups", missing=missing)
 
-    data = {key: prepare_setting(store.get(*key), plan.feature_kinds,
-                                 plan.d, plan.unlabeled_n, plan.seed)
-            for key in settings}
-    for key, setting in data.items():
+    prepared = [prepare_setting(store.get(*key), plan.feature_kinds, plan.d,
+                                plan.unlabeled_n, plan.seed)
+                for key in settings]
+    for key, setting in zip(settings, prepared):
         if setting.truth is None:
             raise ValidationError(
                 f"setting {key} has samples without a reference; cannot "
                 "score", field="reference")
-
-    # Sample^n estimates depend only on (service, task); precompute
-    sample_ns = sorted(int(b.split("_", 1)[1]) for b in plan.baselines
-                       if b.startswith("sample_"))
-    sample_est = {
-        (n, s, t): bl.sample_n_estimate(
-            {(s, t, c): data[(s, t, c)].f1 for c in contexts[t]}, n,
-            plan.seed)
-        for n in sample_ns for s in plan.services for t in plan.tasks}
+    training = [mm.TrainingRow(profile=p.profile, target=p.truth)
+                for p in prepared]
     # an ATC threshold depends on its own setting alone; calibrate once
-    atc = {}
-    if "atc" in plan.baselines:
-        atc = {k: bl.atc_calibrate(d.confidences, d.sampled_f1)
-               for k, d in data.items()}
-
-    splits = kfold_split([t for (_, t, _) in settings], plan.folds,
-                         plan.seed)
+    atc = ([bl.atc_calibrate(p.confidences, p.sampled_f1) for p in prepared]
+           if "atc" in plan.baselines else [])
+    # a Sample^n estimate depends only on (service, task), whose settings
+    # are a run of contexts_per_task positions; estimate once per run
+    k = plan.contexts_per_task
+    sample_est = {  # Sample^n baseline -> its estimate per setting
+        name: np.repeat([bl.sample_n_estimate(
+            {settings[i]: prepared[i].f1 for i in range(at, at + k)},
+            int(name.removeprefix("sample_")), plan.seed)
+            for at in range(0, len(settings), k)], k).tolist()
+        for name in plan.baselines if name.startswith("sample_")}
 
     def run_fold(train_idx, test_idx):
         """The report rows of one fold."""
-        train_keys = [settings[i] for i in train_idx]
-        test_keys = [settings[i] for i in test_idx]
-        train_rows = [mm.TrainingRow(profile=data[k].profile,
-                                     target=data[k].truth)
-                      for k in train_keys]
-
-        estimates = {}  # estimator -> {key: estimate}
-        for i, spec in enumerate(plan.model_specs):
-            name = _estimator_name(spec, i, plan.model_specs)
+        estimates = {}  # estimator -> its estimate per test setting
+        train_rows = [training[i] for i in train_idx]
+        for n, spec in enumerate(plan.model_specs):
             model = mm.train(spec, train_rows, plan.seed)
-            preds = mm.predict_many(model,
-                                    [data[k].profile for k in test_keys])
-            estimates[name] = dict(zip(test_keys, preds.tolist()))
-
+            estimates[_estimator_name(spec, n, plan.model_specs)] = (
+                mm.predict_many(model, [prepared[i].profile
+                                        for i in test_idx]).tolist())
+        trained = {s: [] for s in plan.services}  # train positions by service
+        for i in train_idx:
+            trained[settings[i][0]].append(i)
         if "avg_train" in plan.baselines:
-            per_service = {
-                s: bl.avg_train_estimate(
-                    [data[k].truth for k in train_keys if k[0] == s])
-                for s in plan.services}
-            estimates["avg_train"] = {k: per_service[k[0]]
-                                      for k in test_keys}
+            avg = {s: bl.avg_train_estimate([prepared[i].truth for i in idx])
+                   for s, idx in trained.items()}
+            estimates["avg_train"] = [avg[settings[i][0]] for i in test_idx]
         if atc:
-            thresholds = {s: [] for s in plan.services}
-            for k in train_keys:
-                thresholds[k[0]].append(atc[k])
-            estimates["atc"] = {
-                k: bl.atc_estimate(thresholds[k[0]], data[k].confidences)
-                for k in test_keys}
-        for n in sample_ns:
-            estimates[f"sample_{n}"] = {
-                k: sample_est[(n, k[0], k[1])] for k in test_keys}
+            thresholds = {s: [atc[i] for i in idx]
+                          for s, idx in trained.items()}
+            estimates["atc"] = [bl.atc_estimate(thresholds[settings[i][0]],
+                                                prepared[i].confidences)
+                                for i in test_idx]
+        for name, est in sample_est.items():
+            estimates[name] = [est[i] for i in test_idx]
+        return [ReportRow(*settings[i], name, est, prepared[i].truth,
+                          abs(est - prepared[i].truth))
+                for name in sorted(estimates)
+                for i, est in zip(test_idx, map(float, estimates[name]))]
 
-        rows = []
-        for name in sorted(estimates):
-            for key in test_keys:
-                est = float(estimates[name][key])
-                truth = data[key].truth
-                rows.append(ReportRow(
-                    service_id=key[0], task_id=key[1], context_id=key[2],
-                    estimator=name, estimate=est, true_performance=truth,
-                    absolute_error=abs(est - truth)))
-        return rows
-
-    report = ExperimentReport()
-    for rows in _fold_rows(run_fold, splits):
-        report.rows.extend(rows)
+    splits = kfold_split([key[1] for key in settings], plan.folds, plan.seed)
+    fork = bool(plan.model_specs) and mm.ModelKind.MLP not in {
+        spec.kind for spec in plan.model_specs}
+    report = ExperimentReport(
+        [row for fold in _fold_rows(run_fold, splits, fork) for row in fold])
     for name in sorted({r.estimator for r in report.rows}):
-        pairs = [(r.estimate, r.true_performance) for r in report.rows
-                 if r.estimator == name]
-        report.aggregates[name] = mae(pairs)
+        report.aggregates[name] = mae((r.estimate, r.true_performance)
+                                      for r in report.rows
+                                      if r.estimator == name)
     return report

@@ -1,5 +1,6 @@
 """Scoring, error metrics, CV splitting, and the experiment runner."""
 
+import dataclasses
 import json
 import os
 import pickle
@@ -464,22 +465,30 @@ def test_folds_run_in_this_process_while_another_thread_runs(monkeypatch):
     assert len(forks) == 1
 
 
-def test_folds_of_a_killed_child_run_here(monkeypatch):
+def test_folds_of_a_killed_child_run_here(monkeypatch, tmp_path):
     plan, store = fold_plan()
     cpus(monkeypatch, 1)
     want = run_experiment(plan, store).to_obj()
     cpus(monkeypatch, 2)
     here = os.getpid()
     train = metamodels.train
+    trains = []  # the trains run in this process
+    forks = counted_forks(monkeypatch)
 
     def killed(spec, rows, seed):
         if os.getpid() != here:
+            (tmp_path / "child trained").touch()
             os.kill(os.getpid(), signal.SIGKILL)
+        trains.append(spec)
         return train(spec, rows, seed)
 
     monkeypatch.setattr(metamodels, "train", killed)
     assert run_experiment(plan, store).to_obj() == want
     assert_no_child()
+    # the child began a fold and died in it, so this process ran them all
+    assert forks == [here]
+    assert (tmp_path / "child trained").exists()
+    assert len(trains) == plan.folds * len(plan.model_specs)
 
 
 def test_no_child_outlives_an_interrupted_experiment(monkeypatch):
@@ -513,3 +522,112 @@ def test_folds_come_back_without_unpickling(monkeypatch):
     monkeypatch.setattr(pickle, "load", refuse)
     monkeypatch.setattr(pickle, "loads", refuse)
     assert run_experiment(plan, store).to_obj() == want
+
+
+@pytest.mark.parametrize("specs, forked", [
+    ((ModelSpec(ModelKind.RANDOM_FOREST, {"max_depth": 4, "n_trees": 5}),),
+     1),
+    ((), 0),
+    ((ModelSpec(ModelKind.MLP, {"hidden_width": 4, "epochs": 20}),), 0)],
+    ids=["random_forest", "sample_n", "mlp"])
+def test_folds_fork_only_for_meta_models_without_an_mlp(monkeypatch, specs,
+                                                        forked):
+    plan, store = fold_plan(folds=3)
+    plan = dataclasses.replace(
+        plan, model_specs=specs,
+        baselines=plan.baselines if specs else ("sample_8",))
+    forks = counted_forks(monkeypatch)
+    cpus(monkeypatch, 1)
+    serial = run_experiment(plan, store).to_obj()
+    cpus(monkeypatch, 2)
+    assert run_experiment(plan, store).to_obj() == serial
+    assert len(forks) == forked
+    assert_no_child()
+
+
+def tuple_keyed_report(plan, store):
+    """FROZEN: the report of run_experiment's serial fold loop as it was
+    when every per-setting quantity lived in a dict keyed by (service,
+    task, context)."""
+    contexts = {t: store.contexts_for_task(t)[:plan.contexts_per_task]
+                for t in plan.tasks}
+    settings = [(s, t, c) for s in plan.services for t in plan.tasks
+                for c in contexts[t]]
+    data = {key: prepare_setting(store.get(*key), plan.feature_kinds,
+                                 plan.d, plan.unlabeled_n, plan.seed)
+            for key in settings}
+    sample_ns = sorted(int(b.split("_", 1)[1]) for b in plan.baselines
+                       if b.startswith("sample_"))
+    sample_est = {
+        (n, s, t): baselines.sample_n_estimate(
+            {(s, t, c): data[(s, t, c)].f1 for c in contexts[t]}, n,
+            plan.seed)
+        for n in sample_ns for s in plan.services for t in plan.tasks}
+    atc = {}
+    if "atc" in plan.baselines:
+        atc = {k: atc_calibrate(d.confidences, d.sampled_f1)
+               for k, d in data.items()}
+    rows = []
+    for train_idx, test_idx in kfold_split([t for (_, t, _) in settings],
+                                           plan.folds, plan.seed):
+        train_keys = [settings[i] for i in train_idx]
+        test_keys = [settings[i] for i in test_idx]
+        train_rows = [metamodels.TrainingRow(profile=data[k].profile,
+                                             target=data[k].truth)
+                      for k in train_keys]
+        estimates = {}
+        for i, spec in enumerate(plan.model_specs):
+            same_kind = [sp for sp in plan.model_specs if sp.kind == spec.kind]
+            name = (f"{spec.kind.value}#{i}" if len(same_kind) > 1
+                    else spec.kind.value)
+            model = metamodels.train(spec, train_rows, plan.seed)
+            preds = metamodels.predict_many(
+                model, [data[k].profile for k in test_keys])
+            estimates[name] = dict(zip(test_keys, preds.tolist()))
+        if "avg_train" in plan.baselines:
+            per_service = {
+                s: baselines.avg_train_estimate(
+                    [data[k].truth for k in train_keys if k[0] == s])
+                for s in plan.services}
+            estimates["avg_train"] = {k: per_service[k[0]]
+                                      for k in test_keys}
+        if atc:
+            thresholds = {s: [] for s in plan.services}
+            for k in train_keys:
+                thresholds[k[0]].append(atc[k])
+            estimates["atc"] = {
+                k: atc_estimate(thresholds[k[0]], data[k].confidences)
+                for k in test_keys}
+        for n in sample_ns:
+            estimates[f"sample_{n}"] = {
+                k: sample_est[(n, k[0], k[1])] for k in test_keys}
+        for name in sorted(estimates):
+            for key in test_keys:
+                est = float(estimates[name][key])
+                truth = data[key].truth
+                rows.append([*key, name, est, truth, abs(est - truth)])
+    aggregates = {}
+    for name in sorted({r[3] for r in rows}):
+        errors = np.array([abs(r[4] - r[5]) for r in rows if r[3] == name])
+        aggregates[name] = [float(errors.mean()), float(errors.std())]
+    return {"rows": rows, "aggregates": aggregates}
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("folds", [2, 3, 5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_report_equals_the_tuple_keyed_fold_loop(monkeypatch, seed, folds,
+                                                 n_cpus):
+    plan, store = fold_plan(seed, folds)
+    plan = dataclasses.replace(plan, model_specs=(
+        ModelSpec(ModelKind.RANDOM_FOREST, {"max_depth": 4, "n_trees": 5}),
+        ModelSpec(ModelKind.KNN, {"k": 2}),
+        ModelSpec(ModelKind.GBT, {"max_depth": 2, "n_rounds": 10}),
+        ModelSpec(ModelKind.KNN, {"k": 3})),
+        baselines=DEFAULT_BASELINES + ("sample_1",))
+    want = tuple_keyed_report(plan, store)
+    cpus(monkeypatch, n_cpus)
+    got = run_experiment(plan, store).to_obj()
+    assert {"knn#1", "knn#3", "gbt", "random_forest", "sample_1",
+            "atc"} <= set(got["aggregates"])
+    assert got == want
