@@ -45,11 +45,11 @@ def main():
 
     print("\ninterpolation handles any |D| vs d mismatch:")
     print("  values [3, 1, 4, 2] at d=4 ->",
-          interpolate_profile([3, 1, 4, 2], 4))
+          interpolate_profile([3, 1, 4, 2], 4).tolist())
     print("  values [1, 2, 3, 4] at d=2 ->",
-          interpolate_profile([1, 2, 3, 4], 2))
+          interpolate_profile([1, 2, 3, 4], 2).tolist())
     print("  values [10]         at d=3 ->",
-          interpolate_profile([10], 3))
+          interpolate_profile([10], 3).tolist())
 
 
 if __name__ == "__main__":

@@ -7,6 +7,9 @@ by 100 for readability.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import json
 import os
 import re
 import signal
@@ -23,7 +26,7 @@ from . import baselines as bl
 # perfbench/tracing.py wraps it
 from . import features as ft
 from . import metamodels as mm
-from .core import RecordStore, SettingBatch, parse_json, write_json
+from .core import RecordStore, SettingBatch, write_json
 from .errors import (ConfigurationError, CoverageError,
                      InsufficientDataError, ValidationError, is_int)
 from .features import FeatureKind, sequence_confidence
@@ -152,10 +155,14 @@ class ExperimentPlan:
                              ("tasks", len(self.tasks), 1),
                              ("contexts_per_task", self.contexts_per_task, 1),
                              ("unlabeled_n", self.unlabeled_n, 1),
-                             ("d", self.d, 1), ("folds", self.folds, 2)):
+                             ("d", self.d, 1), ("folds", self.folds, 2),
+                             ("feature_kinds", len(self.feature_kinds), 1)):
             if not is_int(v, low):
                 raise ConfigurationError(
                     f"plan field {name} must count at least {low}, got {v!r}")
+        for name in ("services", "tasks"):  # a repeat would run twice
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigurationError(f"plan field {name} repeats an id")
         if not (self.model_specs or self.baselines):
             raise ConfigurationError("plan names no meta-model or baseline")
         for name in self.baselines:
@@ -286,46 +293,80 @@ def _estimator_name(spec, index, specs):
     return spec.kind.value
 
 
-def _fold_rows(run_fold, splits, fork):
-    """[run_fold(*split) for split in splits]. When fork is true, os.fork
-    exists, no other thread runs and two CPUs are usable, a forked child
-    runs the last half of the folds and sends their rows back as JSON; a
-    fold it did not send (it raised, or died) runs here, so an error is
-    the serial loop's. The child is reaped before this returns or raises.
-    run_experiment forks only folds that train a meta-model and no MLP:
-    an MLP's two BLAS threads in each process oversubscribe two CPUs (at
-    5x13x5x100 on 2 vCPUs an MLP-only experiment took 6.5 and 26.3 s
-    forked against 2.9 and 3.4 s serial)."""
-    own = len(splits) - len(splits) // 2
+def _write(f, items):
+    """Items, each a tuple of float64 arrays, as one JSON line of their
+    lengths and then their raw little-endian bytes, as perfest-columns/2
+    stores columns."""
+    f.write(json.dumps([list(map(len, item)) for item in items]).encode()
+            + b"\n")
+    for array in itertools.chain.from_iterable(items):
+        f.write(np.asarray(array, "<f8").tobytes())
+    f.flush()
+
+
+def _read(f):
+    """The items _write wrote, or [] if the writer stopped short."""
+    try:
+        lengths = json.loads(f.readline())
+    except ValueError:
+        return []
+    sizes = list(itertools.chain(*lengths))
+    flat = np.empty(sum(sizes), "<f8")
+    if f.readinto(flat) != flat.nbytes:
+        return []
+    flat.flags.writeable = False  # so a profile holds its vector uncopied
+    arrays = iter(np.split(flat, np.cumsum(sizes)[:-1]))
+    return [tuple(itertools.islice(arrays, len(n))) for n in lengths]
+
+
+@contextlib.contextmanager
+def _halves(fork):
+    """A map(run, items, share=False) returning [run(item) for item in
+    items], each result a tuple of float64 arrays. When fork is true,
+    os.fork exists, no other thread runs and two CPUs are usable, a child
+    forked for the block runs the last half of the items and sends back
+    their results (see _write), even when one raises; what it did not
+    send runs here, so an error is the serial loop's. With share, this
+    process then sends its half to the child, and both return the whole
+    list. At the end of the block the child exits, and this process kills
+    and reaps it. Nothing is pickled."""
     if not (fork and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1
             and len(os.sched_getaffinity(0)) >= 2):
-        return [run_fold(*split) for split in splits]
-    r, w = os.pipe()
+        yield lambda run, items, share=False: list(map(run, items))
+        return
+    up, down = os.pipe(), os.pipe()  # child -> parent, parent -> child
     pid = os.fork()
-    if pid == 0:
-        sent = []
-        try:
+    send, receive = (up[1], down[0]) if pid == 0 else (down[1], up[0])
+    for fd in {*up, *down} - {send, receive}:
+        os.close(fd)
+
+    def halves(run, items, share=False):
+        own = len(items) - len(items) // 2
+        if pid == 0:
+            done = []
             try:
-                for split in splits[own:]:
-                    sent.append([astuple(row) for row in run_fold(*split)])
+                for item in items[own:]:
+                    done.append(run(item))
             finally:
-                write_json(w, sent)
-        finally:  # never return into the caller's code
-            os._exit(0)
-    os.close(w)
-    with open(r, encoding="utf-8") as reader:
+                _write(send, done)
+            return (_read(receive) if share else []) + done
+        done = [run(item) for item in items[:own]]
+        done += _read(receive)
+        done += [run(item) for item in items[len(done):]]
+        if share:  # the pipe is closed even when the child is gone
+            with contextlib.suppress(BrokenPipeError), send:
+                _write(send, done[:own])
+        return done
+
+    with open(send, "wb") as send, open(receive, "rb") as receive:
         try:
-            done = [run_fold(*split) for split in splits[:own]]
-            try:
-                sent = parse_json(reader, ValueError, "fold rows")
-            except ValueError:  # the child died while it wrote
-                sent = []
+            yield halves
         finally:
+            if pid == 0:
+                os._exit(0)  # never return into the caller's code
             os.kill(pid, signal.SIGKILL)  # a no-op once it has exited
             os.waitpid(pid, 0)
-    done += [[ReportRow(*row) for row in fold] for fold in sent]
-    return done + [run_fold(*split) for split in splits[len(done):]]
 
 
 def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport:
@@ -338,10 +379,13 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     per-setting quantity is a list in the order of the settings, and a
     fold works on their positions.
 
-    When the plan trains a meta-model and none is an MLP, a forked child
-    runs the last half of the folds where it can (see _fold_rows). The
-    report is the same, but tracers and spies in this process see only
-    the folds run here.
+    When the plan trains a meta-model and none is an MLP, a child forked
+    before the settings are prepared (see _halves) prepares the last half
+    of them and runs the last half of the folds; both processes calibrate
+    ATC and estimate Sample^n for every setting. The report is the same,
+    but tracers and spies in this process see only its own halves: a
+    traced cv-experiment counts half of the features.extract_calls,
+    profile.build_calls and evaluation.f1_calls of a serial run.
     """
     contexts = {}
     missing = []
@@ -360,63 +404,91 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
             f"record store is missing {len(missing)} required "
             f"(service, task, context) groups", missing=missing)
 
-    prepared = [prepare_setting(store.get(*key), plan.feature_kinds, plan.d,
-                                plan.unlabeled_n, plan.seed)
-                for key in settings]
-    for key, setting in zip(settings, prepared):
-        if setting.truth is None:
+    atc_planned = "atc" in plan.baselines
+
+    def prepare(key):
+        """What the folds read of one setting, as float64 arrays: its
+        profile vector and truth, its sorted confidences and sampled F1
+        if ATC is planned, and every sample's F1 if Sample^n is."""
+        p = prepare_setting(store.get(*key), plan.feature_kinds, plan.d,
+                            plan.unlabeled_n, plan.seed)
+        if p.truth is None:
             raise ValidationError(
                 f"setting {key} has samples without a reference; cannot "
                 "score", field="reference")
-    training = [mm.TrainingRow(profile=p.profile, target=p.truth)
-                for p in prepared]
-    # an ATC threshold depends on its own setting alone; calibrate once
-    atc = ([bl.atc_calibrate(p.confidences, p.sampled_f1) for p in prepared]
-           if "atc" in plan.baselines else [])
-    # a Sample^n estimate depends only on (service, task), whose settings
-    # are a run of contexts_per_task positions; estimate once per run
-    k = plan.contexts_per_task
-    sample_est = {  # Sample^n baseline -> its estimate per setting
-        name: np.repeat([bl.sample_n_estimate(
-            {settings[i]: prepared[i].f1 for i in range(at, at + k)},
-            int(name.removeprefix("sample_")), plan.seed)
-            for at in range(0, len(settings), k)], k).tolist()
-        for name in plan.baselines if name.startswith("sample_")}
+        return (p.profile.vector, np.array([p.truth]),
+                p.confidences if atc_planned else (),
+                p.f1[p.index] if atc_planned else (),
+                p.f1 if any(b.startswith("sample_") for b in plan.baselines)
+                else ())
 
-    def run_fold(train_idx, test_idx):
-        """The report rows of one fold."""
-        estimates = {}  # estimator -> its estimate per test setting
-        train_rows = [training[i] for i in train_idx]
-        for n, spec in enumerate(plan.model_specs):
-            model = mm.train(spec, train_rows, plan.seed)
-            estimates[_estimator_name(spec, n, plan.model_specs)] = (
-                mm.predict_many(model, [prepared[i].profile
-                                        for i in test_idx]).tolist())
-        trained = {s: [] for s in plan.services}  # train positions by service
-        for i in train_idx:
-            trained[settings[i][0]].append(i)
-        if "avg_train" in plan.baselines:
-            avg = {s: bl.avg_train_estimate([prepared[i].truth for i in idx])
-                   for s, idx in trained.items()}
-            estimates["avg_train"] = [avg[settings[i][0]] for i in test_idx]
-        if atc:
-            thresholds = {s: [atc[i] for i in idx]
-                          for s, idx in trained.items()}
-            estimates["atc"] = [bl.atc_estimate(thresholds[settings[i][0]],
-                                                prepared[i].confidences)
-                                for i in test_idx]
-        for name, est in sample_est.items():
-            estimates[name] = [est[i] for i in test_idx]
-        return [ReportRow(*settings[i], name, est, prepared[i].truth,
-                          abs(est - prepared[i].truth))
-                for name in sorted(estimates)
-                for i, est in zip(test_idx, map(float, estimates[name]))]
-
-    splits = kfold_split([key[1] for key in settings], plan.folds, plan.seed)
+    # an MLP's two BLAS threads in each process would oversubscribe two
+    # CPUs (at 5x13x5x100 on 2 vCPUs an MLP-only experiment took 6.5 and
+    # 26.3 s forked against 2.9 and 3.4 s serial)
     fork = bool(plan.model_specs) and mm.ModelKind.MLP not in {
         spec.kind for spec in plan.model_specs}
-    report = ExperimentReport(
-        [row for fold in _fold_rows(run_fold, splits, fork) for row in fold])
+    with _halves(fork) as halves:
+        vectors, truths, confidences, sampled_f1, f1 = zip(*halves(
+            prepare, settings, share=True))
+        truths = [float(t[0]) for t in truths]
+        training = [mm.TrainingRow(
+            FeatureProfile(*key, plan.feature_kinds, plan.d, v), t)
+            for key, v, t in zip(settings, vectors, truths)]
+        # an ATC threshold depends on its own setting alone; calibrate once
+        atc = ([bl.atc_calibrate(c, f.tolist())
+                for c, f in zip(confidences, sampled_f1)]
+               if atc_planned else [])
+        # a Sample^n estimate depends only on (service, task), whose
+        # settings are a run of contexts_per_task positions; estimate once
+        # per run
+        k = plan.contexts_per_task
+        sample_est = {  # Sample^n baseline -> its estimate per setting
+            name: np.repeat([bl.sample_n_estimate(
+                {settings[i]: f1[i] for i in range(at, at + k)},
+                int(name.removeprefix("sample_")), plan.seed)
+                for at in range(0, len(settings), k)], k).tolist()
+            for name in plan.baselines if name.startswith("sample_")}
+        specs = {_estimator_name(spec, n, plan.model_specs): spec
+                 for n, spec in enumerate(plan.model_specs)}
+        names = sorted({*specs, *plan.baselines})
+
+        def run_fold(split):
+            """Each estimator's estimates for one fold's test settings, in
+            the order of names."""
+            train_idx, test_idx = split
+            estimates = {}  # estimator -> its estimate per test setting
+            train_rows = [training[i] for i in train_idx]
+            for name, spec in specs.items():
+                model = mm.train(spec, train_rows, plan.seed)
+                estimates[name] = mm.predict_many(
+                    model, [training[i].profile for i in test_idx]).tolist()
+            trained = {s: [] for s in plan.services}  # train positions
+            for i in train_idx:
+                trained[settings[i][0]].append(i)
+            if "avg_train" in plan.baselines:
+                avg = {s: bl.avg_train_estimate([truths[i] for i in idx])
+                       for s, idx in trained.items()}
+                estimates["avg_train"] = [avg[settings[i][0]]
+                                          for i in test_idx]
+            if atc:
+                thresholds = {s: [atc[i] for i in idx]
+                              for s, idx in trained.items()}
+                estimates["atc"] = [
+                    bl.atc_estimate(thresholds[settings[i][0]],
+                                    confidences[i])
+                    for i in test_idx]
+            for name, est in sample_est.items():
+                estimates[name] = [est[i] for i in test_idx]
+            return tuple(np.array(estimates[name]) for name in names)
+
+        splits = kfold_split([key[1] for key in settings], plan.folds,
+                             plan.seed)
+        folds = halves(run_fold, splits)
+    report = ExperimentReport([
+        ReportRow(*settings[i], name, est, truths[i], abs(est - truths[i]))
+        for (_, test_idx), fold in zip(splits, folds)
+        for name, ests in zip(names, fold)
+        for i, est in zip(test_idx, map(float, ests))])
     for name in sorted({r.estimator for r in report.rows}):
         report.aggregates[name] = mae((r.estimate, r.true_performance)
                                       for r in report.rows

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyProfileError, ShapeError, is_int
+from .errors import (ConfigurationError, EmptyProfileError, ShapeError,
+                     is_int)
 from .features import FeatureKind, extract_task_features
 
 DEFAULT_KINDS = (FeatureKind.NLL, FeatureKind.PPL)
@@ -28,7 +29,7 @@ MAX_DIMS = 4096
 def interpolate_profile(values, d: int):
     """Sort values and interpolate to exactly d points (1-indexed positions).
 
-    Returns a python list of length d, non-decreasing, bounded by
+    Returns a float64 array of length d, non-decreasing, bounded by
     min(values) and max(values). Exact at integral positions, so
     d == len(values) reproduces the sorted input. ShapeError unless d is
     an integer in [1, MAX_DIMS], before any array is made.
@@ -48,27 +49,47 @@ def interpolate_profile(values, d: int):
     out = v[lo - 1] * (1.0 - frac) + v[hi - 1] * frac
     # when clamping collapses both neighbors onto one entry, return it
     # exactly instead of the rounded convex combination
-    out = np.where(lo == hi, v[lo - 1], out)
-    return out.tolist()
+    return np.where(lo == hi, v[lo - 1], out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureProfile:
     """Concatenated per-kind quantile profiles for one (service, task,
-    context) triple; the meta-model input vector."""
+    context) triple; the meta-model input vector. ``vector`` is a
+    read-only float64 array (a tuple, list or writable array is copied
+    into one). Two profiles are equal when their ids, kinds, dims and
+    values are."""
 
     service_id: str
     task_id: str
     context_id: str
     kinds: tuple  # ordered FeatureKind
     dims: int
-    vector: tuple  # length len(kinds) * dims
+    vector: np.ndarray  # length len(kinds) * dims
 
     def __post_init__(self):
-        if len(self.vector) != len(self.kinds) * self.dims:
+        vector = np.asarray(self.vector, dtype=float)
+        if vector.flags.writeable:  # a read-only array is held uncopied
+            vector = vector.copy()
+            vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
+        if vector.shape != (len(self.kinds) * self.dims,):
             raise ShapeError(
-                f"vector length {len(self.vector)} != "
-                f"{len(self.kinds)} * {self.dims}")
+                f"vector shape {vector.shape} != "
+                f"({len(self.kinds)} * {self.dims},)")
+
+    def _ids(self):
+        return (self.service_id, self.task_id, self.context_id,
+                tuple(self.kinds), self.dims)
+
+    def __eq__(self, other):
+        if not isinstance(other, FeatureProfile):
+            return NotImplemented
+        return (self._ids() == other._ids()
+                and np.array_equal(self.vector, other.vector))
+
+    def __hash__(self):
+        return hash(self._ids())
 
     def segment(self, kind):
         """The slice of the vector belonging to one feature kind."""
@@ -86,14 +107,12 @@ def build_profile(batch, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
     """
     kinds = tuple(FeatureKind(k) for k in kinds)
     if not kinds:
-        raise ValueError("kinds must be non-empty")
+        raise ConfigurationError("a profile needs at least one feature kind")
     if table is None:
         table = extract_task_features(batch, kinds)
-    vector = []
-    for kind in kinds:
-        vector.extend(interpolate_profile(table[kind], d))
+    vector = np.concatenate([interpolate_profile(table[kind], d)
+                             for kind in kinds])
     service_id, task_id, context_id = batch.key
     return FeatureProfile(service_id=service_id, task_id=task_id,
                           context_id=context_id, kinds=kinds, dims=d,
-                          vector=tuple(vector))
-
+                          vector=vector)

@@ -370,9 +370,9 @@ def test_synthetic_settings_prepare_exactly(unlabeled_n):
         assert got.truth.hex() == truth.hex()
         assert bits(got.sampled_f1) == bits(sampled_f1)
         assert bits(got.confidences) == bits(conf)
-        assert got.profile.vector == build_profile(
+        assert bits(got.profile.vector) == bits(build_profile(
             store.get(*key) if unlabeled_n in (None, 40, 500)
-            else got.sampled, kinds, 25).vector
+            else got.sampled, kinds, 25).vector)
         table = extract_task_features(store.get(*key), kinds)
         assert all(isinstance(v, float) for v in table[FeatureKind.NLL])
 

@@ -87,7 +87,8 @@ def test_workload_passes_its_check_at_the_tiny_shape(tmp_path, name, seed):
         inputs = setup(shape, seed, str(workdir))
         if name == "meta-fit":
             train, test = inputs
-            rows = [[r.profile.vector, r.target] for r in train + test]
+            rows = [[r.profile.vector.tolist(), r.target]
+                    for r in train + test]
             assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() \
                 == META_SETUP_DIGESTS[seed]
         out = job(shape, seed, inputs, str(workdir))

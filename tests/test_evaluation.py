@@ -11,10 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from perfest import baselines, metamodels
+from perfest import baselines, features, metamodels
 from perfest.baselines import atc_calibrate, atc_estimate
 from perfest.core import InvocationRecord, SettingBatch, TokenStep
-from perfest.errors import ConfigurationError, CoverageError, ValidationError
+from perfest.core import RecordStore
+from perfest.errors import (CapabilityError, ConfigurationError,
+                            CoverageError, ValidationError)
 from perfest.evaluation import (
     DEFAULT_BASELINES,
     ExperimentPlan,
@@ -279,6 +281,18 @@ def test_plan_validation():
     with pytest.raises(ConfigurationError, match="no meta-model or baseline"):
         ExperimentPlan(services=("svc00",), tasks=("task00",),
                        contexts_per_task=1, model_specs=(), baselines=())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("services", ("svc00", "svc01", "svc00")),
+    ("tasks", ("task00", "task01", "task01")),
+    ("feature_kinds", ())])
+def test_plan_rejects_repeated_ids_and_no_feature_kinds(field, value):
+    fields = dict(services=("svc00", "svc01"), tasks=("task00", "task01"),
+                  contexts_per_task=1)
+    fields[field] = value
+    with pytest.raises(ConfigurationError, match=field):
+        ExperimentPlan(**fields)
 
 
 @pytest.mark.parametrize("name", ["foo", "sample_x", "sample_0",
@@ -631,3 +645,94 @@ def test_report_equals_the_tuple_keyed_fold_loop(monkeypatch, seed, folds,
     assert {"knn#1", "knn#3", "gbt", "random_forest", "sample_1",
             "atc"} <= set(got["aggregates"])
     assert got == want
+
+
+def with_setting(plan, store, position, change):
+    """A store equal to store but for the setting at position, in
+    run_experiment's order, whose records pass through change."""
+    settings = [(s, t, c) for s in plan.services for t in plan.tasks
+                for c in store.contexts_for_task(t)[:plan.contexts_per_task]]
+    out = RecordStore()
+    for key in store.keys():
+        batch = store.get(*key)
+        if key == settings[position]:
+            batch = SettingBatch.from_records(
+                [change(r) for r in batch.records()])
+        out.add(batch)
+    return out
+
+
+def unscored(record):
+    return dataclasses.replace(record, input_scores=None)
+
+
+def unlabeled(record):
+    return dataclasses.replace(record, reference=None)
+
+
+@pytest.mark.parametrize("changes, error", [
+    (((15, unscored),), CapabilityError),
+    (((15, unlabeled),), ValidationError),
+    # the first broken setting in the order of the settings raises
+    (((12, unlabeled), (15, unscored)), ValidationError),
+    (((12, unscored), (15, unlabeled)), CapabilityError)],
+    ids=["unscored", "unlabeled", "unlabeled_then_unscored",
+         "unscored_then_unlabeled"])
+def test_error_in_the_childs_settings_is_the_serial_error(monkeypatch,
+                                                          changes, error):
+    plan, store = fold_plan()
+    # 20 settings: this process prepares the first 10, the child the rest
+    assert len(plan.services) * len(plan.tasks) * plan.contexts_per_task \
+        == 20
+    for position, change in changes:
+        store = with_setting(plan, store, position, change)
+    forks = counted_forks(monkeypatch)
+    errors = []
+    for n in (1, 2):
+        cpus(monkeypatch, n)
+        with pytest.raises(error) as exc:
+            run_experiment(plan, store)
+        errors.append(str(exc.value))
+        assert_no_child()
+    assert errors[0] == errors[1]
+    assert len(forks) == 1
+
+
+def test_no_child_outlives_an_interrupted_preparation(monkeypatch):
+    plan, store = fold_plan()
+    cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    here = os.getpid()
+    extract = features.extract_task_features
+
+    def interrupted(*args):
+        if os.getpid() == here:
+            raise KeyboardInterrupt
+        time.sleep(30)  # a slow child is stopped, not waited for
+        return extract(*args)
+
+    monkeypatch.setattr(features, "extract_task_features", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(plan, store)
+    assert time.monotonic() - start < 20
+    assert len(forks) == 1
+    assert_no_child()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ragged_subsampled_report_equals_the_tuple_keyed_fold_loop(
+        monkeypatch, seed, n_cpus):
+    plan, store = fold_plan(seed, folds=3)
+    ragged = RecordStore()
+    for n, key in enumerate(store.keys()):  # 40, 38, ... 32 samples
+        ragged.add(store.get(*key).take(np.arange(40 - 2 * (n % 5))))
+    plan = dataclasses.replace(plan, unlabeled_n=35,
+                               baselines=DEFAULT_BASELINES + ("sample_1",))
+    want = tuple_keyed_report(plan, ragged)
+    cpus(monkeypatch, n_cpus)
+    forks = counted_forks(monkeypatch)
+    assert run_experiment(plan, ragged).to_obj() == want
+    assert len(forks) == n_cpus - 1
+    assert_no_child()

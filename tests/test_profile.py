@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from perfest.core import InvocationRecord, SettingBatch, TokenStep
-from perfest.errors import EmptyProfileError, ShapeError
+from perfest.errors import ConfigurationError, EmptyProfileError, ShapeError
 from perfest.features import FeatureKind, nll
 from perfest.profile import (
     FeatureProfile,
@@ -122,3 +122,51 @@ def test_profile_vector_length_checked():
         FeatureProfile(service_id="s", task_id="t", context_id="c",
                        kinds=(FeatureKind.NLL,), dims=4,
                        vector=(1.0, 2.0))
+
+
+def two_kind_profile(vector, context_id="c"):
+    return FeatureProfile(service_id="s", task_id="t", context_id=context_id,
+                          kinds=(FeatureKind.NLL, FeatureKind.PPL), dims=2,
+                          vector=vector)
+
+
+def test_profiles_are_equal_by_value_and_hash_alike():
+    a = two_kind_profile((1.0, 2.0, 3.0, 4.0))
+    b = two_kind_profile(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != two_kind_profile((1.0, 2.0, 3.0, 5.0))
+    assert a != two_kind_profile((1.0, 2.0, 3.0, 4.0), context_id="d")
+    assert a != FeatureProfile(service_id="s", task_id="t", context_id="c",
+                               kinds=(FeatureKind.NLL,), dims=4,
+                               vector=(1.0, 2.0, 3.0, 4.0))
+    assert a != (1.0, 2.0, 3.0, 4.0)
+    assert list(a.segment(FeatureKind.NLL)) == [1.0, 2.0]
+    assert list(a.segment("ppl")) == [3.0, 4.0]
+
+
+def test_profile_vector_is_read_only():
+    prof = two_kind_profile([1.0, 2.0, 3.0, 4.0])
+    assert prof.vector.dtype == np.float64
+    with pytest.raises(ValueError):
+        prof.vector[0] = 9.0
+    with pytest.raises(ValueError):
+        prof.segment(FeatureKind.PPL)[0] = 9.0
+    assert list(prof.vector) == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_tuple_list_and_array_give_equal_profiles():
+    values = [0.5, 1.5, 2.5, 3.5]
+    source = np.array(values)
+    profiles = [two_kind_profile(tuple(values)), two_kind_profile(values),
+                two_kind_profile(source)]
+    assert profiles[0] == profiles[1] == profiles[2]
+    # a writable array is copied, so changing it leaves the profile as is
+    source[0] = 9.0
+    assert list(profiles[2].vector) == values
+
+
+def test_build_profile_needs_a_feature_kind():
+    batch = SettingBatch.from_records([make_record(0, 0.5)])
+    with pytest.raises(ConfigurationError):
+        build_profile(batch, kinds=(), d=4)
