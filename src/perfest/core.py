@@ -557,8 +557,8 @@ def read_json(path, error, what):
 
 
 def write_json(path, obj, indent=None, end=""):
-    """Write ``obj`` to ``path``, a path or a file descriptor, as
-    json.dump writes it with sorted keys, then ``end``."""
+    """Write ``obj`` to the file ``path`` as json.dump writes it with
+    sorted keys, then ``end``."""
     # json.dump streams; json.dumps would take the C encoder, about 1.7x
     # as fast, but holds about 5x the document's size in pieces at once
     with open(path, "w", encoding="utf-8") as f:

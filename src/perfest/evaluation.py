@@ -7,7 +7,6 @@ by 100 for readability.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import os
@@ -160,6 +159,13 @@ class ExperimentPlan:
             if not is_int(v, low):
                 raise ConfigurationError(
                     f"plan field {name} must count at least {low}, got {v!r}")
+        if not is_int(self.seed):
+            raise ConfigurationError(
+                f"plan field seed must be an integer, got {self.seed!r}")
+        for spec in self.model_specs:
+            if not isinstance(spec, mm.ModelSpec):
+                raise ConfigurationError(f"plan field model_specs holds "
+                                         f"{spec!r}, not a ModelSpec")
         for name in ("services", "tasks"):  # a repeat would run twice
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigurationError(f"plan field {name} repeats an id")
@@ -301,7 +307,6 @@ def _write(f, items):
             + b"\n")
     for array in itertools.chain.from_iterable(items):
         f.write(np.asarray(array, "<f8").tobytes())
-    f.flush()
 
 
 def _read(f):
@@ -319,54 +324,41 @@ def _read(f):
     return [tuple(itertools.islice(arrays, len(n))) for n in lengths]
 
 
-@contextlib.contextmanager
-def _halves(fork):
-    """A map(run, items, share=False) returning [run(item) for item in
-    items], each result a tuple of float64 arrays. When fork is true,
-    os.fork exists, no other thread runs and two CPUs are usable, a child
-    forked for the block runs the last half of the items and sends back
-    their results (see _write), even when one raises; what it did not
-    send runs here, so an error is the serial loop's. With share, this
-    process then sends its half to the child, and both return the whole
-    list. At the end of the block the child exits, and this process kills
-    and reaps it. Nothing is pickled."""
+def _halves(run, items, fork):
+    """[run(item) for item in items], each result a tuple of float64
+    arrays. When fork is true, os.fork exists, no other thread runs and
+    two CPUs are usable, a forked child runs the last half of the items
+    and sends their results back (see _write), even when one raises; what
+    it did not send runs here, so an error is the serial loop's. The child
+    runs nothing but run, and is reaped before this returns or raises.
+    Nothing is pickled."""
     if not (fork and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1
             and len(os.sched_getaffinity(0)) >= 2):
-        yield lambda run, items, share=False: list(map(run, items))
-        return
-    up, down = os.pipe(), os.pipe()  # child -> parent, parent -> child
+        return [run(item) for item in items]
+    own = len(items) - len(items) // 2
+    r, w = os.pipe()
     pid = os.fork()
-    send, receive = (up[1], down[0]) if pid == 0 else (down[1], up[0])
-    for fd in {*up, *down} - {send, receive}:
-        os.close(fd)
-
-    def halves(run, items, share=False):
-        own = len(items) - len(items) // 2
-        if pid == 0:
-            done = []
-            try:
-                for item in items[own:]:
-                    done.append(run(item))
-            finally:
-                _write(send, done)
-            return (_read(receive) if share else []) + done
-        done = [run(item) for item in items[:own]]
-        done += _read(receive)
-        done += [run(item) for item in items[len(done):]]
-        if share:  # the pipe is closed even when the child is gone
-            with contextlib.suppress(BrokenPipeError), send:
-                _write(send, done[:own])
-        return done
-
-    with open(send, "wb") as send, open(receive, "rb") as receive:
+    if pid == 0:
         try:
-            yield halves
+            done = []
+            with open(w, "wb") as f:
+                try:
+                    for item in items[own:]:
+                        done.append(run(item))
+                finally:
+                    _write(f, done)
+        finally:  # never return into the caller's code
+            os._exit(0)
+    os.close(w)
+    with open(r, "rb") as f:
+        try:
+            done = [run(item) for item in items[:own]]
+            done += _read(f)
         finally:
-            if pid == 0:
-                os._exit(0)  # never return into the caller's code
             os.kill(pid, signal.SIGKILL)  # a no-op once it has exited
             os.waitpid(pid, 0)
+    return done + [run(item) for item in items[len(done):]]
 
 
 def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport:
@@ -379,13 +371,14 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     per-setting quantity is a list in the order of the settings, and a
     fold works on their positions.
 
-    When the plan trains a meta-model and none is an MLP, a child forked
-    before the settings are prepared (see _halves) prepares the last half
-    of them and runs the last half of the folds; both processes calibrate
-    ATC and estimate Sample^n for every setting. The report is the same,
-    but tracers and spies in this process see only its own halves: a
-    traced cv-experiment counts half of the features.extract_calls,
-    profile.build_calls and evaluation.f1_calls of a serial run.
+    When the plan trains a meta-model and none is an MLP, a forked child
+    prepares the last half of the settings, and a second one runs the
+    last half of the folds (see _halves); everything in between, such as
+    calibrating ATC and estimating Sample^n, runs here once. The report
+    is the same, but tracers and spies in this process see only its own
+    halves: a traced cv-experiment counts half of the
+    features.extract_calls, profile.build_calls and evaluation.f1_calls
+    of a serial run.
     """
     contexts = {}
     missing = []
@@ -427,63 +420,57 @@ def run_experiment(plan: ExperimentPlan, store: RecordStore) -> ExperimentReport
     # 26.3 s forked against 2.9 and 3.4 s serial)
     fork = bool(plan.model_specs) and mm.ModelKind.MLP not in {
         spec.kind for spec in plan.model_specs}
-    with _halves(fork) as halves:
-        vectors, truths, confidences, sampled_f1, f1 = zip(*halves(
-            prepare, settings, share=True))
-        truths = [float(t[0]) for t in truths]
-        training = [mm.TrainingRow(
-            FeatureProfile(*key, plan.feature_kinds, plan.d, v), t)
-            for key, v, t in zip(settings, vectors, truths)]
-        # an ATC threshold depends on its own setting alone; calibrate once
-        atc = ([bl.atc_calibrate(c, f.tolist())
-                for c, f in zip(confidences, sampled_f1)]
-               if atc_planned else [])
-        # a Sample^n estimate depends only on (service, task), whose
-        # settings are a run of contexts_per_task positions; estimate once
-        # per run
-        k = plan.contexts_per_task
-        sample_est = {  # Sample^n baseline -> its estimate per setting
-            name: np.repeat([bl.sample_n_estimate(
-                {settings[i]: f1[i] for i in range(at, at + k)},
-                int(name.removeprefix("sample_")), plan.seed)
-                for at in range(0, len(settings), k)], k).tolist()
-            for name in plan.baselines if name.startswith("sample_")}
-        specs = {_estimator_name(spec, n, plan.model_specs): spec
-                 for n, spec in enumerate(plan.model_specs)}
-        names = sorted({*specs, *plan.baselines})
+    vectors, truths, confidences, sampled_f1, f1 = zip(
+        *_halves(prepare, settings, fork))
+    truths = [float(t[0]) for t in truths]
+    training = [mm.TrainingRow(FeatureProfile(*key, plan.feature_kinds,
+                                              plan.d, v), t)
+                for key, v, t in zip(settings, vectors, truths)]
+    # an ATC threshold depends on its own setting alone; calibrate once
+    atc = ([bl.atc_calibrate(c, f.tolist())
+            for c, f in zip(confidences, sampled_f1)] if atc_planned else [])
+    # a Sample^n estimate depends only on (service, task), whose settings
+    # are a run of contexts_per_task positions; estimate once per run
+    k = plan.contexts_per_task
+    sample_est = {  # Sample^n baseline -> its estimate per setting
+        name: np.repeat([bl.sample_n_estimate(
+            {settings[i]: f1[i] for i in range(at, at + k)},
+            int(name.removeprefix("sample_")), plan.seed)
+            for at in range(0, len(settings), k)], k).tolist()
+        for name in plan.baselines if name.startswith("sample_")}
+    specs = {_estimator_name(spec, n, plan.model_specs): spec
+             for n, spec in enumerate(plan.model_specs)}
+    names = sorted({*specs, *plan.baselines})
 
-        def run_fold(split):
-            """Each estimator's estimates for one fold's test settings, in
-            the order of names."""
-            train_idx, test_idx = split
-            estimates = {}  # estimator -> its estimate per test setting
-            train_rows = [training[i] for i in train_idx]
-            for name, spec in specs.items():
-                model = mm.train(spec, train_rows, plan.seed)
-                estimates[name] = mm.predict_many(
-                    model, [training[i].profile for i in test_idx]).tolist()
-            trained = {s: [] for s in plan.services}  # train positions
-            for i in train_idx:
-                trained[settings[i][0]].append(i)
-            if "avg_train" in plan.baselines:
-                avg = {s: bl.avg_train_estimate([truths[i] for i in idx])
-                       for s, idx in trained.items()}
-                estimates["avg_train"] = [avg[settings[i][0]]
-                                          for i in test_idx]
-            if atc:
-                thresholds = {s: [atc[i] for i in idx]
-                              for s, idx in trained.items()}
-                estimates["atc"] = [
-                    bl.atc_estimate(thresholds[settings[i][0]],
-                                    confidences[i])
-                    for i in test_idx]
-            for name, est in sample_est.items():
-                estimates[name] = [est[i] for i in test_idx]
-            return tuple(np.array(estimates[name]) for name in names)
+    def run_fold(split):
+        """Each estimator's estimates for one fold's test settings, in the
+        order of names."""
+        train_idx, test_idx = split
+        estimates = {}  # estimator -> its estimate per test setting
+        train_rows = [training[i] for i in train_idx]
+        for name, spec in specs.items():
+            model = mm.train(spec, train_rows, plan.seed)
+            estimates[name] = mm.predict_many(
+                model, [training[i].profile for i in test_idx]).tolist()
+        trained = {s: [] for s in plan.services}  # train positions
+        for i in train_idx:
+            trained[settings[i][0]].append(i)
+        if "avg_train" in plan.baselines:
+            avg = {s: bl.avg_train_estimate([truths[i] for i in idx])
+                   for s, idx in trained.items()}
+            estimates["avg_train"] = [avg[settings[i][0]] for i in test_idx]
+        if atc:
+            thresholds = {s: [atc[i] for i in idx]
+                          for s, idx in trained.items()}
+            estimates["atc"] = [
+                bl.atc_estimate(thresholds[settings[i][0]], confidences[i])
+                for i in test_idx]
+        for name, est in sample_est.items():
+            estimates[name] = [est[i] for i in test_idx]
+        return tuple(np.array(estimates[name]) for name in names)
 
-        splits = kfold_split([key[1] for key in settings], plan.folds,
-                             plan.seed)
-        folds = halves(run_fold, splits)
+    splits = kfold_split([key[1] for key in settings], plan.folds, plan.seed)
+    folds = _halves(run_fold, splits, fork)
     report = ExperimentReport([
         ReportRow(*settings[i], name, est, truths[i], abs(est - truths[i]))
         for (_, test_idx), fold in zip(splits, folds)

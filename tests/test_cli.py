@@ -287,7 +287,8 @@ def test_evaluate_writes_one_report_on_one_cpu_or_two(capsys, tmp_path,
                                    samples=40, contexts=2))[0] == 0
     reports = []
     for cpus in ({0}, {0, 1}):
-        # with two, run_experiment forks a child for the last folds
+        # with two, run_experiment forks a child for the last settings,
+        # then one for the last folds
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         out = tmp_path / f"report{len(cpus)}.json"
         assert run(capsys, "evaluate", "--records",

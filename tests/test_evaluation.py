@@ -281,6 +281,14 @@ def test_plan_validation():
     with pytest.raises(ConfigurationError, match="no meta-model or baseline"):
         ExperimentPlan(services=("svc00",), tasks=("task00",),
                        contexts_per_task=1, model_specs=(), baselines=())
+    # a seed is an integer, or it would run as some other seed or fail
+    # deep in the run; a model spec is a ModelSpec, not its kind's name
+    for name, value in [("seed", v) for v in (1.9, True, "1", "x", None)] + [
+            ("model_specs", ("knn",)),
+            ("model_specs", (ModelSpec(ModelKind.KNN, {"k": 1}), None))]:
+        with pytest.raises(ConfigurationError, match=name):
+            ExperimentPlan(**{"services": ("svc00",), "tasks": ("task00",),
+                              "contexts_per_task": 1, name: value})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -376,8 +384,9 @@ def test_atc_calibrates_each_setting_once(monkeypatch):
     assert [r for r in report.to_obj()["rows"] if r[3] == "atc"] == expected
 
 
-# run_experiment forks a child for the last half of the folds when the
-# process may use two CPUs; these tests set that number either way
+# run_experiment forks a child for the last half of the settings, then
+# one for the last half of the folds, when the process may use two CPUs;
+# these tests set that number either way
 
 def cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -430,7 +439,7 @@ def test_report_is_the_same_on_one_cpu_and_two(monkeypatch, seed, folds):
     assert forks == []
     cpus(monkeypatch, 2)
     assert run_experiment(plan, store).to_obj() == serial
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert_no_child()
 
 
@@ -476,7 +485,7 @@ def test_folds_run_in_this_process_while_another_thread_runs(monkeypatch):
     assert not thread.is_alive()
     assert forks == []
     assert report.to_obj() == run_experiment(plan, store).to_obj()
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 def test_folds_of_a_killed_child_run_here(monkeypatch, tmp_path):
@@ -500,7 +509,7 @@ def test_folds_of_a_killed_child_run_here(monkeypatch, tmp_path):
     assert run_experiment(plan, store).to_obj() == want
     assert_no_child()
     # the child began a fold and died in it, so this process ran them all
-    assert forks == [here]
+    assert forks == [here, here]
     assert (tmp_path / "child trained").exists()
     assert len(trains) == plan.folds * len(plan.model_specs)
 
@@ -540,7 +549,7 @@ def test_folds_come_back_without_unpickling(monkeypatch):
 
 @pytest.mark.parametrize("specs, forked", [
     ((ModelSpec(ModelKind.RANDOM_FOREST, {"max_depth": 4, "n_trees": 5}),),
-     1),
+     2),
     ((), 0),
     ((ModelSpec(ModelKind.MLP, {"hidden_width": 4, "epochs": 20}),), 0)],
     ids=["random_forest", "sample_n", "mlp"])
@@ -556,6 +565,26 @@ def test_folds_fork_only_for_meta_models_without_an_mlp(monkeypatch, specs,
     cpus(monkeypatch, 2)
     assert run_experiment(plan, store).to_obj() == serial
     assert len(forks) == forked
+    assert_no_child()
+
+
+def test_code_between_the_forks_runs_in_this_process_only(monkeypatch,
+                                                          tmp_path):
+    plan, store = fold_plan()
+    cpus(monkeypatch, 2)
+    forks = counted_forks(monkeypatch)
+    log = tmp_path / "calibrated"
+    atc_calibrate = baselines.atc_calibrate
+
+    def logged(*args):  # a file, since a child's list would stay there
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return atc_calibrate(*args)
+
+    monkeypatch.setattr(baselines, "atc_calibrate", logged)
+    run_experiment(plan, store)
+    assert log.read_text().splitlines() == [str(os.getpid())] * 20
+    assert len(forks) == 2
     assert_no_child()
 
 
@@ -734,5 +763,5 @@ def test_ragged_subsampled_report_equals_the_tuple_keyed_fold_loop(
     cpus(monkeypatch, n_cpus)
     forks = counted_forks(monkeypatch)
     assert run_experiment(plan, ragged).to_obj() == want
-    assert len(forks) == n_cpus - 1
+    assert len(forks) == 2 * (n_cpus - 1)
     assert_no_child()
