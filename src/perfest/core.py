@@ -110,6 +110,26 @@ def _objects(values):
     return np.array(values, dtype=object)
 
 
+def _coded(vocab, columns):
+    """columns with "vocab" the words of dict vocab in code order, and the
+    token columns' codes in the smallest unsigned dtype that holds it."""
+    dtype = np.min_scalar_type(len(vocab))
+    for name in ("tokens", "cand_tokens"):
+        columns[name] = np.asarray(columns[name], dtype=dtype)
+    return dict(columns, vocab=_objects(list(vocab)))
+
+
+def _recode(codes, words, vocab):
+    """codes into the object array words as codes into dict vocab, which
+    gains each word not in it in order of first appearance in codes."""
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first)]
+    table = np.zeros(len(words), dtype=np.int64)
+    table[used] = [vocab.setdefault(w, len(vocab))
+                   for w in words[used].tolist()]
+    return table[codes]
+
+
 def padded_rows(values, offsets):
     """A ragged column as a matrix: a leading column of zeros, then each
     row's values, padded with zeros."""
@@ -135,11 +155,15 @@ class SettingBatch:
     step j owns candidates cand_offsets[j]:cand_offsets[j + 1] of
     `cand_tokens` and `cand_probs` (k may be 1); sample i's input scores
     are scores[score_offsets[i]:score_offsets[i + 1]], and has_scores[i]
-    is False where the record had none. String columns are object arrays;
-    `references` holds None for unlabeled samples.
+    is False where the record had none. `tokens` and `cand_tokens` are
+    codes into `vocab`, an object array of token strings that batches may
+    share, in the smallest unsigned dtype that holds len(vocab). The other
+    text columns are object arrays; `references` holds None for unlabeled
+    samples.
     """
 
     key: tuple  # (service_id, task_id, context_id)
+    vocab: np.ndarray
     sample_ids: np.ndarray
     input_texts: np.ndarray
     generated_texts: np.ndarray
@@ -198,10 +222,11 @@ class SettingBatch:
     def records(self) -> list:
         """The batch as InvocationRecords; from_records(...).records()
         returns records equal to its input."""
-        pairs = list(zip(self.cand_tokens.tolist(), self.cand_probs.tolist()))
+        pairs = list(zip(self.vocab[self.cand_tokens].tolist(),
+                         self.cand_probs.tolist()))
         co = self.cand_offsets.tolist()
-        steps = [TokenStep(tok, tuple(pairs[a:b]))
-                 for tok, a, b in zip(self.tokens.tolist(), co, co[1:])]
+        steps = [TokenStep(tok, tuple(pairs[a:b])) for tok, a, b in
+                 zip(self.vocab[self.tokens].tolist(), co, co[1:])]
         so = self.step_offsets.tolist()
         scores = self.scores.tolist()
         sc = self.score_offsets.tolist()
@@ -270,18 +295,23 @@ class SettingBatch:
     def concat(cls, batches):
         """One setting's batches joined in order: the batch that
         from_records of all their records would give: offset columns are
-        shifted past the batches before them, the others concatenated."""
+        shifted past the batches before them, token codes recoded into
+        one vocabulary of the words they name, the others concatenated."""
         batches = list(batches)
-        names = [f.name for f in dataclasses.fields(cls) if f.name != "key"]
-        columns = {"key": batches[0].key}
+        names = [f.name for f in dataclasses.fields(cls)
+                 if f.name not in ("key", "vocab")]
+        columns, vocab = {"key": batches[0].key}, {}
         for name in names:
             parts = [getattr(b, name) for b in batches]
             if name.endswith("_offsets"):
                 shift = np.cumsum([0] + [o[-1] for o in parts[:-1]])
                 parts = [parts[0][:1]] + [o[1:] + s for o, s in
                                           zip(parts, shift)]
+            elif name.endswith("tokens"):
+                parts = [_recode(c, b.vocab, vocab)
+                         for c, b in zip(parts, batches)]
             columns[name] = np.concatenate(parts)
-        return cls(**columns)
+        return cls(**_coded(vocab, columns))
 
     def take(self, rows):
         """The batch of samples `rows`, in the order given."""
@@ -290,7 +320,7 @@ class SettingBatch:
         cands, cand_offsets = _take_ragged(self.cand_offsets, steps)
         scores, score_offsets = _take_ragged(self.score_offsets, rows)
         return SettingBatch(
-            key=self.key, sample_ids=self.sample_ids[rows],
+            key=self.key, vocab=self.vocab, sample_ids=self.sample_ids[rows],
             input_texts=self.input_texts[rows],
             generated_texts=self.generated_texts[rows],
             references=self.references[rows], step_offsets=step_offsets,
@@ -332,15 +362,13 @@ def _parse(obj, line):
                               field="output_steps", line=line)
     try:
         tops = list(map(_TOP_PROBS, raw_steps))
-        # one shared str per distinct token: a file repeats a small
-        # vocabulary, and the batch columns keep every token
-        tokens = list(map(sys.intern, map(str, map(_TOKEN, raw_steps))))
+        tokens = list(map(str, map(_TOKEN, raw_steps)))
         counts = list(map(len, tops))
         pairs = list(itertools.chain.from_iterable(tops))
         # a candidate is any two-item array, [token, prob]
         cand_tokens, cand_probs = (zip(*pairs, strict=True) if pairs
                                    else ((), ()))
-        cand_tokens = list(map(sys.intern, map(str, cand_tokens)))
+        cand_tokens = list(map(str, cand_tokens))
         cand_probs = list(map(float, cand_probs))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         # OverflowError: an integer past the float range
@@ -385,15 +413,17 @@ def _build_batch(key, parsed) -> SettingBatch:
      scores) = zip(*parsed)
     sample_ids, input_texts, generated_texts = zip(*texts)
     chain = itertools.chain.from_iterable
+    vocab = {}  # each distinct token's code, in order of first appearance
+    codes = {name: [vocab.setdefault(t, len(vocab)) for t in chain(column)]
+             for name, column in (("tokens", tokens),
+                                  ("cand_tokens", cand_tokens))}
     return SettingBatch(
-        key=key, sample_ids=_objects(sample_ids),
+        key=key, **_coded(vocab, codes), sample_ids=_objects(sample_ids),
         input_texts=_objects(input_texts),
         generated_texts=_objects(generated_texts),
         references=_objects(references),
         step_offsets=_offsets(list(map(len, tokens))),
-        tokens=_objects(list(chain(tokens))),
         cand_offsets=_offsets(list(chain(cand_counts))),
-        cand_tokens=_objects(list(chain(cand_tokens))),
         cand_probs=np.array(list(chain(cand_probs)), dtype=float),
         score_offsets=_offsets([len(s or ()) for s in scores]),
         scores=np.array(list(chain(s or () for s in scores)), dtype=float),
@@ -452,13 +482,13 @@ def read_batches(path):
 def _lines(batch: SettingBatch) -> str:
     """The batch as JSON Lines: each sample's line is json.dumps(...,
     ensure_ascii=False) of its record's object."""
+    words = _objects(list(map(_encode, batch.vocab.tolist())))
     pairs = [f"[{t}, {p}]" for t, p in zip(
-        map(_encode, batch.cand_tokens.tolist()),
+        words[batch.cand_tokens].tolist(),
         map(_float, batch.cand_probs.tolist()))]
     co = batch.cand_offsets.tolist()
     steps = [f'{{"token": {t}, "top_probs": [{", ".join(pairs[a:b])}]}}'
-             for t, a, b in zip(map(_encode, batch.tokens.tolist()),
-                                co, co[1:])]
+             for t, a, b in zip(words[batch.tokens].tolist(), co, co[1:])]
     scores = list(map(_float, batch.scores.tolist()))
     head = ('{"service_id": %s, "task_id": %s, "context_id": %s, '
             '"sample_id": ' % tuple(map(_encode, batch.key)))
@@ -609,14 +639,17 @@ def _file_digest(path):
 
 def _column_bytes(batch: SettingBatch) -> bytes:
     """One batch: the JSON line [key, vocabulary, column lengths], then
-    the bytes of each column in _COLUMNS order and dtype."""
+    the bytes of each column in _COLUMNS order and dtype. The vocabulary
+    holds each string in order of first appearance."""
     vocab = {}
 
-    def codes(values):
+    def codes(column):
+        if column.dtype != object:  # token codes into batch.vocab
+            return _recode(column, batch.vocab, vocab).astype("<i4")
         return np.array([-1 if s is None else vocab.setdefault(s, len(vocab))
-                         for s in values], dtype="<i4")
+                         for s in column.tolist()], dtype="<i4")
 
-    columns = [codes(getattr(batch, name).tolist()) if dtype == "<i4"
+    columns = [codes(getattr(batch, name)) if dtype == "<i4"
                else np.asarray(getattr(batch, name), dtype=dtype)
                for name, dtype in _COLUMNS.items()]
     head = json.dumps([batch.key, list(vocab), list(map(len, columns))])
@@ -644,9 +677,9 @@ def _load_batch(f, end, payload) -> SettingBatch:
         raise ValueError("malformed column lengths")
     # UnicodeEncodeError, a ValueError, for a \ud800-style escape
     "".join(key + words).encode("utf-8")
-    # one shared str per distinct string, as read_batches shares tokens
+    # one shared str per distinct string across the file's batches
     vocab = _objects(list(map(sys.intern, words)) + [None])
-    columns = {}
+    columns, tokens = {}, {}
     for (name, dtype), size in zip(_COLUMNS.items(), lengths):
         # checked before the column is made, so a forged length
         # allocates nothing
@@ -661,9 +694,13 @@ def _load_batch(f, end, payload) -> SettingBatch:
             if size and not (-(name == "references") <= column.min()
                              and column.max() < len(words)):
                 raise ValueError("not a code of the vocabulary")
-            column = vocab[column]
+            if name.endswith("tokens"):
+                # recoded as read_batches codes them
+                column = _recode(column, vocab, tokens)
+            else:
+                column = vocab[column]
         columns[name] = column
-    batch = SettingBatch(key=tuple(key), **columns)
+    batch = SettingBatch(key=tuple(key), **_coded(tokens, columns))
     if not (all(o[0] == 0 and o[-1] == size and (np.diff(o) >= 0).all()
                 for o, size in ((batch.step_offsets, steps),
                                 (batch.cand_offsets, cands),

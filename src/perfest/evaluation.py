@@ -143,12 +143,18 @@ class ExperimentPlan:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "services", tuple(self.services))
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "feature_kinds",
-                           tuple(FeatureKind(k) for k in self.feature_kinds))
-        object.__setattr__(self, "model_specs", tuple(self.model_specs))
-        object.__setattr__(self, "baselines", tuple(self.baselines))
+        for name in ("services", "tasks", "feature_kinds", "model_specs",
+                     "baselines"):
+            if isinstance(getattr(self, name), str):  # not one id a letter
+                raise ConfigurationError(f"plan field {name} must be a "
+                                         "sequence, not a string")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        try:
+            kinds = tuple(map(FeatureKind, self.feature_kinds))
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"plan field feature_kinds: {exc}") from exc
+        object.__setattr__(self, "feature_kinds", kinds)
         # kfold_split needs two folds
         for name, v, low in (("services", len(self.services), 1),
                              ("tasks", len(self.tasks), 1),
@@ -172,7 +178,7 @@ class ExperimentPlan:
         if not (self.model_specs or self.baselines):
             raise ConfigurationError("plan names no meta-model or baseline")
         for name in self.baselines:
-            if not _BASELINE.fullmatch(name):
+            if not (isinstance(name, str) and _BASELINE.fullmatch(name)):
                 raise ConfigurationError(
                     f"unknown baseline {name!r}; choose avg_train, atc or "
                     "sample_<n> with n >= 1")

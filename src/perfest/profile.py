@@ -108,6 +108,9 @@ def build_profile(batch, kinds=DEFAULT_KINDS, d=DEFAULT_DIMS,
     kinds = tuple(FeatureKind(k) for k in kinds)
     if not kinds:
         raise ConfigurationError("a profile needs at least one feature kind")
+    if len(set(kinds)) < len(kinds):  # segment() would find the first
+        raise ConfigurationError("a profile repeats a feature kind: "
+                                 + ",".join(k.value for k in kinds))
     if table is None:
         table = extract_task_features(batch, kinds)
     vector = np.concatenate([interpolate_profile(table[kind], d)

@@ -68,12 +68,17 @@ _REF_TEXT = " ".join(_REF_TOKENS)
 _PRED_TEXTS = tuple(" ".join(_REF_TOKENS[:r] + _BAD_TOKENS[r:])
                     for r in range(REF_TOKEN_COUNT + 1))
 _PRED_ARRAY = np.array(_PRED_TEXTS, dtype=object)
-# [r, t]: step t's candidates for an answer with r reference tokens; the
-# answer reproduces reference token t if t < r, then two alternatives
-_CANDIDATES = np.array(
-    [[(tok, "alt1", "alt2")
+# the one read-only vocabulary of every synthesized batch's tokens
+_WORDS = _REF_TOKENS + _BAD_TOKENS + ("alt1", "alt2")
+_VOCAB = np.array(_WORDS, dtype=object)
+_VOCAB.flags.writeable = False
+# [r, t]: codes of step t's candidates for an answer with r reference
+# tokens; the answer reproduces reference token t if t < r, then two
+# alternatives. uint8 is the smallest dtype that holds len(_WORDS).
+_CANDIDATE_CODES = np.array(
+    [[[_WORDS.index(w) for w in (tok, "alt1", "alt2")]
       for tok in (_REF_TOKENS[:r] + _BAD_TOKENS[r:])[:OUTPUT_STEPS]]
-     for r in range(REF_TOKEN_COUNT + 1)], dtype=object)
+     for r in range(REF_TOKEN_COUNT + 1)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,7 @@ def _generate_settings(config: MarketplaceConfig, truth: MarketplaceTruth,
     p3 = np.minimum(p2, 0.30 * (1.0 - p1))
 
     n = len(pairs)
-    candidates = _CANDIDATES[f_grid]
+    candidates = _CANDIDATE_CODES[f_grid]
     keep = np.ones(candidates.shape, dtype=bool)
     # mimic services that return a single candidate
     keep[..., 1:] = (p1 <= 0.97)[..., None]
@@ -245,7 +250,7 @@ def _generate_settings(config: MarketplaceConfig, truth: MarketplaceTruth,
     columns = _task_columns(config, j, samples)
     return [SettingBatch(
         key=(config.service_id(i), config.task_id(j), config.context_id(k)),
-        generated_texts=generated[s], tokens=tokens[s],
+        vocab=_VOCAB, generated_texts=generated[s], tokens=tokens[s],
         cand_offsets=cand_offsets[s], cand_tokens=cand_tokens[a:b],
         cand_probs=cand_probs[a:b], scores=scores[s], **columns)
         for s, ((i, k), a, b) in enumerate(zip(pairs, [0] + ends, ends))]

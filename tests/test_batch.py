@@ -6,6 +6,8 @@ the JSON Lines reader, writer and validation) serve as oracles. Values are compa
 changed rounding or a signed zero fails.
 """
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perfest import core
 from perfest.cli import dispatch
 from perfest.core import (InvocationRecord, RecordStore, SettingBatch,
                           TokenStep, read_batches, read_records,
@@ -354,6 +357,39 @@ def test_synth_out_is_byte_identical_to_frozen_builder(tmp_path):
         (tmp_path / "frozen.jsonl").read_bytes()
 
 
+# sha256 of the files the synth above writes, frozen while batches held
+# their tokens as strings
+FROZEN_SYNTH_DIGESTS = {
+    "records.jsonl":
+        "d93fc5ce54fa041e68c12dbc3cc7c5fe39b8950b47d7f13ed4cfed6ff6a8843e",
+    "records.jsonl.cols":
+        "7a307bcdf2340d2c9ec52fdaec45744f6bb3cda105a696ddc01df51e4e9f1fbc"}
+
+
+def test_synth_files_keep_their_frozen_bytes_and_load_as_written(
+        tmp_path, monkeypatch):
+    out = tmp_path / "store"
+    assert dispatch(["synth", "--seed", "31", "--out", str(out),
+                     "--services", "2", "--tasks", "3", "--samples", "50",
+                     "--contexts", "2"]) == 0
+
+    def digests():
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in FROZEN_SYNTH_DIGESTS}
+
+    assert digests() == FROZEN_SYNTH_DIGESTS
+    # a columns file of these bytes loads with no JSON read or rewrite
+    monkeypatch.setattr(core, "read_batches", None)
+    store = RecordStore.from_file(str(out / "records.jsonl"))
+    assert digests() == FROZEN_SYNTH_DIGESTS
+    config = MarketplaceConfig(n_services=2, n_tasks=3, samples_per_task=50,
+                               contexts_per_task=2, seed=31)
+    truth = marketplace_truth(config)
+    assert store_records(store) == [
+        rec for i in range(2) for j in range(3) for k in range(2)
+        for rec in frozen_generate_setting(config, truth, i, j, k)]
+
+
 @pytest.mark.parametrize("unlabeled_n", [None, 17, 40, 500])
 def test_synthetic_settings_prepare_exactly(unlabeled_n):
     config = MarketplaceConfig(n_services=2, n_tasks=2, samples_per_task=40,
@@ -513,11 +549,19 @@ def frozen_lines(records):
             for r in records]
 
 
+def decoded(batch, name):
+    """Column name of batch as a list of its strings."""
+    column = getattr(batch, name)
+    if name.endswith("tokens"):  # codes into the batch's vocabulary
+        column = batch.vocab[column]
+    return column.tolist()
+
+
 def assert_same_batch(got, want):
     assert got.key == want.key
     for name in ("sample_ids", "input_texts", "generated_texts",
                  "references", "tokens", "cand_tokens"):
-        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        assert decoded(got, name) == decoded(want, name)
     for name in ("step_offsets", "cand_offsets", "score_offsets",
                  "has_scores"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -635,6 +679,116 @@ def test_round_robin_file_reads_in_linear_time(tmp_path):
     runs = RecordStore.from_file(str(tmp_path / "grouped.jsonl"))
     for key in runs.keys():
         assert_same_batch(store.get(*key), runs.get(*key))
+
+
+# ---------------------------------------------------------------------------
+# token codes: tokens and cand_tokens are codes into the batch's vocab
+
+# the generator's candidate table as it was while it held token strings:
+# [r, t] are step t's candidates for an answer with r reference tokens
+FROZEN_CANDIDATES = np.array(
+    [[(tok, "alt1", "alt2")
+      for tok in (_REF_TOKENS[:r] + _BAD_TOKENS[r:])[:OUTPUT_STEPS]]
+     for r in range(11)], dtype=object)
+
+
+def assert_same_columns(got, want):
+    """got equals want field by field, in dtype, shape and values."""
+    for field in dataclasses.fields(SettingBatch):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "key":
+            assert a == b
+        else:
+            assert (a.dtype, a.shape, a.tolist()) == \
+                (b.dtype, b.shape, b.tolist()), field.name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_synth_token_codes_decode_to_the_frozen_candidate_table(seed):
+    config = MarketplaceConfig(n_services=2, n_tasks=3, samples_per_task=30,
+                               contexts_per_task=2, seed=seed)
+    _, _, store = synth_marketplace(config)
+    batches = [store.get(*key) for key in store.keys()]
+    for batch in batches:
+        assert batch.tokens.dtype == batch.cand_tokens.dtype == np.uint8
+        answers = [_PRED_TEXTS.index(g)
+                   for g in batch.generated_texts.tolist()]
+        steps = FROZEN_CANDIDATES[answers].reshape(-1, 3).tolist()
+        counts = np.diff(batch.cand_offsets).tolist()
+        assert decoded(batch, "tokens") == [step[0] for step in steps]
+        assert decoded(batch, "cand_tokens") == [
+            token for step, k in zip(steps, counts) for token in step[:k]]
+        # two takes joined code as from_records codes their records
+        assert_same_columns(
+            SettingBatch.concat([batch.take(range(10)),
+                                 batch.take(range(10, 30))]),
+            SettingBatch.from_records(batch.records()))
+    # every synthesized batch shares one read-only vocabulary
+    assert len({id(batch.vocab) for batch in batches}) == 1
+    assert not batches[0].vocab.flags.writeable
+
+
+def one_setting(records):
+    return [dataclasses.replace(r, service_id="svc00", task_id="task00",
+                                context_id="ctx00") for r in records]
+
+
+@settings(max_examples=100, deadline=None)
+@given(codec_records(), codec_records(), st.data())
+def test_concat_and_take_decode_to_the_records_they_hold(first, second,
+                                                         data):
+    first, second = one_setting(first), one_setting(second)
+    joined = SettingBatch.concat([SettingBatch.from_records(first),
+                                  SettingBatch.from_records(second)])
+    assert joined.records() == first + second
+    # the two vocabularies are joined into one of the words the codes
+    # name, coded as from_records codes them
+    assert_same_columns(joined, SettingBatch.from_records(first + second))
+    rows = data.draw(st.lists(st.integers(0, len(joined) - 1),
+                              max_size=12))
+    part = joined.take(rows)
+    assert part.vocab is joined.vocab
+    assert part.records() == [(first + second)[i] for i in rows]
+
+
+def test_record_file_decodes_alike_through_json_and_columns(tmp_path,
+                                                            monkeypatch):
+    config = MarketplaceConfig(n_services=2, n_tasks=2, samples_per_task=30,
+                               contexts_per_task=2, seed=4)
+    _, _, store = synth_marketplace(config)
+    path = str(tmp_path / "records.jsonl")
+    store.save(path)
+    via_json = list(read_batches(path))
+
+    def no_json(path):
+        raise AssertionError("read_batches called")
+
+    monkeypatch.setattr(core, "read_batches", no_json)
+    via_columns = RecordStore.from_file(path)
+    assert via_columns.keys() == [b.key for b in via_json]
+    for want in via_json:
+        got = via_columns.get(*want.key)
+        assert_same_columns(got, want)
+        assert got.records() == store.get(*want.key).records()
+
+
+@pytest.mark.parametrize("distinct, dtype", [(254, np.uint8),
+                                             (300, np.uint16)])
+def test_codes_take_the_smallest_dtype_that_holds_the_vocabulary(
+        tmp_path, distinct, dtype):
+    steps = tuple(TokenStep(f"w{t}", ((f"w{t}", 0.5), (f"v{t}", 0.25)))
+                  for t in range(distinct // 2))
+    rec = InvocationRecord("svc00", "task00", "ctx00", "s0", "q", "a",
+                           steps, None, None)
+    path = str(tmp_path / "records.jsonl")
+    write_records([rec], path)
+    # a JSON read, which writes the columns file, then a columns read
+    for batch in (SettingBatch.from_records([rec]),
+                  RecordStore.from_file(path).get(*rec.key),
+                  RecordStore.from_file(path).get(*rec.key)):
+        assert len(batch.vocab) == distinct
+        assert batch.tokens.dtype == batch.cand_tokens.dtype == dtype
+        assert batch.records() == [rec]
 
 
 def good(**overrides):

@@ -419,6 +419,16 @@ def test_train_json_flags_must_hold_an_object(capsys, tmp_path, flag, text):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("kinds", ["nll,nll", "ppl,nll,ppl"])
+def test_train_repeated_feature_kind_is_domain_error(capsys, tmp_path, kinds):
+    records = str(small_store(capsys, tmp_path) / "records.jsonl")
+    code, _, err = run(capsys, "train", "--records", records, "--kinds",
+                       kinds, "--out", str(tmp_path / "model.json"))
+    assert code == 1
+    assert "repeats a feature kind" in err
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.mark.parametrize("kind,hyperparams", [
     ("random_forest", '{"n_trees": "abc"}'),
     ("random_forest", '{"n_trees": 0}'),

@@ -289,6 +289,23 @@ def test_plan_validation():
         with pytest.raises(ConfigurationError, match=name):
             ExperimentPlan(**{"services": ("svc00",), "tasks": ("task00",),
                               "contexts_per_task": 1, name: value})
+    # a baseline is a name and a feature kind a FeatureKind's value, and
+    # an id field is a sequence of ids: "s0" would run services s and 0
+    for name, value, match in [
+            ("baselines", (1,), "unknown baseline 1"),
+            ("feature_kinds", ("foo",), "feature_kinds"),
+            ("services", "s0", "services"), ("tasks", "task00", "tasks"),
+            ("baselines", "atc", "baselines")]:
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentPlan(**{"services": ("svc00",), "tasks": ("task00",),
+                              "contexts_per_task": 1, name: value})
+
+
+def test_experiment_with_a_repeated_feature_kind_is_a_configuration_error():
+    plan, store = fold_plan()
+    plan = dataclasses.replace(plan, feature_kinds=("nll", "nll"))
+    with pytest.raises(ConfigurationError, match="repeats a feature kind"):
+        run_experiment(plan, store)
 
 
 @pytest.mark.parametrize("field, value", [

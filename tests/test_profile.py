@@ -170,3 +170,11 @@ def test_build_profile_needs_a_feature_kind():
     batch = SettingBatch.from_records([make_record(0, 0.5)])
     with pytest.raises(ConfigurationError):
         build_profile(batch, kinds=(), d=4)
+
+
+@pytest.mark.parametrize("kinds", [("nll", "nll"), ("ppl", "nll", "ppl")])
+def test_build_profile_rejects_a_repeated_feature_kind(kinds):
+    # segment() would find only the first copy of a repeated kind
+    batch = SettingBatch.from_records([make_record(0, 0.5)])
+    with pytest.raises(ConfigurationError, match="repeats a feature kind"):
+        build_profile(batch, kinds=kinds, d=4)

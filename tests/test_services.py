@@ -3,12 +3,13 @@
 import dataclasses
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from perfest.core import ContextSpec, write_records
+from perfest.core import ContextSpec, RecordStore, write_records
 from perfest.errors import CapabilityError, ConfigurationError, TransportError
 from perfest.evaluation import f1_score, task_performance
 from perfest.features import FeatureKind, extract_task_features
@@ -157,6 +158,22 @@ def test_synthesized_store_holds_only_the_bytes_it_exposes():
     # viewed out of its task's candidate table kept three times its bytes
     assert sum(r.nbytes for r in roots.values()) == \
         sum(c.nbytes for c in columns.values())
+
+
+def test_synthesized_token_columns_take_one_byte_per_token(tmp_path):
+    _, _, store = synth_marketplace(small_config(n_services=2, n_tasks=3,
+                                                 seed=1))
+    path = tmp_path / "records.jsonl"
+    store.save(str(path))
+    stores = [store, RecordStore.from_file(str(path))]  # the columns file
+    os.remove(f"{path}.cols")
+    stores.append(RecordStore.from_file(str(path)))  # the JSON
+    for s in stores:
+        for batch in (s.get(*key) for key in s.keys()):
+            assert batch.tokens.nbytes == len(batch.tokens) == \
+                batch.step_offsets[-1]
+            assert batch.cand_tokens.nbytes == len(batch.cand_tokens) == \
+                batch.cand_offsets[-1]
 
 
 def test_mock_invoke_bad_ids_rejected():
